@@ -1,62 +1,18 @@
-"""Hot lattice kernels with a numba JIT path and a pure numpy fallback.
+"""Lattice kernels of the verification oracle.
 
 The max-min lattice search evaluates min(relay SNR, destination SNR) of the
 K-user sum bounds over the triangular correlation lattice {gamma = i/n,
-sum(i) <= n}. Set MARC_CAP_PURE_NUMPY=1 to force the numpy path (it is also
-used automatically when numba is unavailable); MARC_CAP_THREADS caps the JIT
-thread count. Both paths compute identical floats in identical scan order,
-so results are bit-stable across implementations.
+sum(i) <= n}. Both SNRs are written here in their sum-statistic form,
+independently of the bound tables, so the oracle does not check the tables
+against themselves.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _lattice_maxmin_numba(sq1, sq2, sq3, sum_p, p_r, n_r, n_d, n, k_users):
-        # gamma_k = i_k / n; both SNRs depend on gamma only through
-        # s = sum_k sqrt(gamma_k P_k), tabulated per axis in sq1..sq3.
-        sqrt_pr = np.sqrt(p_r)
-        row_best = np.full(n + 1, -np.inf)
-        row_j = np.zeros(n + 1, dtype=np.int64)
-        row_k = np.zeros(n + 1, dtype=np.int64)
-        for i in numba.prange(n + 1):
-            best = -np.inf
-            bj = 0
-            bk = 0
-            j_top = n - i if k_users >= 2 else 0
-            for j in range(j_top + 1):
-                k_top = n - i - j if k_users >= 3 else 0
-                for k in range(k_top + 1):
-                    s = sq1[i] + sq2[j] + sq3[k]
-                    snr_r = (sum_p - s * s) / n_r
-                    snr_d = (sum_p + p_r + 2.0 * sqrt_pr * s) / n_d
-                    m = snr_r if snr_r < snr_d else snr_d
-                    if m > best:
-                        best = m
-                        bj = j
-                        bk = k
-            row_best[i] = best
-            row_j[i] = bj
-            row_k[i] = bk
-        bi = 0
-        for i in range(1, n + 1):
-            if row_best[i] > row_best[bi]:
-                bi = i
-        return row_best[bi], bi, row_j[bi], row_k[bi]
-
-
-def _lattice_maxmin_numpy(sq1, sq2, sq3, sum_p, p_r, n_r, n_d, n, k_users):
+def _lattice_maxmin(sq1, sq2, sq3, sum_p, p_r, n_r, n_d, n, k_users):
+    # gamma_k = i_k / n; both SNRs depend on gamma only through
+    # s = sum_k sqrt(gamma_k P_k), tabulated per axis in sq1..sq3.
     sqrt_pr = np.sqrt(p_r)
     best = -np.inf
     arg = (0, 0, 0)
@@ -82,32 +38,12 @@ def _lattice_maxmin_numpy(sq1, sq2, sq3, sum_p, p_r, n_r, n_d, n, k_users):
     return best, arg[0], arg[1], arg[2]
 
 
-def use_pure_numpy():
-    return os.environ.get("MARC_CAP_PURE_NUMPY", "") == "1"
-
-
-def active_impl(impl="auto"):
-    """Implementation the dispatcher would run: 'numba' or 'numpy'."""
-    if impl == "auto":
-        return "numpy" if (use_pure_numpy() or not HAS_NUMBA) else "numba"
-    if impl == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba requested but not installed")
-    return impl
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MARC_CAP_THREADS", "")
-    if cap:
-        numba.set_num_threads(max(1, min(int(cap), numba.config.NUMBA_NUM_THREADS)))
-
-
-def lattice_maxmin(P, P_r, N_r, N_d, n, impl="auto"):
+def lattice_maxmin(P, P_r, N_r, N_d, n):
     """Best min(relay, destination) sum-bound SNR over the correlation lattice.
 
     Args:
         P: source power vector (K <= 3).
         n: lattice density; gamma_k ranges over i/n with sum(i) <= n.
-        impl: 'auto', 'numba', or 'numpy'.
 
     Returns:
         (snr, gamma) for the lattice argmax; ties resolve to the
@@ -120,12 +56,7 @@ def lattice_maxmin(P, P_r, N_r, N_d, n, impl="auto"):
     steps = np.arange(n + 1) / n
     pads = [P[i] if i < k_users else 0.0 for i in range(3)]
     sq1, sq2, sq3 = (np.sqrt(steps * p) for p in pads)
-    args = (sq1, sq2, sq3, float(P.sum()), float(P_r), float(N_r), float(N_d), n, k_users)
-    if active_impl(impl) == "numba":
-        _apply_thread_cap()
-        snr, i, j, k = _lattice_maxmin_numba(*args)
-    else:
-        snr, i, j, k = _lattice_maxmin_numpy(*args)
+    snr, i, j, k = _lattice_maxmin(sq1, sq2, sq3, float(P.sum()), float(P_r), float(N_r), float(N_d), n, k_users)
     gamma = np.array([i, j, k][:k_users], dtype=np.float64) / n
     return float(snr), gamma
 

@@ -3,16 +3,18 @@
 Cutset (outer) bounds at the relay and destination are parameterized by a
 source-relay correlation vector gamma; decode-and-forward (inner) bounds are
 parameterized by a power split (alpha, beta). Every bound is a per-subset
-rate ceiling; evaluating one family over all subsets yields a SubsetFunction
-for the polymatroid engine.
+rate ceiling. Each family is written once, as a table: a batch of (n, K)
+parameter rows evaluated over all 2^K subsets, an (n, 2^K) array indexed by
+subset bitmask. The scalar bounds, the SubsetFunction builders for the
+polymatroid engine and the region grids are views of these tables.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import awgn_capacity
 from .polymatroid import SubsetFunction
 
 # Slack for membership tests of the parameter domains; the branch switch in
@@ -122,76 +124,184 @@ def as_split(split, K):
     return split
 
 
-def outer_bound_relay(config, gamma, S):
-    """Cutset rate ceiling at the relay for the sources in subset S.
+def _unit_rows(X, K, name):
+    """Parameter rows as an (n, K) array, each entry in [0, 1] up to
+    DOMAIN_TOL."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != K:
+        raise DomainError(f"{name} rows have shape {X.shape}, expected (n, {K})")
+    bad = ~((X >= -DOMAIN_TOL) & (X <= 1.0 + DOMAIN_TOL))
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        raise DomainError(f"{name}[{k + 1}]={float(X[r, k])!r} outside [0, 1]")
+    return X
 
-    Correlating a source with the relay costs relay-side rate: the SNR is the
-    subset power minus a penalty that grows with the subset's correlation
-    mass and with the correlation already committed by the complement. When
-    the complement's correlations sum to 1 exactly, the relay transmission is
-    a deterministic function of the complement and the penalty vanishes.
-    """
-    g = as_correlation(gamma, config.K).vector()
-    if S == 0:
-        return 0.0
+
+def _check_mass(X, name):
+    mass = sum(X.T)
+    bad = mass > 1.0 + DOMAIN_TOL
+    if bad.any():
+        raise DomainError(f"sum({name})={float(mass[bad][0])!r} exceeds 1")
+
+
+def _correlation_rows(gamma, K):
+    """Validated correlation rows, clipped like CorrelationVector.vector."""
+    G = _unit_rows(gamma, K, "gamma")
+    _check_mass(G, "gamma")
+    return np.clip(G, 0.0, 1.0)
+
+
+def _split_rows(alpha, beta, K):
+    """Validated power-split rows, clipped like DfPowerSplit's vectors."""
+    A = _unit_rows(alpha, K, "alpha")
+    B = _unit_rows(beta, K, "beta")
+    if A.shape != B.shape:
+        raise DomainError(f"alpha rows have shape {A.shape}, beta rows {B.shape}")
+    _check_mass(B, "beta")
+    return np.clip(A, 0.0, 1.0), np.maximum(B, 0.0)
+
+
+def _subset_sums(X):
+    """Sums of each row of X (n, K) over all 2^K subsets, as an (n, 2^K)
+    array indexed by subset bitmask. A subset's sum is the sum of the subset
+    without its highest member plus that member, so members are added one
+    at a time in index order and a row gives the same bits alone as inside
+    a batch."""
+    sums = np.zeros((len(X), 1 << X.shape[1]))
+    for k in range(X.shape[1]):
+        np.add(sums[:, : 1 << k], X[:, k, None], out=sums[:, 1 << k : 2 << k])
+    return sums
+
+
+@lru_cache(maxsize=128)
+def _subset_power(P):
+    """Read-only subset sums of the source powers P (a tuple), per config."""
+    power = _subset_sums(np.array([P]))
+    power.setflags(write=False)
+    return power
+
+
+def _rates(snr, power, noise):
+    """0.5*log2(1+snr) per subset; snr's empty-set column is set to 0 in place.
+
+    A negative SNR within DOMAIN_TOL times the subset's SNR scale
+    power/noise is rounding dust (it grows with power) and counts as 0;
+    anything lower is a formula bug."""
+    snr[:, 0] = 0.0
+    if snr.min(initial=0.0) < 0.0:
+        low = snr < -DOMAIN_TOL * power / noise
+        if low.any():
+            raise ValueError(f"negative SNR argument {float(snr[low][0])!r}")
+        snr = np.maximum(snr, 0.0)
+    return 0.5 * np.log2(1.0 + snr)
+
+
+def _relay_cutset(config, G):
+    # Correlating a source with the relay costs relay-side rate: the SNR is
+    # the subset power minus a penalty that grows with the subset's
+    # correlation mass and with the correlation already committed by the
+    # complement. When the complement's correlations sum to 1 (at
+    # DOMAIN_TOL), the relay transmission is a deterministic function of
+    # the complement and the penalty vanishes. Column S of a reversed table
+    # is the complement of S.
     P = config.powers()
-    idx = subset_indices(S)
-    comp = [k for k in range(config.K) if k not in idx]
-    comp_mass = float(g[comp].sum()) if comp else 0.0
-    subset_power = float(P[idx].sum())
-    if abs(comp_mass - 1.0) <= DOMAIN_TOL:
-        return awgn_capacity(subset_power / config.N_r)
-    ubar = 1.0 - comp_mass
-    coherent = float(np.sqrt(g[idx] * P[idx]).sum())
-    snr = (subset_power - coherent * coherent / ubar) / config.N_r
-    return awgn_capacity(snr)
+    power = _subset_power(config.P)
+    comp_mass = _subset_sums(G)[:, ::-1]
+    coherent = _subset_sums(np.sqrt(G * P))
+    exact = np.abs(comp_mass - 1.0) <= DOMAIN_TOL
+    ubar = np.where(exact, 1.0, 1.0 - comp_mass)
+    snr = np.where(exact, power, power - coherent * coherent / ubar) / config.N_r
+    # The penalty divides by the residual mass ubar, so a feasible gamma
+    # (mass up to 1 + DOMAIN_TOL) moves it by up to power * DOMAIN_TOL / ubar.
+    return _rates(snr, power, ubar * config.N_r)
+
+
+def _dest_cutset(config, G):
+    # Subset power plus the relay power left after the complement's share
+    # plus the coherent combining gain of the subset's correlations.
+    P = config.powers()
+    power = _subset_power(config.P)
+    ubar = 1.0 - _subset_sums(G)[:, ::-1]
+    coherent = 2.0 * _subset_sums(np.sqrt(G * P * config.P_r))
+    snr = (power + ubar * config.P_r + coherent) / config.N_d
+    return _rates(snr, power, config.N_d)
+
+
+def _relay_df(config, A, B):
+    # Only the fresh-information fraction alpha_k of each power counts.
+    power = _subset_sums(A * config.powers())
+    return _rates(power / config.N_r, power, config.N_r)
+
+
+def _dest_df(config, A, B):
+    # Subset power, the relay power not pledged to the complement, and the
+    # coherent gain from the cooperative power fractions. The gains are added
+    # onto the rest one source at a time in index order, not summed first:
+    # both are bit-stable, and this order keeps the decode-and-forward
+    # region's vertices bit-identical to earlier releases.
+    P = config.powers()
+    power = _subset_power(config.P)
+    comp_beta = _subset_sums(B)[:, ::-1]
+    snr = power + (1.0 - comp_beta) * config.P_r
+    coherent = 2.0 * np.sqrt((1.0 - A) * B * P * config.P_r)
+    subsets = np.arange(1 << config.K)
+    for k in range(config.K):
+        # Source k's gain in the columns whose bitmask holds k, 0.0 elsewhere.
+        snr = snr + coherent[:, k, None] * (subsets >> k & 1)
+    return _rates(snr / config.N_d, power, config.N_d)
+
+
+def relay_cutset_table(config, gamma):
+    """Relay cutset bounds of each correlation row over all subsets."""
+    return _relay_cutset(config, _correlation_rows(gamma, config.K))
+
+
+def dest_cutset_table(config, gamma):
+    """Destination cutset bounds of each correlation row over all subsets."""
+    return _dest_cutset(config, _correlation_rows(gamma, config.K))
+
+
+def relay_df_table(config, alpha, beta):
+    """Relay decode-and-forward bounds of each power-split row over all
+    subsets (beta only has its domain checked)."""
+    return _relay_df(config, *_split_rows(alpha, beta, config.K))
+
+
+def dest_df_table(config, alpha, beta):
+    """Destination decode-and-forward bounds of each power-split row over
+    all subsets."""
+    return _dest_df(config, *_split_rows(alpha, beta, config.K))
+
+
+def _cutset_row(family, config, gamma):
+    """One correlation vector's table row."""
+    return family(config, as_correlation(gamma, config.K).vector()[None])[0]
+
+
+def _df_row(family, config, split):
+    """One power split's table row."""
+    sp = as_split(split, config.K)
+    return family(config, sp.alpha_vector()[None], sp.beta_vector()[None])[0]
+
+
+def outer_bound_relay(config, gamma, S):
+    """Cutset rate ceiling at the relay for the sources in subset S."""
+    return float(_cutset_row(_relay_cutset, config, gamma)[S])
 
 
 def outer_bound_dest(config, gamma, S):
-    """Cutset rate ceiling at the destination for subset S: subset power plus
-    the relay power left after the complement's share plus the coherent
-    combining gain of the subset's correlations."""
-    g = as_correlation(gamma, config.K).vector()
-    if S == 0:
-        return 0.0
-    P = config.powers()
-    idx = subset_indices(S)
-    comp = [k for k in range(config.K) if k not in idx]
-    comp_mass = float(g[comp].sum()) if comp else 0.0
-    ubar = 1.0 - comp_mass
-    coherent = 2.0 * float(np.sqrt(g[idx] * P[idx] * config.P_r).sum())
-    snr = (float(P[idx].sum()) + ubar * config.P_r + coherent) / config.N_d
-    return awgn_capacity(snr)
+    """Cutset rate ceiling at the destination for subset S."""
+    return float(_cutset_row(_dest_cutset, config, gamma)[S])
 
 
 def df_bound_relay(config, split, S):
-    """Decode-and-forward rate ceiling at the relay: only the fresh-information
-    fraction alpha_k of each source's power counts."""
-    sp = as_split(split, config.K)
-    if S == 0:
-        return 0.0
-    P = config.powers()
-    a = sp.alpha_vector()
-    idx = subset_indices(S)
-    return awgn_capacity(float((a[idx] * P[idx]).sum()) / config.N_r)
+    """Decode-and-forward rate ceiling at the relay for subset S."""
+    return float(_df_row(_relay_df, config, split)[S])
 
 
 def df_bound_dest(config, split, S):
-    """Decode-and-forward rate ceiling at the destination: subset power, the
-    relay power not pledged to the complement, and the coherent gain from the
-    cooperative power fractions."""
-    sp = as_split(split, config.K)
-    if S == 0:
-        return 0.0
-    P = config.powers()
-    a = sp.alpha_vector()
-    b = sp.beta_vector()
-    idx = subset_indices(S)
-    comp = [k for k in range(config.K) if k not in idx]
-    comp_beta = float(b[comp].sum()) if comp else 0.0
-    coherent = 2.0 * float(np.sqrt((1.0 - a[idx]) * b[idx] * P[idx] * config.P_r).sum())
-    snr = (float(P[idx].sum()) + (1.0 - comp_beta) * config.P_r + coherent) / config.N_d
-    return awgn_capacity(snr)
+    """Decode-and-forward rate ceiling at the destination for subset S."""
+    return float(_df_row(_dest_df, config, split)[S])
 
 
 def df_to_correlation(split):
@@ -202,20 +312,19 @@ def df_to_correlation(split):
 
 
 def beta_star(config, alpha):
-    """Relay split maximizing the destination bound for a fixed alpha.
+    """Relay split maximizing the destination bound for a fixed alpha, or
+    for each row of an (n, K) batch of alphas.
 
     Each source's share is proportional to the power it commits to
     cooperation; all-ones alpha means no cooperation and a zero split.
     """
     a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
-    if a.shape != (config.K,):
-        raise DomainError(f"alpha has shape {a.shape}, expected ({config.K},)")
-    P = config.powers()
-    weights = (1.0 - a) * P
-    total = float(weights.sum())
-    if total < 1e-300:
-        return np.zeros(config.K)
-    return weights / total
+    if a.ndim not in (1, 2) or a.shape[-1] != config.K:
+        raise DomainError(f"alpha has shape {a.shape}, expected ({config.K},) or (n, {config.K})")
+    weights = (1.0 - a) * config.powers()
+    total = weights.sum(axis=-1, keepdims=True)
+    idle = total < 1e-300
+    return np.where(idle, 0.0, weights / np.where(idle, 1.0, total))
 
 
 def gamma_star_dest(config, S, c):
@@ -234,26 +343,22 @@ def gamma_star_dest(config, S, c):
 
 def relay_cutset_function(config, gamma):
     """Relay cutset bounds over all subsets as a SubsetFunction."""
-    vals = [outer_bound_relay(config, gamma, S) for S in range(1 << config.K)]
-    return SubsetFunction(config.K, np.asarray(vals))
+    return SubsetFunction(config.K, _cutset_row(_relay_cutset, config, gamma))
 
 
 def dest_cutset_function(config, gamma):
     """Destination cutset bounds over all subsets as a SubsetFunction."""
-    vals = [outer_bound_dest(config, gamma, S) for S in range(1 << config.K)]
-    return SubsetFunction(config.K, np.asarray(vals))
+    return SubsetFunction(config.K, _cutset_row(_dest_cutset, config, gamma))
 
 
 def relay_df_function(config, split):
     """Relay decode-and-forward bounds over all subsets as a SubsetFunction."""
-    vals = [df_bound_relay(config, split, S) for S in range(1 << config.K)]
-    return SubsetFunction(config.K, np.asarray(vals))
+    return SubsetFunction(config.K, _df_row(_relay_df, config, split))
 
 
 def dest_df_function(config, split):
     """Destination decode-and-forward bounds over all subsets as a SubsetFunction."""
-    vals = [df_bound_dest(config, split, S) for S in range(1 << config.K)]
-    return SubsetFunction(config.K, np.asarray(vals))
+    return SubsetFunction(config.K, _df_row(_dest_df, config, split))
 
 
 def relay_sum_snr(config, x):

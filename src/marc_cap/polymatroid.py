@@ -117,13 +117,31 @@ def vertex_enumeration(f, perm):
     return rates
 
 
-def intersection_max_sum(f1, f2):
-    """Maximum total rate in the intersection of two polymatroids.
+def intersection_rows(T1, T2):
+    """Min-formula of a batch of set-function pairs.
 
-    Equals the minimum over subsets S of f1(S) + f2(complement of S). When a
-    full-sum candidate (S empty or S = K) attains the minimum, the K-user
-    sum-rate constraints are binding (Active); otherwise the maximizing rate
-    point splits the sources across the two bounds (Inactive).
+    Row i of the (n, 2^K) bitmask-indexed tables T1 and T2 is one pair. The
+    value is the minimum over subsets S of T1(S) + T2(complement of S).
+    When a full-sum candidate (S empty or S = K) attains the minimum, the
+    K-user sum-rate constraints are binding (Active); otherwise the maximizing
+    rate point splits the sources across the two bounds (Inactive).
+    Returns (value, argmin subset, active) arrays of length n.
+    """
+    totals = T1 + T2[:, ::-1]
+    full = totals.shape[1] - 1
+    arg_full = np.where(totals[:, 0] <= totals[:, full], 0, full)
+    if full == 1:
+        return totals.min(axis=1), arg_full, np.ones(len(totals), dtype=bool)
+    best_full = np.minimum(totals[:, 0], totals[:, full])
+    arg_mixed = 1 + np.argmin(totals[:, 1:full], axis=1)
+    best_mixed = np.take_along_axis(totals, arg_mixed[:, None], axis=1)[:, 0]
+    active = best_mixed >= best_full - TIE_TOL
+    return totals.min(axis=1), np.where(active, arg_full, arg_mixed), active
+
+
+def intersection_max_sum(f1, f2):
+    """Maximum total rate in the intersection of two polymatroids: the
+    one-row view of intersection_rows.
 
     The equality requires both inputs to be polymatroid rank functions
     (certify them when in doubt); for general set functions the minimum is
@@ -131,25 +149,11 @@ def intersection_max_sum(f1, f2):
     """
     if f1.K != f2.K:
         raise ValueError(f"ground sets differ: {f1.K} vs {f2.K}")
-    full = (1 << f1.K) - 1
-    totals = f1.values + f2.values[::-1]
-    best_full = min(totals[0], totals[full])
-    arg_full = 0 if totals[0] <= totals[full] else full
-    if f1.K == 1:
-        best_mixed = np.inf
-        arg_mixed = 0
-    else:
-        interior = totals[1:full]
-        arg_mixed = 1 + int(np.argmin(interior))
-        best_mixed = float(interior[arg_mixed - 1])
-    if best_mixed < best_full - TIE_TOL:
-        kind = INACTIVE
-        argmin = arg_mixed
-    else:
-        kind = ACTIVE
-        argmin = arg_full
+    value, argmin, active = intersection_rows(f1.values[None], f2.values[None])
+    kind = ACTIVE if active[0] else INACTIVE
+    argmin = int(argmin[0])
     case = _two_user_case(f1, f2, kind, argmin) if f1.K == 2 else None
-    return IntersectionOutcome(float(totals.min()), argmin, kind, case)
+    return IntersectionOutcome(float(value[0]), argmin, kind, case)
 
 
 def _two_user_case(f1, f2, kind, argmin):

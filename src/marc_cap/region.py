@@ -12,12 +12,17 @@ from .bounds import (
     CorrelationVector,
     DfPowerSplit,
     DomainError,
+    beta_star,
     dest_cutset_function,
+    dest_cutset_table,
     dest_df_function,
+    dest_df_table,
     outer_bound_dest,
     outer_bound_relay,
     relay_cutset_function,
+    relay_cutset_table,
     relay_df_function,
+    relay_df_table,
 )
 from .polymatroid import SubsetFunction
 
@@ -165,35 +170,13 @@ def _basis_vertices(K, g, chunk=200000):
 
 def _df_pentagon_grid(config, n):
     """Candidate vertices of every lattice power split's intersection."""
-    P1, P2 = config.P
-    Pr, Nr, Nd = config.P_r, config.N_r, config.N_d
     steps = np.arange(n + 1) / n
-    a1, a2 = (x.ravel() for x in np.meshgrid(steps, steps, indexing="ij"))
-    betas = [np.stack(np.broadcast_arrays(*beta_star_grid(config, a1, a2)), axis=1)]
-    for b in BOUNDARY_BETAS:
-        betas.append(np.broadcast_to(np.asarray(b), (a1.size, 2)))
-    cands = []
-    for bpair in betas:
-        b1, b2 = bpair[:, 0], bpair[:, 1]
-        i1 = 0.5 * np.log2(1.0 + a1 * P1 / Nr)
-        i2 = 0.5 * np.log2(1.0 + a2 * P2 / Nr)
-        i12 = 0.5 * np.log2(1.0 + (a1 * P1 + a2 * P2) / Nr)
-        coh1 = 2.0 * np.sqrt((1.0 - a1) * b1 * P1 * Pr)
-        coh2 = 2.0 * np.sqrt((1.0 - a2) * b2 * P2 * Pr)
-        d1 = 0.5 * np.log2(1.0 + (P1 + (1.0 - b2) * Pr + coh1) / Nd)
-        d2 = 0.5 * np.log2(1.0 + (P2 + (1.0 - b1) * Pr + coh2) / Nd)
-        d12 = 0.5 * np.log2(1.0 + (P1 + P2 + Pr + coh1 + coh2) / Nd)
-        cands.append(_pentagon_candidates_batch(np.minimum(i1, d1), np.minimum(i2, d2), np.minimum(i12, d12)))
-    return np.vstack(cands)
-
-
-def beta_star_grid(config, a1, a2):
-    P1, P2 = config.P
-    w1 = (1.0 - a1) * P1
-    w2 = (1.0 - a2) * P2
-    total = w1 + w2
-    safe = np.where(total < 1e-300, 1.0, total)
-    return np.where(total < 1e-300, 0.0, w1 / safe), np.where(total < 1e-300, 0.0, w2 / safe)
+    alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
+    betas = [beta_star(config, alpha)] + [np.broadcast_to(b, alpha.shape) for b in BOUNDARY_BETAS]
+    # The relay bound does not depend on beta.
+    relay = relay_df_table(config, alpha, betas[0])
+    tables = (np.minimum(relay, dest_df_table(config, alpha, beta)) for beta in betas)
+    return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
 
 
 def _pentagon_candidates_batch(g1, g2, g12):
@@ -213,26 +196,10 @@ def _pentagon_candidates_batch(g1, g2, g12):
 
 
 def _outer_pentagon_grid(config, n):
-    P1, P2 = config.P
-    Pr, Nr, Nd = config.P_r, config.N_r, config.N_d
-    ij = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
-    g1 = np.array([i / n for i, _ in ij])
-    g2 = np.array([j / n for _, j in ij])
-    s1 = np.sqrt(g1 * P1)
-    s2 = np.sqrt(g2 * P2)
-    ubar1 = 1.0 - g2
-    ubar2 = 1.0 - g1
-    # Relay bounds: exact branch switch when the complement mass is 1.
-    r1 = np.where(np.abs(g2 - 1.0) <= 1e-12, P1, P1 - s1 * s1 / np.where(ubar1 <= 0, 1.0, ubar1)) / Nr
-    r2 = np.where(np.abs(g1 - 1.0) <= 1e-12, P2, P2 - s2 * s2 / np.where(ubar2 <= 0, 1.0, ubar2)) / Nr
-    r12 = (P1 + P2 - (s1 + s2) ** 2) / Nr
-    d1 = (P1 + ubar1 * Pr + 2.0 * s1 * np.sqrt(Pr)) / Nd
-    d2 = (P2 + ubar2 * Pr + 2.0 * s2 * np.sqrt(Pr)) / Nd
-    d12 = (P1 + P2 + Pr + 2.0 * (s1 + s2) * np.sqrt(Pr)) / Nd
-    cap = lambda snr: 0.5 * np.log2(1.0 + np.maximum(snr, 0.0))
-    return _pentagon_candidates_batch(
-        np.minimum(cap(r1), cap(d1)), np.minimum(cap(r2), cap(d2)), np.minimum(cap(r12), cap(d12))
-    )
+    """Candidate vertices of every lattice correlation's intersection."""
+    gamma = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64) / n
+    g = np.minimum(relay_cutset_table(config, gamma), dest_cutset_table(config, gamma))
+    return _pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])
 
 
 def build_df_region(config, grid_resolution=0.02):
@@ -268,15 +235,21 @@ def convex_hull(points):
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     if len(pts) <= 2:
         return pts
-    cross = lambda o, a, b: (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def drop(o, a, b):
+        # A near-collinear middle point a is dropped only when it lies between
+        # o and b; when the chain doubles back on it, a is an extreme point.
+        cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        return cross <= 0.0 or (cross <= HULL_EPS and (a - o) @ (b - a) > 0.0)
+
     lower = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= HULL_EPS:
+        while len(lower) >= 2 and drop(lower[-2], lower[-1], p):
             lower.pop()
         lower.append(p)
     upper = []
     for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= HULL_EPS:
+        while len(upper) >= 2 and drop(upper[-2], upper[-1], p):
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])

@@ -19,13 +19,16 @@ from .bounds import (
     DomainError,
     beta_star,
     dest_cutset_function,
+    dest_cutset_table,
     dest_df_function,
-    df_to_correlation,
+    dest_df_table,
     relay_cutset_function,
+    relay_cutset_table,
     relay_df_function,
+    relay_df_table,
 )
 from .channel import awgn_capacity
-from .polymatroid import ACTIVE, intersection_max_sum
+from .polymatroid import ACTIVE, INACTIVE, intersection_max_sum, intersection_rows
 
 BOTTLENECK = "Bottleneck"
 EQUALIZED = "Equalized"
@@ -35,10 +38,6 @@ EXACT = "Exact"
 UPPER_BOUND_ONLY = "UpperBoundOnly"
 
 CONSTRAINT_TOL = 1e-10
-
-# Classification budget for a K=2 sweep; finer grids are handled by a strided
-# pass plus per-flip binary search on the full grid.
-MAX_DENSE_CLASSIFY = 2001
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,24 @@ def classify_outer_rule(config, gamma):
     return intersection_max_sum(dest_cutset_function(config, gamma), relay_cutset_function(config, gamma))
 
 
+def _kinds(config, family, rows):
+    """Kind of each parameter row as classify_inner_rule/classify_outer_rule
+    give it: rows are alphas (with the destination-optimal beta) for the
+    inner family, correlations for the outer one."""
+    if family == "inner":
+        beta = beta_star(config, rows)
+        tables = dest_df_table(config, rows, beta), relay_df_table(config, rows, beta)
+    else:
+        tables = dest_cutset_table(config, rows), relay_cutset_table(config, rows)
+    return np.where(intersection_rows(*tables)[2], ACTIVE, INACTIVE).tolist()
+
+
+def _rules(config, family, rows):
+    if family == "inner":
+        return [DfPowerSplit(tuple(a), tuple(beta_star(config, a))) for a in rows.tolist()]
+    return [CorrelationVector(tuple(g)) for g in rows.tolist()]
+
+
 def inner_alpha1_interval(config, c):
     """Feasible alpha_1 interval of the K=2 equalizer constraint."""
     lam = config.lam
@@ -138,8 +155,11 @@ def inner_alpha1_interval(config, c):
     return lo, hi
 
 def inner_alpha2_of_alpha1(config, c, a1):
+    """Partner alpha_2 on the K=2 equalizer constraint, clipped into [0, 1]:
+    it is feasible by construction, but dividing by a tiny lambda_2 can
+    push it out by rounding."""
     lam = config.lam
-    return 1.0 - (c - lam[0] * (1.0 - a1)) / lam[1]
+    return np.clip(1.0 - (c - lam[0] * (1.0 - a1)) / lam[1], 0.0, 1.0)
 
 
 def outer_gamma1_interval(config, root):
@@ -154,7 +174,7 @@ def outer_gamma1_interval(config, root):
 
 def outer_gamma2_of_gamma1(config, root, g1):
     lam = config.lam
-    rem = root - math.sqrt(lam[0] * g1)
+    rem = root - np.sqrt(lam[0] * g1)
     return rem * rem / lam[1]
 
 
@@ -169,52 +189,17 @@ def _sweep_grid(lo, hi, resolution):
         pts.append(hi)
     return pts
 
-def _classify_sweep(points, classify):
-    """Kinds of the sweep points; classify takes a grid index. Dense up to
-    the budget, otherwise strided with per-flip binary search."""
-    kinds = [None] * len(points)
-
-    def kind_at(i):
-        if kinds[i] is None:
-            kinds[i] = classify(i).kind
-        return kinds[i]
-
-    stride = max(1, (len(points) - 1) // (MAX_DENSE_CLASSIFY - 1)) if len(points) > 1 else 1
-    probes = list(range(0, len(points), stride))
-    if probes[-1] != len(points) - 1:
-        probes.append(len(points) - 1)
-    for i in probes:
-        kind_at(i)
-    for a, b in zip(probes, probes[1:]):
-        if kind_at(a) == kind_at(b):
-            continue
-        # One flip assumed per probed bracket; locate it on the full grid.
-        lo, hi = a, b
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if kind_at(mid) == kinds[a]:
-                lo = mid
-            else:
-                hi = mid
-    return kinds
-
 def _active_runs(points, kinds):
     runs = []
     start = None
-    prev = None
-    for i, (p, k) in enumerate(zip(points, kinds)):
+    for p, k in zip(points, kinds):
         if k == ACTIVE:
             if start is None:
                 start = p
             prev = p
-        elif k is not None:
-            if start is not None:
-                runs.append((start, prev))
-                start = None
-        # Unclassified points inside a strided run inherit their bracket's
-        # uniform kind; flips were refined, so None never borders a change.
         elif start is not None:
-            prev = p
+            runs.append((start, prev))
+            start = None
     if start is not None:
         runs.append((start, prev))
     return runs
@@ -226,10 +211,12 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
     For K=2 the rule set is one-dimensional: the first coordinate sweeps the
     grid of resolution multiples inside its feasible interval (exact
     endpoints included) and the second is solved from the constraint. Runs
-    of certified-Active grid points become the reported intervals, so the
-    boundary localization error is at most the resolution. For K>2 the
-    constraint slice is sampled (seeded Dirichlet plus a simplex lattice) and
-    only the verdict is interval-free.
+    of Active grid points become the reported intervals, so the boundary
+    localization error is at most the resolution; every grid point is
+    classified. For K>2 the constraint slice is sampled (seeded draws that
+    meet the constraint by construction for power splits, seeded Dirichlet
+    weights for correlations, plus a simplex lattice) and only the verdict
+    is interval-free.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -249,71 +236,83 @@ def _scan_two_user(config, solution, resolution, family):
     c = solution.constraint_value
     if family == "inner":
         lo, hi = inner_alpha1_interval(config, c)
-        points = _sweep_grid(lo, hi, resolution)
         partner_of = lambda p: inner_alpha2_of_alpha1(config, c, p)
-        rules = [
-            DfPowerSplit((p, partner_of(p)), tuple(beta_star(config, (p, partner_of(p)))))
-            for p in points
-        ]
-        kinds = _classify_sweep(points, lambda i: classify_inner_rule(config, rules[i]))
         names = ("alpha1", "alpha2")
     else:
         lo, hi = outer_gamma1_interval(config, solution.root)
         partner_of = lambda p: outer_gamma2_of_gamma1(config, solution.root, p)
-        points = [
-            p
-            for p in _sweep_grid(lo, hi, resolution)
-            if partner_of(p) <= 1.0 + 1e-12 and p + partner_of(p) <= 1.0 + 1e-12
-        ]
-        rules = [CorrelationVector((p, min(partner_of(p), 1.0))) for p in points]
-        kinds = _classify_sweep(points, lambda i: classify_outer_rule(config, rules[i]))
         names = ("gamma1", "gamma2")
+    grid = np.asarray(_sweep_grid(lo, hi, resolution))
+    rows = np.column_stack([grid, partner_of(grid)])
+    if family == "outer":
+        rows = rows[(rows[:, 1] <= 1.0 + 1e-12) & (rows.sum(axis=1) <= 1.0 + 1e-12)]
+        rows[:, 1] = np.minimum(rows[:, 1], 1.0)
+    points = rows[:, 0].tolist()
+    kinds = _kinds(config, family, rows)
     runs = _active_runs(points, kinds)
+    # Every point is classified; the samples are the rules at both ends of
+    # each run of equal kind, which pin the reported intervals.
+    ends = [i for i, k in enumerate(kinds) if i in (0, len(kinds) - 1) or k != kinds[i - 1] or k != kinds[i + 1]]
+    samples = zip(_rules(config, family, rows[ends]), [kinds[i] for i in ends])
     # The partner coordinate decreases along the sweep, so runs map reversed.
-    partner_runs = sorted((partner_of(b), partner_of(a)) for a, b in runs)
+    partner_runs = sorted((float(partner_of(b)), float(partner_of(a))) for a, b in runs)
     intervals = {names[0]: runs, names[1]: partner_runs}
     box = None
     if points:
         box = {
             names[0]: (points[0], points[-1]),
-            names[1]: (partner_of(points[-1]), partner_of(points[0])),
+            names[1]: (float(partner_of(points[-1])), float(partner_of(points[0]))),
         }
-    samples = tuple((rules[i], kinds[i]) for i in range(len(points)) if kinds[i] is not None)
     verdict = ACTIVE_CLASS if runs else INACTIVE_CLASS
-    return RuleSetScan(family, resolution, samples, intervals, box, verdict)
+    return RuleSetScan(family, resolution, tuple(samples), intervals, box, verdict)
+
+
+def _equalizing_loads(lam, c, n, rng):
+    """n draws of u with 0 <= u_k <= lam_k and sum(u) = c, feasible by
+    construction: the coordinates are visited in a random order, each is
+    drawn uniformly from the interval that keeps the rest feasible, and the
+    last takes the remainder."""
+    K = len(lam)
+    order = rng.permuted(np.tile(np.arange(K), (n, 1)), axis=1)
+    caps = lam[order]
+    # room[:, j]: the most that coordinates j.. of the visit order can take.
+    room = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
+    loads = np.empty((n, K))
+    left = np.full(n, c)
+    for j in range(K - 1):
+        lo = np.maximum(0.0, left - room[:, j + 1])
+        hi = np.minimum(caps[:, j], left)
+        loads[:, j] = np.minimum(lo + rng.random(n) * (hi - lo), hi)
+        left = left - loads[:, j]
+    loads[:, -1] = np.clip(left, 0.0, caps[:, -1])
+    return np.take_along_axis(loads, np.argsort(order, axis=1), axis=1)
 
 
 def _scan_sampled(config, solution, family, seed, n_random=10000):
-    c = solution.constraint_value
-    root = solution.root
     lam = config.lam_vector()
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(config.K), size=n_random)
     lattice = _simplex_lattice(config.K, 8)
-    samples = []
-    any_active = False
-    for w in np.vstack([weights, lattice]):
-        if family == "inner":
-            u = w * c
-            if np.any(u > lam):
-                continue
-            alpha = 1.0 - u / lam
-            split = DfPowerSplit(tuple(alpha), tuple(beta_star(config, alpha)))
-            kind = classify_inner_rule(config, split).kind
-            samples.append((split, kind))
-        else:
-            # sqrt(lam_k gamma_k) = w_k * root
-            gamma = (w * root) ** 2 / lam
-            if np.any(gamma > 1.0) or gamma.sum() > 1.0:
-                continue
-            vec = CorrelationVector(tuple(gamma))
-            kind = classify_outer_rule(config, vec).kind
-            samples.append((vec, kind))
-        any_active = any_active or kind == ACTIVE
-        if any_active and len(samples) >= 64:
+    if family == "inner":
+        c = solution.constraint_value
+        loads = np.vstack([_equalizing_loads(lam, c, n_random, rng), lattice * c])
+        rows = 1.0 - loads[np.all(loads <= lam, axis=1)] / lam
+    else:
+        weights = np.vstack([rng.dirichlet(np.ones(config.K), size=n_random), lattice])
+        # sqrt(lam_k gamma_k) = w_k * root
+        rows = (weights * solution.root) ** 2 / lam
+        rows = rows[np.all(rows <= 1.0, axis=1) & (rows.sum(axis=1) <= 1.0)]
+    # Classify in chunks of 64; stop at the first Active sample, but keep at
+    # least 64.
+    rules, kinds = [], []
+    for lo in range(0, len(rows), 64):
+        rules.extend(_rules(config, family, rows[lo : lo + 64]))
+        kinds.extend(_kinds(config, family, rows[lo : lo + 64]))
+        if ACTIVE in kinds:
+            stop = max(64, kinds.index(ACTIVE) + 1)
+            rules, kinds = rules[:stop], kinds[:stop]
             break
-    verdict = ACTIVE_CLASS if any_active else INACTIVE_CLASS
-    return RuleSetScan(family, 0.0, tuple(samples), None, None, verdict)
+    verdict = ACTIVE_CLASS if ACTIVE in kinds else INACTIVE_CLASS
+    return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, verdict)
 
 
 def _simplex_lattice(K, m):

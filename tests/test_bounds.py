@@ -24,11 +24,16 @@ from marc_cap import (
     relay_df_function,
     subset_label,
 )
+from marc_cap import ChannelConfig
 from marc_cap.bounds import (
     as_correlation,
     as_split,
+    dest_cutset_table,
+    dest_df_table,
     dest_sum_snr,
     full_mask,
+    relay_cutset_table,
+    relay_df_table,
     relay_sum_snr,
     subset_indices,
 )
@@ -282,3 +287,100 @@ def test_coercion_helpers(example1):
         as_split((0.5, 0.5), 2)
     with pytest.raises(DomainError, match="expected 3"):
         as_split(split, 3)
+
+
+def _table_rows(rng, K, n):
+    gamma = np.array([random_gamma(rng, K) for _ in range(n)])
+    splits = [random_split(rng, K) for _ in range(n)]
+    alpha = np.array([a for a, _ in splits])
+    beta = np.array([b for _, b in splits])
+    # Boundary rows: unit complement mass, no cooperation, full cooperation.
+    gamma[0] = np.eye(K)[0]
+    alpha[1] = 1.0
+    alpha[2] = 0.0
+    return gamma, alpha, beta
+
+
+def test_tables_are_batch_invariant():
+    rng = np.random.default_rng(11)
+    for K in range(1, 6):
+        for _ in range(3):
+            config = random_config(rng, K)
+            gamma, alpha, beta = _table_rows(rng, K, 40)
+            tables = (
+                (relay_cutset_table, (gamma,)),
+                (dest_cutset_table, (gamma,)),
+                (relay_df_table, (alpha, beta)),
+                (dest_df_table, (alpha, beta)),
+            )
+            for table, rows in tables:
+                batch = table(config, *rows)
+                assert batch.shape == (40, 1 << K)
+                assert np.all(batch[:, 0] == 0.0)
+                for i in range(40):
+                    alone = table(config, *(r[i : i + 1] for r in rows))
+                    assert np.array_equal(alone[0], batch[i]), (table.__name__, K, i)
+
+
+def test_scalar_bounds_and_builders_are_table_entries():
+    rng = np.random.default_rng(12)
+    for K in (1, 2, 3, 4):
+        config = random_config(rng, K)
+        gamma, alpha, beta = _table_rows(rng, K, 5)
+        for i in range(5):
+            vec = CorrelationVector(tuple(gamma[i]))
+            split = DfPowerSplit(tuple(alpha[i]), tuple(beta[i]))
+            pairs = (
+                (relay_cutset_table(config, gamma[i : i + 1])[0], outer_bound_relay, relay_cutset_function, vec),
+                (dest_cutset_table(config, gamma[i : i + 1])[0], outer_bound_dest, dest_cutset_function, vec),
+                (relay_df_table(config, alpha[i : i + 1], beta[i : i + 1])[0], df_bound_relay, relay_df_function, split),
+                (dest_df_table(config, alpha[i : i + 1], beta[i : i + 1])[0], df_bound_dest, dest_df_function, split),
+            )
+            for row, scalar, builder, params in pairs:
+                assert np.array_equal(builder(config, params).values, row)
+                assert [scalar(config, params, S) for S in range(1 << K)] == row.tolist()
+
+
+def test_tables_check_the_parameter_domain(example1):
+    with pytest.raises(DomainError, match="gamma\\[2\\]"):
+        relay_cutset_table(example1, [[0.2, 0.1], [0.2, -0.1]])
+    with pytest.raises(DomainError, match="sum\\(gamma\\)"):
+        dest_cutset_table(example1, [[0.6, 0.5]])
+    with pytest.raises(DomainError, match="alpha\\[1\\]"):
+        relay_df_table(example1, [[1.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(DomainError, match="beta\\[2\\]"):
+        dest_df_table(example1, [[0.5, 0.5]], [[0.5, -0.5]])
+    with pytest.raises(DomainError, match="sum\\(beta\\)"):
+        dest_df_table(example1, [[0.5, 0.5]], [[0.6, 0.5]])
+    with pytest.raises(DomainError, match="shape"):
+        dest_cutset_table(example1, [[0.1, 0.1, 0.1]])
+
+
+def test_relay_cutset_clamps_dust_relative_to_power():
+    # gamma proportional to the powers with unit mass: by Cauchy-Schwarz the
+    # full-set relay SNR is exactly 0, and the rounding dust grows with power.
+    config = ChannelConfig(2, (1e5, 3e5), 4.0, 1.0, 1.0)
+    assert outer_bound_relay(config, (0.25, 0.75), 0b11) == 0.0
+    # Unit total mass with a tiny singleton: the residual mass 1 - gamma_1
+    # carries the rounding, which the penalty divides by.
+    config = ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0)
+    assert outer_bound_relay(config, (0.9999998807907247, 1.1920927538914698e-07), 0b10) == 0.0
+
+
+def test_negative_snr_beyond_dust_is_an_error():
+    # Dust is judged against the subset's SNR scale power/noise: -1e-9 is
+    # dust at power 1e5 but a formula bug at power 1.
+    from marc_cap.bounds import _rates
+
+    power = np.array([[0.0, 1e5]])
+    assert np.array_equal(_rates(np.array([[0.0, -1e-9]]), power, 1.0), [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="negative SNR argument"):
+        _rates(np.array([[0.0, -1e-9]]), power / 1e5, 1.0)
+
+
+def test_beta_star_batches_rows(example1):
+    alpha = np.array([[0.9, 0.8], [1.0, 1.0], [0.2, 0.7]])
+    batch = beta_star(example1, alpha)
+    for row, expect in zip(alpha, batch):
+        assert np.array_equal(beta_star(example1, row), expect)
+    assert np.array_equal(batch[1], [0.0, 0.0])

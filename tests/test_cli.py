@@ -240,3 +240,22 @@ def test_version_and_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_sumcap_tiny_second_power_exits_zero(tmp_path, capsys):
+    # lambda_2 = 1e-8 used to push the partner alpha_2 past 1 by rounding.
+    cfg = write_config(tmp_path, {"P": [1e5, 1e-3], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0})
+    code, out, err = run(capsys, "sumcap", cfg)
+    assert code == 0 and err == ""
+    assert "status=Exact" in out
+    assert "active alpha2=[1.000000,1.000000]" in out
+
+
+def test_classify_gamma_high_power_dust_is_zero(tmp_path, capsys):
+    # gamma proportional to the powers with unit mass: the full-set relay
+    # SNR is exactly 0 by Cauchy-Schwarz, up to rounding dust that grows
+    # with power.
+    cfg = write_config(tmp_path, {"P": [1e5, 3e5], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0})
+    code, out, err = run(capsys, "classify", cfg, "--gamma", "0.25,0.75")
+    assert code == 0 and err == ""
+    assert "subset {1,2}: f1=8.809379 f2=0.000000" in out

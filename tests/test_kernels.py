@@ -1,14 +1,10 @@
-"""Lattice kernels: the JIT and numpy paths must produce identical floats in
-identical scan order, honor the environment switches, and refuse ground sets
-the dense search cannot handle."""
+"""Lattice kernels: a frozen lattice optimum, the min-SNR batch against its
+scalar formula, and refusal of ground sets the dense search cannot handle."""
 
 import numpy as np
 import pytest
 
-from marc_cap import _kernels
-from marc_cap._kernels import HAS_NUMBA, active_impl, lattice_maxmin, min_snr_batch
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+from marc_cap._kernels import lattice_maxmin, min_snr_batch
 
 # Example-1 lattice optimum at n=100: gamma=(0, 0.25) puts the coherent
 # statistic at exactly 1, where both sum-bound SNRs equal 9.
@@ -16,56 +12,14 @@ EX1 = dict(P=(6.0, 4.0), P_r=4.0, N_r=1.0, N_d=2.0)
 
 
 def test_numpy_path_frozen_optimum():
-    snr, gamma = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 100, impl="numpy")
+    snr, gamma = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 100)
     assert snr == 9.0
     assert np.array_equal(gamma, [0.0, 0.25])
-
-
-@needs_numba
-def test_numba_matches_numpy_bit_for_bit():
-    for P, n in [((6.0, 4.0), 100), ((6.0, 0.4), 73), ((2.0, 5.0, 1.0), 40), ((3.0,), 50)]:
-        jit = lattice_maxmin(P, 4.0, 1.0, 2.0, n, impl="numba")
-        ref = lattice_maxmin(P, 4.0, 1.0, 2.0, n, impl="numpy")
-        assert jit[0] == ref[0]
-        assert np.array_equal(jit[1], ref[1])
 
 
 def test_dense_search_rejects_large_ground_sets():
     with pytest.raises(ValueError, match="K <= 3"):
         lattice_maxmin((1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 2.0, 10)
-
-
-def test_active_impl_dispatch(monkeypatch):
-    monkeypatch.delenv("MARC_CAP_PURE_NUMPY", raising=False)
-    assert active_impl("numpy") == "numpy"
-    assert active_impl("auto") == ("numba" if HAS_NUMBA else "numpy")
-    monkeypatch.setenv("MARC_CAP_PURE_NUMPY", "1")
-    assert active_impl("auto") == "numpy"
-
-
-@needs_numba
-def test_pure_numpy_env_flag_changes_dispatch_not_result(monkeypatch):
-    monkeypatch.setenv("MARC_CAP_PURE_NUMPY", "1")
-    forced = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 50)
-    monkeypatch.delenv("MARC_CAP_PURE_NUMPY")
-    jit = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 50)
-    assert forced[0] == jit[0]
-    assert np.array_equal(forced[1], jit[1])
-
-
-@needs_numba
-def test_thread_cap_env_is_honored(monkeypatch):
-    monkeypatch.setenv("MARC_CAP_THREADS", "1")
-    snr, gamma = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 100, impl="numba")
-    assert snr == 9.0
-    assert np.array_equal(gamma, [0.0, 0.25])
-
-
-def test_missing_numba_request_is_an_error(monkeypatch):
-    monkeypatch.setattr(_kernels, "HAS_NUMBA", False)
-    assert active_impl("auto") == "numpy"
-    with pytest.raises(RuntimeError, match="numba"):
-        active_impl("numba")
 
 
 def test_min_snr_batch_matches_scalar_formula():

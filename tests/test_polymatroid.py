@@ -24,6 +24,7 @@ from marc_cap import (
     solve_equalizer,
     vertex_enumeration,
 )
+from marc_cap.polymatroid import TIE_TOL, intersection_rows
 from marc_cap.sumcap import inner_alpha2_of_alpha1
 from conftest import grid_max_sum, linprog_max_sum, random_config, random_gamma, random_split
 
@@ -269,3 +270,22 @@ def test_min_formula_upper_bounds_unverified_pairs():
         g = np.minimum(f1.values, f2.values)
         lp = linprog_max_sum(g, config.K)
         assert intersection_max_sum(f1, f2).max_sum_rate >= lp - 1e-9
+
+
+def test_intersection_rows_match_the_one_row_view():
+    rng = np.random.default_rng(41)
+    for K in (1, 2, 3, 4):
+        T1 = rng.random((30, 1 << K))
+        T2 = rng.random((30, 1 << K))
+        T1[:, 0] = T2[:, 0] = 0.0
+        if K > 1:
+            # Ties within TIE_TOL between the best split and the best full sum.
+            T2[:5, -1] = 10.0
+            T1[:5, -1] = (T1[:5, 1:-1] + T2[:5, -2:0:-1]).min(axis=1) + 0.5 * TIE_TOL
+        value, argmin, active = intersection_rows(T1, T2)
+        for i in range(30):
+            one = intersection_max_sum(SubsetFunction(K, T1[i]), SubsetFunction(K, T2[i]))
+            assert (value[i], argmin[i]) == (one.max_sum_rate, one.argmin_subset)
+            assert (ACTIVE if active[i] else INACTIVE) == one.kind
+        if K > 1:
+            assert active[:5].all() and not active.all()

@@ -150,6 +150,21 @@ def test_convex_hull_knowns():
     np.testing.assert_array_equal(convex_hull(np.array([(0.3, 0.4)])), [(0.3, 0.4)])
 
 
+@pytest.mark.parametrize("points, expected", [
+    ([(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (-2.0033017293014965e-143, 1.0)],
+     [(-2.0033017293014965e-143, 1.0), (0.0, 0.0), (1.0, 0.0)]),
+    ([(0.0, 1.0), (-1.0, 0.0), (-4.999641353300204e-247, 0.0), (-7.837379627310001e-296, 2.0)],
+     [(-1.0, 0.0), (-4.999641353300204e-247, 0.0), (0.0, 1.0), (-7.837379627310001e-296, 2.0)]),
+])
+def test_convex_hull_keeps_extreme_points_of_near_vertical_chains(points, expected):
+    # Near-collinear points within HULL_EPS are dropped only when they lie
+    # between their chain neighbours, never when the chain doubles back.
+    pts = np.array(points)
+    hull = convex_hull(pts)
+    np.testing.assert_array_equal(hull, expected)
+    assert all(polygon_contains(hull, p, tol=0.0) for p in pts)
+
+
 def test_polygon_area_knowns():
     assert polygon_area(SQUARE) == 1.0
     assert polygon_area(np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])) == 0.5

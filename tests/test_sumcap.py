@@ -23,9 +23,7 @@ from marc_cap.sumcap import (
     EXACT,
     INACTIVE_CLASS,
     UPPER_BOUND_ONLY,
-    MAX_DENSE_CLASSIFY,
     _active_runs,
-    _classify_sweep,
     _sweep_grid,
     bottleneck_check,
     classify_inner_rule,
@@ -38,7 +36,8 @@ from marc_cap.sumcap import (
     outer_gamma1_interval,
     outer_gamma2_of_gamma1,
 )
-from marc_cap.bounds import beta_star
+from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star
+from marc_cap.sumcap import CONSTRAINT_TOL
 
 ROOT_1 = 0.40824829046386296
 C_1 = 0.16666666666666663
@@ -296,40 +295,6 @@ def test_active_runs_merges_consecutive_points():
     assert _active_runs([0, 1], [ACTIVE, ACTIVE]) == [(0, 1)]
 
 
-class _Recorder:
-    """Threshold classifier over a point grid; takes a grid index and
-    counts evaluations."""
-
-    def __init__(self, points, threshold):
-        self.points = points
-        self.threshold = threshold
-        self.calls = 0
-
-    def __call__(self, i):
-        self.calls += 1
-        kind = ACTIVE if self.points[i] <= self.threshold else INACTIVE
-        return type("O", (), {"kind": kind})()
-
-
-def test_classify_sweep_strided_matches_dense(monkeypatch):
-    import marc_cap.sumcap as sc
-
-    points = list(np.linspace(0.0, 1.0, 10001))
-    strided = _Recorder(points, 0.37331)
-    kinds = _classify_sweep(points, strided)
-    # Stride plus binary-search refinement stays well under one call per point;
-    # points interior to a uniform bracket stay None and inherit its kind.
-    assert strided.calls <= 2100
-    dense = _Recorder(points, 0.37331)
-    monkeypatch.setattr(sc, "MAX_DENSE_CLASSIFY", len(points) + 1)
-    dense_kinds = _classify_sweep(points, dense)
-    assert dense.calls == len(points)
-    assert all(k == d for k, d in zip(kinds, dense_kinds) if k is not None)
-    assert _active_runs(points, kinds) == _active_runs(points, dense_kinds)
-    (run,) = _active_runs(points, kinds)
-    assert run == (0.0, pytest.approx(0.3733, abs=1e-12))
-
-
 def test_sum_capacity_equalized(example1):
     res = sum_capacity(example1)
     assert sorted(res) == ["evidence", "solution", "status", "value"]
@@ -356,3 +321,87 @@ def test_sum_capacity_upper_bound_only():
     assert res["status"] == UPPER_BOUND_ONLY
     assert res["evidence"].verdict == INACTIVE_CLASS
     assert res["value"] == solve_equalizer(cfg).sum_rate
+
+
+def _reference_runs(config, sol, family, resolution):
+    """Active runs from classify_inner_rule/classify_outer_rule called on
+    each grid point of the K=2 sweep."""
+    if family == "inner":
+        c = sol.constraint_value
+        lo, hi = inner_alpha1_interval(config, c)
+        rules = []
+        for p in _sweep_grid(lo, hi, resolution):
+            alpha = (p, float(inner_alpha2_of_alpha1(config, c, p)))
+            rules.append((p, DfPowerSplit(alpha, tuple(beta_star(config, alpha)))))
+        classify = classify_inner_rule
+    else:
+        lo, hi = outer_gamma1_interval(config, sol.root)
+        rules = []
+        for p in _sweep_grid(lo, hi, resolution):
+            partner = float(outer_gamma2_of_gamma1(config, sol.root, p))
+            if partner <= 1.0 + 1e-12 and p + partner <= 1.0 + 1e-12:
+                rules.append((p, CorrelationVector((p, min(partner, 1.0)))))
+        classify = classify_outer_rule
+    points = [p for p, _ in rules]
+    kinds = [classify(config, rule).kind for _, rule in rules]
+    # First and last point of every run of equal kind.
+    ends = [(points[i], kinds[i]) for i in range(len(kinds))
+            if i == 0 or i == len(kinds) - 1 or kinds[i] != kinds[i - 1] or kinds[i] != kinds[i + 1]]
+    return _active_runs(points, kinds), ends
+
+
+def test_dense_scan_matches_per_point_classification():
+    configs = [cfg for cfg in random_equalized_configs(40, seed=31) if cfg.K == 2][:8]
+    assert len(configs) == 8
+    for cfg in configs:
+        sol = solve_equalizer(cfg)
+        for family in ("inner", "outer"):
+            scan = scan_active_rules(cfg, sol, resolution=1e-3, family=family)
+            runs, ends = _reference_runs(cfg, sol, family, 1e-3)
+            assert scan.active_intervals["alpha1" if family == "inner" else "gamma1"] == runs
+            first = lambda rule: rule.alpha[0] if family == "inner" else rule.gamma[0]
+            assert [(first(rule), kind) for rule, kind in scan.samples] == ends
+
+
+def test_partner_alpha_stays_in_the_unit_interval():
+    # lambda_2 = 1e-8: the partner alpha_2 is feasible by construction, but
+    # dividing by lambda_2 used to push it past 1 by rounding.
+    cfg = ChannelConfig(2, (1e5, 1e-3), 4.0, 1.0, 1.0)
+    res = sum_capacity(cfg)
+    assert res["status"] == EXACT
+    box = res["evidence"].feasible_box["alpha2"]
+    assert 0.0 <= box[0] <= box[1] <= 1.0
+    for split, _ in res["evidence"].samples:
+        assert 0.0 <= split.alpha[1] <= 1.0
+
+
+@pytest.mark.parametrize("P, P_r, N_delta", [
+    ((37.91, 10.89, 0.01386, 0.2739), 0.3084, 9.918),
+    ((0.03082, 0.04818, 7.249), 19.83, 9.325),
+])
+def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta):
+    # One normalised power is below 0.01, so Dirichlet draws over the whole
+    # simplex were almost all infeasible; draws built on the constraint
+    # slice find the Active rules.
+    cfg = ChannelConfig(len(P), P, P_r, 1.0, N_delta)
+    res = sum_capacity(cfg)
+    scan = res["evidence"]
+    assert scan.verdict == ACTIVE_CLASS
+    assert res["status"] == EXACT
+    lam = cfg.lam_vector()
+    c = res["solution"].constraint_value
+    assert len(scan.samples) >= 64
+    for split, _ in scan.samples:
+        alpha = np.asarray(split.alpha)
+        assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
+
+
+def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
+    sol = solve_equalizer(example3)
+    for family in ("inner", "outer"):
+        scan = scan_active_rules(example3, sol, family=family)
+        kinds = [kind for _, kind in scan.samples]
+        assert ACTIVE in kinds
+        assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
+        classify = classify_inner_rule if family == "inner" else classify_outer_rule
+        assert kinds == [classify(example3, rule).kind for rule, _ in scan.samples]

@@ -191,3 +191,43 @@ def test_dominance_check_passes(example1, example2):
 
 def test_dominance_check_deterministic(example1):
     assert dominance_check(example1, trials=50, seed=1) == dominance_check(example1, trials=50, seed=1)
+
+
+def test_dominance_check_reports_the_first_failing_trial(example1, monkeypatch):
+    # A cutset destination bound lowered on one subset of one trial must be
+    # caught there, with the running max gap up to that point.
+    from marc_cap import verify
+
+    real_dest = verify.dest_cutset_table
+
+    def lowered(config, gamma):
+        table = real_dest(config, gamma)
+        table[7, 0b10] -= 0.25
+        return table
+
+    monkeypatch.setattr(verify, "dest_cutset_table", lowered)
+    rep = dominance_check(example1, trials=20, seed=3)
+    assert not rep.passed
+    w = rep.witness
+    assert (w["kind"], w["subset"]) == ("dest_dominance", 0b10)
+    draws = np.random.default_rng(3)
+    for _ in range(8):
+        alpha, beta = draws.random(2), draws.dirichlet(np.ones(3))[:2]
+    assert w["alpha"] == alpha.tolist() and w["beta"] == beta.tolist()
+    split = DfPowerSplit(tuple(alpha), tuple(beta))
+    assert w["inner"] == df_bound_dest(example1, split, 0b10)
+    assert w["inner"] - w["outer"] == pytest.approx(rep.max_gap, abs=1e-15)
+
+    monkeypatch.setattr(verify, "dest_cutset_table", real_dest)
+    real_relay = verify.relay_df_table
+
+    def shifted(config, alpha, beta):
+        table = real_relay(config, alpha, beta)
+        table[4, -1] += 1e-9
+        return table
+
+    monkeypatch.setattr(verify, "relay_df_table", shifted)
+    rep = dominance_check(example1, trials=20, seed=3)
+    assert not rep.passed
+    assert (rep.witness["kind"], rep.witness["subset"]) == ("relay_full_equality", 0b11)
+    assert rep.max_gap == pytest.approx(1e-9, rel=1e-6)
