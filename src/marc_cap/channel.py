@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tiny negative SNR arguments are floating-point cancellation dust from the
-# subtractive relay-bound formula; anything below this is a formula bug.
+# subtractive relay sum-SNR forms (the equalizer's K_3 - c K_0 and
+# bounds.relay_sum_snr); anything below this is a formula bug. The bound
+# tables judge their own dust relative to power (bounds._rates).
 SNR_CLAMP = -1e-12
 
 

@@ -39,7 +39,7 @@ from .sumcap import (
     BOTTLENECK,
     EQUALIZED,
     classify_inner_rule,
-    inner_alpha2_of_alpha1,
+    equalizing_set,
     solve_equalizer,
     sum_capacity,
 )
@@ -214,29 +214,6 @@ def _parse_floats(text, flag):
         raise InputError(f"{flag} expects comma-separated numbers: {exc}") from exc
 
 
-def _solve_last_alpha(config, values):
-    solution = solve_equalizer(config)
-    if solution.regime != EQUALIZED:
-        raise InputError("cannot solve the last alpha: the Bottleneck regime has no equalizing constraint")
-    lam = config.lam
-    residual = solution.constraint_value - sum(l * (1.0 - a) for l, a in zip(lam, values))
-    last = 1.0 - residual / lam[-1]
-    if not -1e-9 <= last <= 1.0 + 1e-9:
-        raise InputError(f"solved alpha_{config.K}={last!r} lies outside [0, 1]")
-    return values + [min(max(last, 0.0), 1.0)]
-
-
-def _solve_last_gamma(config, values):
-    solution = solve_equalizer(config)
-    if solution.regime != EQUALIZED:
-        raise InputError("cannot solve the last gamma: the Bottleneck regime has no equalizing constraint")
-    lam = config.lam
-    rem = solution.root - sum((l * g) ** 0.5 for l, g in zip(lam, values))
-    if rem < -1e-9:
-        raise InputError(f"gamma prefix already exceeds the equalizing root {solution.root!r}")
-    return values + [max(rem, 0.0) ** 2 / lam[-1]]
-
-
 def cmd_classify(args):
     config = load_config(args.config)
     if (args.alpha is None) == (args.gamma is None):
@@ -244,12 +221,16 @@ def cmd_classify(args):
     if args.gamma is not None and args.beta is not None:
         raise InputError("--beta applies to --alpha only")
     K = config.K
-    if args.alpha is not None:
-        values = _parse_floats(args.alpha, "--alpha")
-        if len(values) == K - 1:
-            values = _solve_last_alpha(config, values)
-        elif len(values) != K:
-            raise InputError(f"--alpha expects {K} values (or {K - 1} with the last solved), got {len(values)}")
+    family, name, text = ("inner", "alpha", args.alpha) if args.alpha is not None else ("outer", "gamma", args.gamma)
+    values = _parse_floats(text, f"--{name}")
+    if len(values) == K - 1:
+        solution = solve_equalizer(config)
+        if solution.regime != EQUALIZED:
+            raise InputError(f"cannot solve the last {name}: the Bottleneck regime has no equalizing constraint")
+        values = equalizing_set(config, solution, family).complete(values)
+    elif len(values) != K:
+        raise InputError(f"--{name} expects {K} values (or {K - 1} with the last solved), got {len(values)}")
+    if family == "inner":
         beta = _parse_floats(args.beta, "--beta") if args.beta else list(beta_star(config, values))
         if len(beta) != K:
             raise InputError(f"--beta expects {K} values, got {len(beta)}")
@@ -262,11 +243,6 @@ def cmd_classify(args):
             + " beta=" + ",".join(f"{b:.6f}" for b in split.beta)
         )
     else:
-        values = _parse_floats(args.gamma, "--gamma")
-        if len(values) == K - 1:
-            values = _solve_last_gamma(config, values)
-        elif len(values) != K:
-            raise InputError(f"--gamma expects {K} values (or {K - 1} with the last solved), got {len(values)}")
         vec = CorrelationVector(tuple(values))
         f1 = dest_cutset_function(config, vec)
         f2 = relay_cutset_function(config, vec)
@@ -339,8 +315,8 @@ def cmd_examples(args):
     # Equalizing rules beyond the active sub-interval must classify as the
     # two-user inactive case 2.
     for a1 in (0.985, 0.99, 1.0):
-        a2 = inner_alpha2_of_alpha1(config, sol.constraint_value, a1)
-        split = DfPowerSplit((a1, a2), tuple(beta_star(config, (a1, a2))))
+        alpha = equalizing_set(config, sol, "inner").complete([a1])
+        split = DfPowerSplit(tuple(alpha), tuple(beta_star(config, alpha)))
         outcome = classify_inner_rule(config, split)
         good = outcome.kind == INACTIVE and outcome.two_user_case == "2"
         print(f"  check off-interval alpha1={a1:.6f} kind={outcome.kind} "

@@ -113,25 +113,13 @@ def build_intersection(config, params):
     g = np.minimum(f1.values, f2.values)
     facets = tuple((mask, float(g[mask])) for mask in range(1, 1 << config.K))
     if config.K == 2:
-        cands = _pentagon_candidates(g[0b01], g[0b10], g[0b11])
-        verts = convex_hull(np.array(cands))
+        cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
+        verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
         return RegionPolytope(2, verts, facets)
     if config.K > 5:
         raise DomainError("vertex enumeration supports K <= 5")
     verts = _basis_vertices(config.K, g)
     return RegionPolytope(config.K, verts, facets)
-
-
-def _pentagon_candidates(g1, g2, g12):
-    pts = [(0.0, 0.0), (min(g1, g12), 0.0), (0.0, min(g2, g12))]
-    if g1 + g2 <= g12:
-        pts.append((g1, g2))
-    else:
-        if 0.0 <= g12 - g1 <= g2:
-            pts.append((g1, g12 - g1))
-        if 0.0 <= g12 - g2 <= g1:
-            pts.append((g12 - g2, g2))
-    return pts
 
 
 def _basis_vertices(K, g, chunk=200000):

@@ -16,6 +16,7 @@ import numpy as np
 from .bounds import (
     CorrelationVector,
     DfPowerSplit,
+    DOMAIN_TOL,
     DomainError,
     beta_star,
     dest_cutset_function,
@@ -94,14 +95,92 @@ def solve_equalizer(config):
     return MaxMinSolution(EQUALIZED, root, sum_rate, c, (k0, k1, k2, k3))
 
 
+@dataclass(frozen=True)
+class EqualizingSet:
+    """A family's equalizing rule set, written as loads.
+
+    The rules are the loads u with 0 <= u_k <= caps_k and sum(u) = total.
+    Power splits (inner family): u_k = lambda_k (1 - alpha_k), caps lambda,
+    total c. Correlations (outer family): u_k = sqrt(lambda_k gamma_k), caps
+    sqrt(lambda), total root; they must also keep sum(gamma) <= 1.
+    """
+
+    family: str
+    lam: np.ndarray
+    caps: np.ndarray
+    total: float
+
+    @property
+    def name(self):
+        return "alpha" if self.family == "inner" else "gamma"
+
+    # `**` rounds as C pow on scalars (the solved coordinate of complete) and
+    # as sqrt/square on arrays (the scans); keep it, so that neither moves by
+    # an ulp, nor the manifest digests that hash them.
+    def load(self, k, x):
+        """Load of coordinate(s) k at parameter value(s) x."""
+        lam = self.lam[k]
+        return lam * (1.0 - x) if self.family == "inner" else (lam * x) ** 0.5
+
+    def param(self, k, u):
+        """Parameter value(s) of coordinate(s) k at load(s) u, unclipped."""
+        lam = self.lam[k]
+        return 1.0 - u / lam if self.family == "inner" else u**2 / lam
+
+    def clip_rows(self, rows):
+        """Parameter rows clipped into [0, 1], less correlations summing above 1."""
+        rows = np.clip(rows, 0.0, 1.0)
+        return rows if self.family == "inner" else rows[rows.sum(axis=1) <= 1.0 + DOMAIN_TOL]
+
+    def sweep(self, resolution):
+        """K=2 rules along the grid of resolution multiples of the first
+        coordinate's feasible interval (exact endpoints included), each with
+        the second coordinate that takes the load the first leaves."""
+        # The first load ranges over what leaves the second within its cap.
+        span = np.array([max(0.0, self.total - self.caps[1]), min(self.caps[0], self.total)])
+        lo, hi = sorted(np.clip(self.param(0, span), 0.0, 1.0).tolist())
+        grid = np.asarray(_sweep_grid(lo, hi, resolution))
+        return self.clip_rows(np.column_stack([grid, self.param(1, self.total - self.load(0, grid))]))
+
+    def check(self, rule):
+        """Raise DomainError unless the rule's K loads add up to the total."""
+        if len(rule) != len(self.lam):
+            raise DomainError(f"{self.name} has {len(rule)} entries, expected {len(self.lam)}")
+        residual = float(self.load(slice(None), rule).sum()) - self.total
+        if abs(residual) > CONSTRAINT_TOL * max(1.0, self.total):
+            raise DomainError(f"equalizer constraint violated, residual {residual:.3e}")
+
+    def complete(self, prefix):
+        """The first K-1 coordinates of a rule and the last one, which takes
+        the load they leave. A solved correlation above 1 is left for
+        CorrelationVector to reject."""
+        K = len(self.lam)
+        left = self.total - sum(self.load(k, x) for k, x in enumerate(prefix))
+        if self.family == "outer":
+            if left < -1e-9:
+                raise DomainError(f"gamma prefix already exceeds the equalizing root {self.total!r}")
+            return [*prefix, float(self.param(K - 1, max(left, 0.0)))]
+        last = float(self.param(K - 1, left))
+        if not -1e-9 <= last <= 1.0 + 1e-9:
+            raise DomainError(f"solved alpha_{K}={last!r} lies outside [0, 1]")
+        return [*prefix, min(max(last, 0.0), 1.0)]
+
+
+def equalizing_set(config, solution, family):
+    """The equalizing rule set of family 'inner' or 'outer' at the solution."""
+    lam = config.lam_vector()
+    if family == "inner":
+        return EqualizingSet(family, lam, lam, solution.constraint_value)
+    if family == "outer":
+        return EqualizingSet(family, lam, lam**0.5, solution.root)
+    raise DomainError(f"unknown family {family!r}")
+
+
 def maxmin_rule_inner(config, solution, alpha):
     """Power split for an equalizing alpha: beta is the destination-optimal
     relay split. Requires sum_k lambda_k (1 - alpha_k) = constraint_value."""
     a = np.asarray(alpha, dtype=np.float64)
-    lam = config.lam_vector()
-    residual = float((lam * (1.0 - a)).sum()) - solution.constraint_value
-    if abs(residual) > CONSTRAINT_TOL:
-        raise DomainError(f"equalizer constraint violated, residual {residual:.3e}")
+    equalizing_set(config, solution, "inner").check(a)
     return DfPowerSplit(tuple(a), tuple(beta_star(config, a)))
 
 
@@ -109,12 +188,7 @@ def gamma_rule_outer(config, solution, gamma):
     """Validated equalizing correlation vector: the correlation statistic
     sum_k sqrt(lambda_k gamma_k) must equal the root."""
     vec = CorrelationVector(tuple(gamma))
-    if len(vec.gamma) != config.K:
-        raise DomainError(f"gamma has {len(vec.gamma)} entries, expected {config.K}")
-    lam = config.lam_vector()
-    x = float(np.sqrt(lam * vec.vector()).sum())
-    if abs(x - solution.root) > CONSTRAINT_TOL * max(1.0, solution.root):
-        raise DomainError(f"equalizer constraint violated, residual {x - solution.root:.3e}")
+    equalizing_set(config, solution, "outer").check(vec.vector())
     return vec
 
 
@@ -145,37 +219,6 @@ def _rules(config, family, rows):
     if family == "inner":
         return [DfPowerSplit(tuple(a), tuple(beta_star(config, a))) for a in rows.tolist()]
     return [CorrelationVector(tuple(g)) for g in rows.tolist()]
-
-
-def inner_alpha1_interval(config, c):
-    """Feasible alpha_1 interval of the K=2 equalizer constraint."""
-    lam = config.lam
-    lo = max(0.0, 1.0 - c / lam[0])
-    hi = min(1.0, 1.0 - (c - lam[1]) / lam[0])
-    return lo, hi
-
-def inner_alpha2_of_alpha1(config, c, a1):
-    """Partner alpha_2 on the K=2 equalizer constraint, clipped into [0, 1]:
-    it is feasible by construction, but dividing by a tiny lambda_2 can
-    push it out by rounding."""
-    lam = config.lam
-    return np.clip(1.0 - (c - lam[0] * (1.0 - a1)) / lam[1], 0.0, 1.0)
-
-
-def outer_gamma1_interval(config, root):
-    """Feasible gamma_1 interval of the K=2 equalizer constraint (before the
-    sum(gamma) <= 1 filter)."""
-    lam = config.lam
-    lo = 0.0
-    if root > math.sqrt(lam[1]):
-        lo = (root - math.sqrt(lam[1])) ** 2 / lam[0]
-    hi = min(1.0, root * root / lam[0])
-    return lo, hi
-
-def outer_gamma2_of_gamma1(config, root, g1):
-    lam = config.lam
-    rem = root - np.sqrt(lam[0] * g1)
-    return rem * rem / lam[1]
 
 
 def _sweep_grid(lo, hi, resolution):
@@ -210,13 +253,12 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
 
     For K=2 the rule set is one-dimensional: the first coordinate sweeps the
     grid of resolution multiples inside its feasible interval (exact
-    endpoints included) and the second is solved from the constraint. Runs
-    of Active grid points become the reported intervals, so the boundary
-    localization error is at most the resolution; every grid point is
-    classified. For K>2 the constraint slice is sampled (seeded draws that
-    meet the constraint by construction for power splits, seeded Dirichlet
-    weights for correlations, plus a simplex lattice) and only the verdict
-    is interval-free.
+    endpoints included) and the second takes the load the first leaves.
+    Runs of Active grid points become the reported intervals, so the
+    boundary localization error is at most the resolution; every grid point
+    is classified. For K>2 the rule set is sampled (seeded loads that meet
+    the constraint by construction, then a simplex lattice) and only the
+    verdict is interval-free.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -225,60 +267,44 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
         raise DomainError("rule-set scan applies to the Equalized regime only")
     if resolution <= 0:
         raise DomainError(f"resolution must be positive, got {resolution!r}")
-    if family not in ("inner", "outer"):
-        raise DomainError(f"unknown family {family!r}")
+    rule_set = equalizing_set(config, solution, family)
     if config.K == 2:
-        return _scan_two_user(config, solution, resolution, family)
-    return _scan_sampled(config, solution, family, seed)
+        return _scan_two_user(config, rule_set, resolution)
+    return _scan_sampled(config, rule_set, seed)
 
 
-def _scan_two_user(config, solution, resolution, family):
-    c = solution.constraint_value
-    if family == "inner":
-        lo, hi = inner_alpha1_interval(config, c)
-        partner_of = lambda p: inner_alpha2_of_alpha1(config, c, p)
-        names = ("alpha1", "alpha2")
-    else:
-        lo, hi = outer_gamma1_interval(config, solution.root)
-        partner_of = lambda p: outer_gamma2_of_gamma1(config, solution.root, p)
-        names = ("gamma1", "gamma2")
-    grid = np.asarray(_sweep_grid(lo, hi, resolution))
-    rows = np.column_stack([grid, partner_of(grid)])
-    if family == "outer":
-        rows = rows[(rows[:, 1] <= 1.0 + 1e-12) & (rows.sum(axis=1) <= 1.0 + 1e-12)]
-        rows[:, 1] = np.minimum(rows[:, 1], 1.0)
-    points = rows[:, 0].tolist()
+def _scan_two_user(config, rule_set, resolution):
+    family = rule_set.family
+    rows = rule_set.sweep(resolution)
     kinds = _kinds(config, family, rows)
-    runs = _active_runs(points, kinds)
+    runs = [rows[[i, j]].tolist() for i, j in _active_runs(range(len(rows)), kinds)]
     # Every point is classified; the samples are the rules at both ends of
     # each run of equal kind, which pin the reported intervals.
     ends = [i for i, k in enumerate(kinds) if i in (0, len(kinds) - 1) or k != kinds[i - 1] or k != kinds[i + 1]]
     samples = zip(_rules(config, family, rows[ends]), [kinds[i] for i in ends])
-    # The partner coordinate decreases along the sweep, so runs map reversed.
-    partner_runs = sorted((float(partner_of(b)), float(partner_of(a))) for a, b in runs)
-    intervals = {names[0]: runs, names[1]: partner_runs}
+    # The second coordinate decreases along the sweep, so its runs map reversed.
+    names = (rule_set.name + "1", rule_set.name + "2")
+    intervals = {names[0]: [(a[0], b[0]) for a, b in runs], names[1]: sorted((b[1], a[1]) for a, b in runs)}
     box = None
-    if points:
-        box = {
-            names[0]: (points[0], points[-1]),
-            names[1]: (float(partner_of(points[-1])), float(partner_of(points[0]))),
-        }
+    if len(rows):
+        (lo, first), (hi, last) = rows[[0, -1]].tolist()
+        box = {names[0]: (lo, hi), names[1]: (last, first)}
     verdict = ACTIVE_CLASS if runs else INACTIVE_CLASS
     return RuleSetScan(family, resolution, tuple(samples), intervals, box, verdict)
 
 
-def _equalizing_loads(lam, c, n, rng):
-    """n draws of u with 0 <= u_k <= lam_k and sum(u) = c, feasible by
+def _equalizing_loads(caps, total, n, rng):
+    """n draws of u with 0 <= u_k <= caps_k and sum(u) = total, feasible by
     construction: the coordinates are visited in a random order, each is
     drawn uniformly from the interval that keeps the rest feasible, and the
     last takes the remainder."""
-    K = len(lam)
+    K = len(caps)
     order = rng.permuted(np.tile(np.arange(K), (n, 1)), axis=1)
-    caps = lam[order]
+    caps = caps[order]
     # room[:, j]: the most that coordinates j.. of the visit order can take.
     room = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
     loads = np.empty((n, K))
-    left = np.full(n, c)
+    left = np.full(n, total)
     for j in range(K - 1):
         lo = np.maximum(0.0, left - room[:, j + 1])
         hi = np.minimum(caps[:, j], left)
@@ -288,29 +314,31 @@ def _equalizing_loads(lam, c, n, rng):
     return np.take_along_axis(loads, np.argsort(order, axis=1), axis=1)
 
 
-def _scan_sampled(config, solution, family, seed, n_random=10000):
-    lam = config.lam_vector()
-    rng = np.random.default_rng(seed)
-    lattice = _simplex_lattice(config.K, 8)
-    if family == "inner":
-        c = solution.constraint_value
-        loads = np.vstack([_equalizing_loads(lam, c, n_random, rng), lattice * c])
-        rows = 1.0 - loads[np.all(loads <= lam, axis=1)] / lam
-    else:
-        weights = np.vstack([rng.dirichlet(np.ones(config.K), size=n_random), lattice])
-        # sqrt(lam_k gamma_k) = w_k * root
-        rows = (weights * solution.root) ** 2 / lam
-        rows = rows[np.all(rows <= 1.0, axis=1) & (rows.sum(axis=1) <= 1.0)]
-    # Classify in chunks of 64; stop at the first Active sample, but keep at
+def _load_chunks(rule_set, rng, n_random):
+    """Loads on the rule set, 64 rows at a time: n_random seeded draws, then
+    the points of a simplex lattice that stay within the caps."""
+    for lo in range(0, n_random, 64):
+        yield _equalizing_loads(rule_set.caps, rule_set.total, min(64, n_random - lo), rng)
+    lattice = _simplex_lattice(len(rule_set.caps), 8) * rule_set.total
+    lattice = lattice[np.all(lattice <= rule_set.caps, axis=1)]
+    for lo in range(0, len(lattice), 64):
+        yield lattice[lo : lo + 64]
+
+
+def _scan_sampled(config, rule_set, seed, n_random=10000):
+    # Classify chunk by chunk; stop at the first Active sample, but keep at
     # least 64.
-    rules, kinds = [], []
-    for lo in range(0, len(rows), 64):
-        rules.extend(_rules(config, family, rows[lo : lo + 64]))
-        kinds.extend(_kinds(config, family, rows[lo : lo + 64]))
-        if ACTIVE in kinds:
-            stop = max(64, kinds.index(ACTIVE) + 1)
-            rules, kinds = rules[:stop], kinds[:stop]
+    family = rule_set.family
+    rng = np.random.default_rng(seed)
+    chunks, kinds = [], []
+    for loads in _load_chunks(rule_set, rng, n_random):
+        rows = rule_set.clip_rows(rule_set.param(slice(None), loads))
+        chunks.append(rows)
+        kinds.extend(_kinds(config, family, rows))
+        if ACTIVE in kinds and len(kinds) >= 64:
+            kinds = kinds[: max(64, kinds.index(ACTIVE) + 1)]
             break
+    rules = _rules(config, family, np.vstack(chunks)[: len(kinds)])
     verdict = ACTIVE_CLASS if ACTIVE in kinds else INACTIVE_CLASS
     return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, verdict)
 

@@ -41,8 +41,8 @@ from marc_cap.sumcap import (
     bottleneck_check,
     classify_inner_rule,
     classify_outer_rule,
+    equalizing_set,
     gamma_rule_outer,
-    inner_alpha2_of_alpha1,
     maxmin_rule_inner,
 )
 from conftest import grid_max_sum, linprog_max_sum, random_config, random_gamma, random_split
@@ -84,8 +84,8 @@ def test_criterion_02_example2_reproduction():
     (run2,) = scan.active_intervals["alpha2"]
     off_ok = True
     for a1 in (0.985, 0.99, 1.0):
-        a2 = inner_alpha2_of_alpha1(EXAMPLE_2, sol.constraint_value, a1)
-        split = DfPowerSplit((a1, a2), tuple(beta_star(EXAMPLE_2, (a1, a2))))
+        alpha = equalizing_set(EXAMPLE_2, sol, "inner").complete([a1])
+        split = DfPowerSplit(tuple(alpha), tuple(beta_star(EXAMPLE_2, alpha)))
         out = classify_inner_rule(EXAMPLE_2, split)
         off_ok = off_ok and out.kind == INACTIVE and out.two_user_case == "2"
     checks = [
@@ -241,9 +241,8 @@ def _constructed_inactive(k):
     # Equalizing splits beyond the active sub-interval of the asymmetric
     # worked example classify Inactive.
     a1 = 0.982 + 0.0018 * k
-    c = solve_equalizer(EXAMPLE_2).constraint_value
-    a2 = inner_alpha2_of_alpha1(EXAMPLE_2, c, a1)
-    split = DfPowerSplit((a1, a2), tuple(beta_star(EXAMPLE_2, (a1, a2))))
+    alpha = equalizing_set(EXAMPLE_2, solve_equalizer(EXAMPLE_2), "inner").complete([a1])
+    split = DfPowerSplit(tuple(alpha), tuple(beta_star(EXAMPLE_2, alpha)))
     return dest_df_function(EXAMPLE_2, split), relay_df_function(EXAMPLE_2, split)
 
 

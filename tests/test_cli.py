@@ -166,6 +166,33 @@ def test_classify_gamma_route(tmp_path, capsys):
     assert "max_sum=1.660964 kind=Active" in out
 
 
+def test_classify_solves_last_gamma(tmp_path, capsys):
+    cfg = write_config(tmp_path, EX1)
+    code, out, err = run(capsys, "classify", cfg, "--gamma", "0.05")
+    assert code == 0 and err == ""
+    assert "params gamma=0.050000,0.051139" in out
+    assert "subset {1}: f1=1.402973 f2=1.370338" in out
+    assert "max_sum=1.660964 kind=Active argmin={} case=3b" in out
+
+
+EX2 = {"K": 2, "P": [6.0, 0.4], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
+K3 = {"P": [3.0, 1.5, 0.7], "P_r": 2.0, "N_r": 1.0, "N_delta": 1.5}
+
+
+@pytest.mark.parametrize("data, flag, values, message", [
+    (EX2, "--alpha", "0.5", "solved alpha_2=7.916198487095663 lies outside [0, 1]"),
+    (K3, "--alpha", "0.5,0.5", "solved alpha_3=2.6118000669888133 lies outside [0, 1]"),
+    (K3, "--alpha", "0.99,0.99", "solved alpha_3=-0.5381999330111871 lies outside [0, 1]"),
+    (EX1, "--gamma", "0.9", "gamma prefix already exceeds the equalizing root 0.40824829046386296"),
+    (K3, "--gamma", "0.0,0.0", "gamma[3]=1.6024856472969013 outside [0, 1]"),
+    (BOTTLENECK, "--alpha", "0.5", "cannot solve the last alpha: the Bottleneck regime has no equalizing constraint"),
+    (BOTTLENECK, "--gamma", "0.5", "cannot solve the last gamma: the Bottleneck regime has no equalizing constraint"),
+])
+def test_classify_last_coordinate_errors(tmp_path, capsys, data, flag, values, message):
+    code, out, err = run(capsys, "classify", write_config(tmp_path, data), flag, values)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_classify_flag_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     code, _, err = run(capsys, "classify", cfg)

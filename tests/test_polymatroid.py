@@ -25,7 +25,7 @@ from marc_cap import (
     vertex_enumeration,
 )
 from marc_cap.polymatroid import TIE_TOL, intersection_rows
-from marc_cap.sumcap import inner_alpha2_of_alpha1
+from marc_cap.sumcap import equalizing_set
 from conftest import grid_max_sum, linprog_max_sum, random_config, random_gamma, random_split
 
 # Frozen greedy vertices of the no-cooperation relay family of example 1:
@@ -213,8 +213,7 @@ def test_example2_in_interval_rule_is_active(example2):
 
 
 def test_example2_off_interval_rule_is_inactive_case_2(example2):
-    c = solve_equalizer(example2).constraint_value
-    a2 = inner_alpha2_of_alpha1(example2, c, 0.99)
+    _, a2 = equalizing_set(example2, solve_equalizer(example2), "inner").complete([0.99])
     assert a2 == pytest.approx(0.5661984870956629, rel=1e-12)
     split = DfPowerSplit((0.99, a2), tuple(beta_star(example2, (0.99, a2))))
     outcome = intersection_max_sum(

@@ -24,7 +24,7 @@ from marc_cap.region import (
     DEST,
     RELAY,
     _basis_vertices,
-    _pentagon_candidates,
+    _pentagon_candidates_batch,
     convex_hull,
     hausdorff_distance,
     mixture_bound,
@@ -50,13 +50,17 @@ EX1_PENTAGON = np.array([
 
 
 def test_pentagon_candidates_box_and_pentagon():
-    # Loose full-set bound: the rectangle corner is a vertex.
-    assert _pentagon_candidates(1.0, 1.0, 3.0) == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    def candidates(g1, g2, g12):
+        return [tuple(p) for p in _pentagon_candidates_batch(np.array([g1]), np.array([g2]), np.array([g12])).tolist()]
+
+    # Loose full-set bound: the rectangle corner is a vertex (the origin is
+    # added by the callers).
+    assert candidates(1.0, 1.0, 3.0) == [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     # Tight full-set bound: two diagonal corners instead.
-    pts = _pentagon_candidates(1.0, 1.0, 1.5)
-    assert (1.0, 0.5) in pts and (0.5, 1.0) in pts and len(pts) == 5
+    pts = candidates(1.0, 1.0, 1.5)
+    assert (1.0, 0.5) in pts and (0.5, 1.0) in pts and len(pts) == 4
     # Full-set bound below one singleton: only the feasible corner survives.
-    pts = _pentagon_candidates(5.0, 1.0, 5.5)
+    pts = candidates(5.0, 1.0, 5.5)
     assert (5.0, 0.5) in pts and (4.5, 1.0) in pts
 
 

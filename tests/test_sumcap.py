@@ -28,13 +28,10 @@ from marc_cap.sumcap import (
     bottleneck_check,
     classify_inner_rule,
     classify_outer_rule,
+    equalizing_set,
     gamma_rule_outer,
-    inner_alpha1_interval,
-    inner_alpha2_of_alpha1,
     k_coefficients,
     maxmin_rule_inner,
-    outer_gamma1_interval,
-    outer_gamma2_of_gamma1,
 )
 from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star
 from marc_cap.sumcap import CONSTRAINT_TOL
@@ -208,13 +205,18 @@ def test_classify_example2_on_and_off_interval(example2):
 
 
 def test_feasible_intervals_example1(example1):
+    # The sweep's first and last rows are the ends of the feasible interval,
+    # each with its partner coordinate.
     sol = solve_equalizer(example1)
-    lo, hi = inner_alpha1_interval(example1, sol.constraint_value)
-    assert (lo, hi) == (0.8333333333333334, 1.0)
-    assert inner_alpha2_of_alpha1(example1, sol.constraint_value, 1.0) == 0.75
-    glo, ghi = outer_gamma1_interval(example1, sol.root)
-    assert (glo, ghi) == (0.0, C_1)
-    assert outer_gamma2_of_gamma1(example1, sol.root, 0.0) == 0.24999999999999994
+    inner = equalizing_set(example1, sol, "inner").sweep(1e-3)
+    assert (inner[0, 0], inner[-1, 0]) == (0.8333333333333334, 1.0)
+    assert inner[-1, 1] == 0.75
+    outer = equalizing_set(example1, sol, "outer").sweep(1e-3)
+    assert (outer[0, 0], outer[-1, 0]) == (0.0, C_1)
+    assert outer[0, 1] == 0.24999999999999994
+    # Solving the last coordinate gives the same partners.
+    assert equalizing_set(example1, sol, "inner").complete([1.0]) == [1.0, 0.75]
+    assert equalizing_set(example1, sol, "outer").complete([0.0]) == [0.0, 0.24999999999999994]
 
 
 def test_scan_example1_inner_full_box_active(example1):
@@ -325,22 +327,13 @@ def test_sum_capacity_upper_bound_only():
 
 def _reference_runs(config, sol, family, resolution):
     """Active runs from classify_inner_rule/classify_outer_rule called on
-    each grid point of the K=2 sweep."""
+    each rule of the K=2 sweep."""
+    rows = equalizing_set(config, sol, family).sweep(resolution).tolist()
     if family == "inner":
-        c = sol.constraint_value
-        lo, hi = inner_alpha1_interval(config, c)
-        rules = []
-        for p in _sweep_grid(lo, hi, resolution):
-            alpha = (p, float(inner_alpha2_of_alpha1(config, c, p)))
-            rules.append((p, DfPowerSplit(alpha, tuple(beta_star(config, alpha)))))
+        rules = [(p[0], DfPowerSplit(tuple(p), tuple(beta_star(config, p)))) for p in rows]
         classify = classify_inner_rule
     else:
-        lo, hi = outer_gamma1_interval(config, sol.root)
-        rules = []
-        for p in _sweep_grid(lo, hi, resolution):
-            partner = float(outer_gamma2_of_gamma1(config, sol.root, p))
-            if partner <= 1.0 + 1e-12 and p + partner <= 1.0 + 1e-12:
-                rules.append((p, CorrelationVector((p, min(partner, 1.0)))))
+        rules = [(p[0], CorrelationVector(tuple(p))) for p in rows]
         classify = classify_outer_rule
     points = [p for p, _ in rules]
     kinds = [classify(config, rule).kind for _, rule in rules]
@@ -375,25 +368,35 @@ def test_partner_alpha_stays_in_the_unit_interval():
         assert 0.0 <= split.alpha[1] <= 1.0
 
 
+@pytest.mark.parametrize("family", ["inner", "outer"])
 @pytest.mark.parametrize("P, P_r, N_delta", [
     ((37.91, 10.89, 0.01386, 0.2739), 0.3084, 9.918),
     ((0.03082, 0.04818, 7.249), 19.83, 9.325),
 ])
-def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta):
+def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, family):
     # One normalised power is below 0.01, so Dirichlet draws over the whole
-    # simplex were almost all infeasible; draws built on the constraint
-    # slice find the Active rules.
+    # simplex were almost all infeasible (the outer scan kept 3 of 10,045 on
+    # the K=4 config); draws built on the constraint slice keep every split
+    # and find the Active rules.
     cfg = ChannelConfig(len(P), P, P_r, 1.0, N_delta)
     res = sum_capacity(cfg)
-    scan = res["evidence"]
-    assert scan.verdict == ACTIVE_CLASS
-    assert res["status"] == EXACT
     lam = cfg.lam_vector()
-    c = res["solution"].constraint_value
+    if family == "inner":
+        scan = res["evidence"]
+        assert scan.verdict == ACTIVE_CLASS
+        assert res["status"] == EXACT
+        c = res["solution"].constraint_value
+        for split, _ in scan.samples:
+            alpha = np.asarray(split.alpha)
+            assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
+    else:
+        root = res["solution"].root
+        scan = scan_active_rules(cfg, res["solution"], family="outer")
+        for vec, _ in scan.samples:
+            gamma = np.asarray(vec.gamma)
+            assert gamma.min() >= 0.0 and gamma.max() <= 1.0 and gamma.sum() <= 1.0 + 1e-12
+            assert abs(float(np.sqrt(lam * gamma).sum()) - root) <= CONSTRAINT_TOL * max(1.0, root)
     assert len(scan.samples) >= 64
-    for split, _ in scan.samples:
-        alpha = np.asarray(split.alpha)
-        assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
 
 
 def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
