@@ -17,8 +17,6 @@ from .bounds import (
     dest_cutset_table,
     dest_df_function,
     dest_df_table,
-    outer_bound_dest,
-    outer_bound_relay,
     relay_cutset_function,
     relay_cutset_table,
     relay_df_function,
@@ -26,12 +24,12 @@ from .bounds import (
 )
 from .polymatroid import SubsetFunction
 
-# Orientation predicate epsilon for the planar hull; collinear-within-epsilon
-# points are dropped so vertex lists stay minimal and deterministic.
+# Relative orientation epsilon for the planar hull. A chain point a between
+# neighbours o and b is dropped as collinear when the cross product
+# (a - o) x (b - o) is at most HULL_EPS * |a - o| * |b - o| and a lies between
+# o and b, so vertex lists stay minimal and deterministic. Being relative,
+# the test keeps real extreme points of small-scale inputs.
 HULL_EPS = 1e-12
-
-RELAY = "relay"
-DEST = "dest"
 
 # Relay power splits probed alongside the destination-optimal one when
 # sweeping the two-user decode-and-forward region.
@@ -74,17 +72,6 @@ class RegionPolytope:
 
     def max_sum(self):
         return float(self.vertices.sum(axis=1).max())
-
-
-def mixture_bound(config, mixture, receiver, S):
-    """Weighted average of one cutset bound across the mixture points."""
-    if receiver == RELAY:
-        bound = outer_bound_relay
-    elif receiver == DEST:
-        bound = outer_bound_dest
-    else:
-        raise DomainError(f"unknown receiver {receiver!r}")
-    return sum(w * bound(config, vec, S) for vec, w in mixture.points)
 
 
 def _family_pair(config, params):
@@ -185,9 +172,15 @@ def _pentagon_candidates_batch(g1, g2, g12):
 
 def _outer_pentagon_grid(config, n):
     """Candidate vertices of every lattice correlation's intersection."""
-    gamma = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64) / n
+    gamma = _correlation_lattice(n)
     g = np.minimum(relay_cutset_table(config, gamma), dest_cutset_table(config, gamma))
     return _pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])
+
+
+def _correlation_lattice(n):
+    """Rows (i / n, j / n) with i + j <= n, ordered by i, then j."""
+    i, j = np.triu_indices(n + 1)
+    return np.stack([i, j - i], axis=1) / n
 
 
 def build_df_region(config, grid_resolution=0.02):
@@ -219,8 +212,22 @@ def _require_two_user(config, grid_resolution):
 
 def convex_hull(points):
     """Andrew monotone-chain hull, counterclockwise from the
-    lexicographically smallest vertex; collinear points dropped."""
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    lexicographically smallest vertex; collinear points dropped.
+
+    Before the chain runs, points that cannot be hull vertices are dropped:
+    all but the lowest and the highest point of each distinct x, a highest
+    point that is not strictly above every highest point to its left or to
+    its right, and a lowest point that is not strictly below every lowest
+    point to its left or to its right. This is sound for any input: a
+    dropped highest point lies on or below a segment joining two other
+    highest points, and either above its own column's lowest point or, being
+    that point too, on or above a segment joining two other lowest points,
+    so it lies in the hull of the other points. A region grid of several
+    hundred thousand candidates leaves a few hundred for the chain."""
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) > 2:
+        pts = _hull_candidates(pts)
+    pts = np.unique(pts, axis=0)
     if len(pts) <= 2:
         return pts
 
@@ -228,7 +235,8 @@ def convex_hull(points):
         # A near-collinear middle point a is dropped only when it lies between
         # o and b; when the chain doubles back on it, a is an extreme point.
         cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-        return cross <= 0.0 or (cross <= HULL_EPS and (a - o) @ (b - a) > 0.0)
+        near = cross <= HULL_EPS * np.hypot(*(a - o)) * np.hypot(*(b - o))
+        return cross <= 0.0 or (near and (a - o) @ (b - a) > 0.0)
 
     lower = []
     for p in pts:
@@ -241,6 +249,24 @@ def convex_hull(points):
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
+
+
+def _hull_candidates(pts):
+    """The lowest and highest points of each distinct x that the filter in
+    `convex_hull` keeps."""
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    x = pts[:, 0]
+    bottom = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    top = np.r_[bottom[1:] - 1, len(x) - 1]
+    return pts[np.r_[bottom[_beyond_neighbours(-pts[bottom, 1])], top[_beyond_neighbours(pts[top, 1])]]]
+
+
+def _beyond_neighbours(y):
+    """Mask of the entries strictly greater than every entry before them or
+    every entry after them."""
+    before = np.r_[-np.inf, np.maximum.accumulate(y)[:-1]]
+    after = np.r_[np.maximum.accumulate(y[::-1])[::-1][1:], -np.inf]
+    return (y > before) | (y > after)
 
 
 def polygon_area(vertices):

@@ -156,8 +156,13 @@ def test_dest_cutset_concave_in_gamma(case_a, case_b, lam):
     assert outer_bound_dest(cfg, mid, mask) >= chord - 1e-9
 
 
+# Coordinates of every scale from 1e-300 to 100, mixed within one point set.
+mixed_scale = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10, 10), st.integers(-300, 1))
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=30))
+@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=30)
+       | st.lists(st.tuples(mixed_scale, mixed_scale), min_size=1, max_size=30))
 def test_convex_hull_idempotent_and_contains_inputs(points):
     pts = np.array(points, dtype=np.float64)
     hull = convex_hull(pts)

@@ -21,13 +21,11 @@ from marc_cap.bounds import (
     outer_bound_relay,
 )
 from marc_cap.region import (
-    DEST,
-    RELAY,
     _basis_vertices,
+    _correlation_lattice,
     _pentagon_candidates_batch,
     convex_hull,
     hausdorff_distance,
-    mixture_bound,
     point_polygon_distance,
     polygon_area,
     polygon_contains,
@@ -159,14 +157,118 @@ def test_convex_hull_knowns():
      [(-2.0033017293014965e-143, 1.0), (0.0, 0.0), (1.0, 0.0)]),
     ([(0.0, 1.0), (-1.0, 0.0), (-4.999641353300204e-247, 0.0), (-7.837379627310001e-296, 2.0)],
      [(-1.0, 0.0), (-4.999641353300204e-247, 0.0), (0.0, 1.0), (-7.837379627310001e-296, 2.0)]),
+    # Mixed scales: an absolute epsilon dropped the lowest point, then the
+    # highest, although each lies 2e-8 to 7e-8 beyond a chord 3 to 17 long.
+    ([(2.418785367323337e-06, 1.1064507974277359e-249), (1.6714078581523489e-22, -1.9385505846181193e-08),
+      (5.905009896324608e-63, 0.0014021805297631139), (17.057153324166055, -3.2690186590164595e-40),
+      (-1.6670720193487503e-07, 1.1550593198726128e-171)],
+     [(-1.6670720193487503e-07, 1.1550593198726128e-171), (1.6714078581523489e-22, -1.9385505846181193e-08),
+      (17.057153324166055, -3.2690186590164595e-40), (5.905009896324608e-63, 0.0014021805297631139)]),
+    ([(-7.0430287906274285e-168, 6.876992179386011e-08), (-7.957024807909816e-09, 6.893889338544574e-11),
+      (0.6942219093700253, -5.993655473004596), (9.505157526051008e-07, 3.100172037288985e-183),
+      (-3.0673846251170183, -6.602590567333434e-222)],
+     [(-3.0673846251170183, -6.602590567333434e-222), (0.6942219093700253, -5.993655473004596),
+      (9.505157526051008e-07, 3.100172037288985e-183), (-7.0430287906274285e-168, 6.876992179386011e-08)]),
 ])
 def test_convex_hull_keeps_extreme_points_of_near_vertical_chains(points, expected):
-    # Near-collinear points within HULL_EPS are dropped only when they lie
-    # between their chain neighbours, never when the chain doubles back.
+    # Near-collinear points within HULL_EPS (relative to the lengths of the
+    # two chords) are dropped only when they lie between their chain
+    # neighbours, never when the chain doubles back.
     pts = np.array(points)
     hull = convex_hull(pts)
     np.testing.assert_array_equal(hull, expected)
     assert all(polygon_contains(hull, p, tol=0.0) for p in pts)
+
+
+def _point_sets(rng):
+    for _ in range(40):
+        yield rng.normal(size=(rng.integers(3, 60), 2))
+        yield rng.integers(-4, 5, size=(rng.integers(3, 80), 2)).astype(float)
+        t = rng.uniform(-1.0, 1.0, size=rng.integers(3, 40))
+        yield np.stack([t, 0.5 * t + 1e-13 * rng.normal(size=t.size)], axis=1)
+        # Mixed scales, kept above 1e-150 so that no cross product underflows.
+        n = rng.integers(3, 20)
+        yield rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-150, 2, size=(n, 2))
+
+
+def test_convex_hull_keeps_every_extreme_point():
+    # Oracle independent of the candidate filter: a point that maximizes p.d
+    # over the set by a clear margin, for some direction d, is a vertex.
+    rng = np.random.default_rng(606)
+    checked = 0
+    for pts in _point_sets(rng):
+        hull = convex_hull(pts)
+        distinct = np.unique(pts, axis=0)
+        scale = np.abs(distinct).max()
+        for d in rng.normal(size=(50, 2)):
+            score = distinct @ d
+            order = np.argsort(score)
+            if len(distinct) > 1 and score[order[-1]] - score[order[-2]] <= 1e-9 * scale * np.hypot(*d):
+                continue
+            assert (hull == distinct[order[-1]]).all(axis=1).any()
+            checked += 1
+    assert checked > 5000
+
+
+# Vertex arrays of both regions at step 0.02, frozen to the bit.
+REGION_VERTICES_002 = {
+    ("example1", "inner"): [
+        (0.0, 0.0),
+        (1.3785116232537298, 0.0),
+        (1.3785116232537298, 0.20482970381918753),
+        (1.3655916207861, 0.24508786202008337),
+        (1.339035952556319, 0.3219280948873622),
+        (0.5601471168588559, 1.1008169305848252),
+        (0.5448186062423384, 1.1132542649043398),
+        (0.5399424482818933, 1.115227612024182),
+        (0.39995518980961986, 1.1493291577822575),
+        (0.3390359525563189, 1.160964047443681),
+        (0.0, 1.160964047443681),
+    ],
+    ("example1", "outer"): [
+        (0.0, 0.0),
+        (1.3785116232537298, 0.0),
+        (1.3785116232537298, 0.2048297038191873),
+        (1.3779887813460048, 0.2494201916668779),
+        (1.3774437510817343, 0.26745842724857716),
+        (1.376875089230885, 0.2811682172313761),
+        (1.3639602272815996, 0.2970038201620815),
+        (0.5249842296370424, 1.1359798178066387),
+        (0.5091358897289227, 1.1483085031790874),
+        (0.3390359525563189, 1.160964047443681),
+        (0.0, 1.160964047443681),
+    ],
+    ("example2", "inner"): [
+        (0.0, 0.0),
+        (1.3785116232537298, 0.0),
+        (1.3785116232537298, 0.041468170491036016),
+        (1.2884625908278688, 0.1315172029168969),
+        (1.2317816488953233, 0.18739171936529203),
+        (1.1839440687422491, 0.23442197148731875),
+        (1.1650743008461655, 0.24271341358512083),
+        (0.0, 0.24271341358512083),
+    ],
+    ("example2", "outer"): [
+        (0.0, 0.0),
+        (1.3785116232537298, 0.0),
+        (1.3785116232537298, 0.041468170491036016),
+        (1.177266380159645, 0.24271341358512083),
+        (0.0, 0.24271341358512083),
+    ],
+}
+
+
+@pytest.mark.parametrize("example, bound", sorted(REGION_VERTICES_002))
+def test_region_vertices_frozen_at_step_002(request, example, bound):
+    build = build_df_region if bound == "inner" else build_outer_region
+    vertices = build(request.getfixturevalue(example), 0.02).vertices
+    np.testing.assert_array_equal(vertices, REGION_VERTICES_002[example, bound], strict=True)
+
+
+def test_correlation_lattice_rows():
+    for n in range(1, 51):
+        rows = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64) / n
+        np.testing.assert_array_equal(_correlation_lattice(n), rows, strict=True)
 
 
 def test_polygon_area_knowns():
@@ -203,20 +305,6 @@ def test_mixture_validation():
         TimeSharingMixture(((v, 1.5), (v, -0.5)))
     mix = TimeSharingMixture(((v, 0.5), ((0.0, 0.0), 0.5)))
     assert all(isinstance(vec, CorrelationVector) for vec, _ in mix.points)
-
-
-def test_mixture_bound_averages(example1):
-    ga, gb = as_correlation((0.1, 0.2), 2), as_correlation((0.0, 0.0), 2)
-    mix = TimeSharingMixture(((ga, 0.25), (gb, 0.75)))
-    for S in (0b01, 0b10, 0b11):
-        assert mixture_bound(example1, mix, DEST, S) == pytest.approx(
-            0.25 * outer_bound_dest(example1, ga, S) + 0.75 * outer_bound_dest(example1, gb, S),
-            rel=1e-15)
-        assert mixture_bound(example1, mix, RELAY, S) == pytest.approx(
-            0.25 * outer_bound_relay(example1, ga, S) + 0.75 * outer_bound_relay(example1, gb, S),
-            rel=1e-15)
-    with pytest.raises(DomainError, match="unknown receiver"):
-        mixture_bound(example1, mix, "north", 0b01)
 
 
 def test_mixture_polytope_has_averaged_facets(example1):
