@@ -327,20 +327,6 @@ def beta_star(config, alpha):
     return np.where(idle, 0.0, weights / np.where(idle, 1.0, total))
 
 
-def gamma_star_dest(config, S, c):
-    """Correlations over subset S with total mass c that maximize the
-    destination cutset bound for S: mass proportional to source power."""
-    if not (0.0 <= c <= 1.0):
-        raise DomainError(f"c={c!r} outside [0, 1]")
-    P = config.powers()
-    idx = subset_indices(S)
-    out = np.zeros(config.K)
-    if not idx:
-        return out
-    out[idx] = c * P[idx] / float(P[idx].sum())
-    return out
-
-
 def relay_cutset_function(config, gamma):
     """Relay cutset bounds over all subsets as a SubsetFunction."""
     return SubsetFunction(config.K, _cutset_row(_relay_cutset, config, gamma))

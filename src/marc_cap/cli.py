@@ -21,13 +21,13 @@ from .bounds import (
     DomainError,
     beta_star,
     dest_cutset_function,
+    dest_cutset_table,
     dest_df_function,
-    df_bound_dest,
-    df_bound_relay,
+    dest_df_table,
     full_mask,
-    outer_bound_dest,
     relay_cutset_function,
     relay_df_function,
+    relay_df_table,
     relay_sum_snr,
     subset_label,
 )
@@ -332,8 +332,7 @@ def _verify_mc(config, n, seed, lines):
         print(f"WARN mc sample count n={n} is low; z-scores will be noisy")
     K = config.K
     full = full_mask(K)
-    draw = gamma_sampler(config, seed)
-    g = draw()
+    g = gamma_sampler(config, seed)(1)[0]
     boundary = [0.0] * K
     boundary[0] = 1.0
     checks = [
@@ -362,21 +361,23 @@ def _verify_chords(config, seed, lines, with_negative_control):
     # breaks it), so its chord check runs on the x interval.
     x_max = float(np.sqrt(config.lam_vector().sum()))
     x_rng = np.random.default_rng(seed + 1)
+    # Each check maps a batch of rows to one value per row. The sum-statistic
+    # check stays a scalar oracle, independent of the bound tables.
     checks = [
-        ("dest-cut-full", lambda v: outer_bound_dest(config, v, full), gamma_sampler(config, seed)),
+        ("dest-cut-full", lambda G: dest_cutset_table(config, G)[:, full], gamma_sampler(config, seed)),
         (
             "relay-cut-sumstat",
-            lambda v: awgn_capacity(relay_sum_snr(config, float(v[0]))),
-            lambda: np.array([x_rng.random() * x_max]),
+            lambda X: np.array([awgn_capacity(relay_sum_snr(config, float(x))) for x in X[:, 0]]),
+            lambda n: x_rng.random(n)[:, None] * x_max,
         ),
         (
             "dest-df-full",
-            lambda v: df_bound_dest(config, DfPowerSplit(tuple(v[:K]), tuple(v[K:])), full),
+            lambda V: dest_df_table(config, V[:, :K], V[:, K:])[:, full],
             split_sampler(config, seed + 2),
         ),
         (
             "relay-df-full",
-            lambda v: df_bound_relay(config, DfPowerSplit(tuple(v[:K]), tuple(v[K:])), full),
+            lambda V: relay_df_table(config, V[:, :K], V[:, K:])[:, full],
             split_sampler(config, seed + 3),
         ),
     ]
@@ -386,7 +387,9 @@ def _verify_chords(config, seed, lines, with_negative_control):
         print(f"{word} chords {name} trials={rep.trials}")
         lines.append(rep.passed)
     if with_negative_control:
-        control = chord_check(lambda v: float(v @ v), gamma_sampler(config, seed + 4), trials=1000, seed=seed)
+        control = chord_check(
+            lambda G: np.einsum("ij,ij->i", G, G), gamma_sampler(config, seed + 4), trials=1000, seed=seed
+        )
         word = "PASS" if control.passed else "FAIL"
         print(f"{word} chords negative-control trials={control.trials} (a convex function must fail)")
         lines.append(control.passed)

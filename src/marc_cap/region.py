@@ -230,25 +230,32 @@ def convex_hull(points):
     pts = np.unique(pts, axis=0)
     if len(pts) <= 2:
         return pts
+    # The chain runs on each axis scaled by a power of two that brings its
+    # largest magnitude into [0.5, 1), so cross products of tiny coordinates
+    # do not underflow to 0. The scaling is exact (above the subnormal
+    # range) and keeps the order; the original points are returned.
+    _, exponent = np.frexp(np.abs(pts).max(axis=0))
+    scaled = np.ldexp(pts, -exponent)
 
     def drop(o, a, b):
         # A near-collinear middle point a is dropped only when it lies between
         # o and b; when the chain doubles back on it, a is an extreme point.
+        o, a, b = scaled[o], scaled[a], scaled[b]
         cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
         near = cross <= HULL_EPS * np.hypot(*(a - o)) * np.hypot(*(b - o))
         return cross <= 0.0 or (near and (a - o) @ (b - a) > 0.0)
 
     lower = []
-    for p in pts:
-        while len(lower) >= 2 and drop(lower[-2], lower[-1], p):
+    for i in range(len(pts)):
+        while len(lower) >= 2 and drop(lower[-2], lower[-1], i):
             lower.pop()
-        lower.append(p)
+        lower.append(i)
     upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and drop(upper[-2], upper[-1], p):
+    for i in reversed(range(len(pts))):
+        while len(upper) >= 2 and drop(upper[-2], upper[-1], i):
             upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+        upper.append(i)
+    return pts[lower[:-1] + upper[:-1]]
 
 
 def _hull_candidates(pts):

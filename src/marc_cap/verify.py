@@ -174,27 +174,36 @@ def _refine(config, best_snr, center, width):
 
 
 def gamma_sampler(config, seed=0):
-    """Uniform-ish sampler over the correlation simplex (closure included)."""
+    """Uniform-ish sampler over the correlation simplex (closure included).
+
+    `draw(n)` returns an (n, K) array of rows. One draw of n rows gives the
+    same rows as n draws of one row each."""
     rng = np.random.default_rng(seed)
     K = config.K
 
-    def draw():
-        w = rng.dirichlet(np.ones(K + 1))
-        return w[:K]
+    def draw(n):
+        return rng.dirichlet(np.ones(K + 1), size=n)[:, :K]
 
     return draw
 
 
 def split_sampler(config, seed=0):
     """Sampler over the power-split domain: alpha in the unit cube, beta in
-    the simplex (joint vector of length 2K)."""
+    the simplex (joint rows of length 2K).
+
+    `draw(n)` returns an (n, 2K) array of rows. Each row draws its alpha and
+    then its beta, so rows are drawn one at a time: a Dirichlet draw takes a
+    varying number of random words, and the interleaved stream cannot be
+    drawn in one batch."""
     rng = np.random.default_rng(seed)
     K = config.K
 
-    def draw():
-        alpha = rng.random(K)
-        beta = rng.dirichlet(np.ones(K + 1))[:K]
-        return np.concatenate([alpha, beta])
+    def draw(n):
+        rows = np.empty((n, 2 * K))
+        for row in rows:
+            row[:K] = rng.random(K)
+            row[K:] = rng.dirichlet(np.ones(K + 1))[:K]
+        return rows
 
     return draw
 
@@ -202,27 +211,34 @@ def split_sampler(config, seed=0):
 def chord_check(fn, sampler, trials=1000, seed=0, tol=CHORD_TOL):
     """Concavity probe: random chords must not rise above the function.
 
-    `fn` maps a domain vector to a float; `sampler` yields domain vectors.
-    The callable returned by gamma_sampler/split_sampler already carries its
-    own rng, so `seed` here only drives the chord mixing weights.
+    `sampler(n)` returns n domain rows as an (n, d) array; chord i runs
+    from row 2i to row 2i+1. `fn` maps an (n, d) array of rows to n values,
+    each depending on its own row only; the endpoints and midpoints of all
+    chords go through one call. The callable returned by
+    gamma_sampler/split_sampler already carries its own rng, so `seed` here
+    only drives the chord mixing weights. A failing report's witness is the
+    first failing chord, the one a chord-by-chord scan would stop at.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        a = np.asarray(sampler(), dtype=np.float64)
-        b = np.asarray(sampler(), dtype=np.float64)
-        lam = rng.random()
-        mid_value = fn(lam * a + (1.0 - lam) * b)
-        chord_value = lam * fn(a) + (1.0 - lam) * fn(b)
-        if mid_value < chord_value - tol:
-            witness = {
-                "a": a.tolist(),
-                "b": b.tolist(),
-                "lam": lam,
-                "midpoint_value": mid_value,
-                "chord_value": chord_value,
-            }
-            return ChordReport(False, trials, witness)
-    return ChordReport(True, trials)
+    rows = np.asarray(sampler(2 * trials), dtype=np.float64)
+    a, b = rows[0::2], rows[1::2]
+    lam = rng.random(trials)
+    mid = lam[:, None] * a + (1.0 - lam[:, None]) * b
+    values = np.asarray(fn(np.concatenate([a, b, mid])), dtype=np.float64)
+    fa, fb, mid_value = values[:trials], values[trials : 2 * trials], values[2 * trials :]
+    chord_value = lam * fa + (1.0 - lam) * fb
+    failed = np.flatnonzero(mid_value < chord_value - tol)
+    if not failed.size:
+        return ChordReport(True, trials)
+    t = int(failed[0])
+    witness = {
+        "a": a[t].tolist(),
+        "b": b[t].tolist(),
+        "lam": float(lam[t]),
+        "midpoint_value": float(mid_value[t]),
+        "chord_value": float(chord_value[t]),
+    }
+    return ChordReport(False, trials, witness)
 
 
 def dominance_check(config, trials=500, seed=0):

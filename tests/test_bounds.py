@@ -17,7 +17,6 @@ from marc_cap import (
     df_bound_dest,
     df_bound_relay,
     df_to_correlation,
-    gamma_star_dest,
     outer_bound_dest,
     outer_bound_relay,
     relay_cutset_function,
@@ -164,27 +163,16 @@ def test_beta_star_shape_check(example1):
         beta_star(example1, (0.5,))
 
 
-def test_gamma_star_dest_returns_power_proportional_mass(example1):
-    out = gamma_star_dest(example1, 0b11, 0.3)
-    assert out == pytest.approx([0.18, 0.12], rel=1e-15)
-    only_first = gamma_star_dest(example1, 0b01, 0.4)
-    assert only_first == pytest.approx([0.4, 0.0], rel=1e-15, abs=1e-300)
-    assert np.array_equal(gamma_star_dest(example1, 0, 0.4), [0.0, 0.0])
-
-
 def test_gamma_star_dest_maximizes_dest_bound(example1):
+    # At a fixed total mass c, correlations proportional to the source powers
+    # maximize the full-set destination cutset bound.
     c = 0.5
-    star = gamma_star_dest(example1, 0b11, c)
+    star = c * example1.powers() / example1.powers().sum()
     best = outer_bound_dest(example1, tuple(star), 0b11)
     rng = np.random.default_rng(4)
     for _ in range(50):
         w = rng.dirichlet((1.0, 1.0))
         assert outer_bound_dest(example1, tuple(c * w), 0b11) <= best + 1e-12
-
-
-def test_gamma_star_dest_rejects_bad_mass(example1):
-    with pytest.raises(DomainError, match="c="):
-        gamma_star_dest(example1, 0b11, 1.5)
 
 
 def test_df_to_correlation_componentwise():

@@ -259,6 +259,56 @@ def test_verify_chords_suite_with_negative_control(tmp_path, capsys):
     assert "verify result=FAIL checks=5" in out
 
 
+VERIFY_ALL_N20000 = {
+    "ex1": (EX1, """\
+config K=2 P=6.000000,4.000000 P_r=4.000000 N_r=1.000000 N_delta=1.000000
+WARN mc sample count n=20000 is low; z-scores will be noisy
+PASS mc mode=1 S={1,2} target=4.000000 estimate=4.001967 z=+0.049139
+PASS mc mode=1 S={1} target=1.627928 estimate=1.601712 z=-1.636664
+PASS mc mode=2 S={1,2} target=0.510312 estimate=0.510294 z=-0.003478
+PASS mc mode=2 S={1} target=0.169835 estimate=0.166755 z=-1.846633
+PASS mc mode=1 S={2} target=0.000000 estimate=0.000000 z=+0.000000 degenerate
+PASS chords dest-cut-full trials=1000
+PASS chords relay-cut-sumstat trials=1000
+PASS chords dest-df-full trials=1000
+PASS chords relay-df-full trials=1000
+PASS grid value=1.660964 closed_form=1.660964 diff=0.000000
+PASS grid refinement-monotone coarse=1.660964 fine=1.660964
+PASS dominance trials=500 max_gap=2.50e-15
+verify result=PASS checks=12
+"""),
+    "k3": ({"P": [3.0, 1.5, 0.7], "P_r": 2.0, "N_r": 1.0, "N_delta": 1.5}, """\
+config K=3 P=3.000000,1.500000,0.700000 P_r=2.000000 N_r=1.000000 N_delta=1.500000
+WARN mc sample count n=20000 is low; z-scores will be noisy
+PASS mc mode=1 S={1,2,3} target=2.000000 estimate=2.017231 z=+0.854210
+PASS mc mode=1 S={1} target=0.792518 estimate=0.787203 z=-0.675091
+PASS mc mode=2 S={1,2,3} target=0.702371 estimate=0.705450 z=+0.436357
+PASS mc mode=2 S={1} target=0.009979 estimate=0.010036 z=+0.564180
+PASS mc mode=1 S={2,3} target=0.000000 estimate=0.000000 z=+0.000000 degenerate
+PASS chords dest-cut-full trials=1000
+PASS chords relay-cut-sumstat trials=1000
+PASS chords dest-df-full trials=1000
+PASS chords relay-df-full trials=1000
+PASS grid value=1.172167 closed_form=1.172167 diff=0.000000
+PASS grid refinement-monotone coarse=1.172167 fine=1.172167
+PASS dominance trials=500 max_gap=7.77e-16
+verify result=PASS checks=12
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ALL_N20000))
+def test_verify_all_stdout_frozen(tmp_path, capsys, name):
+    # Full stdout below the manifest line (which hashes the config path),
+    # as the chord suite printed it when it evaluated one point per call.
+    data, expected = VERIFY_ALL_N20000[name]
+    code, out, err = run(capsys, "verify", write_config(tmp_path, data), "--suite", "all", "--n", "20000")
+    assert code == 0 and err == ""
+    head, rest = out.split("\n", 1)
+    assert MANIFEST.match(head)
+    assert rest == expected
+
+
 def test_version_and_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -186,9 +186,11 @@ def _point_sets(rng):
         yield rng.integers(-4, 5, size=(rng.integers(3, 80), 2)).astype(float)
         t = rng.uniform(-1.0, 1.0, size=rng.integers(3, 40))
         yield np.stack([t, 0.5 * t + 1e-13 * rng.normal(size=t.size)], axis=1)
-        # Mixed scales, kept above 1e-150 so that no cross product underflows.
+        # Mixed scales down to 1e-300, where raw cross products underflow.
         n = rng.integers(3, 20)
-        yield rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-150, 2, size=(n, 2))
+        yield rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.integers(-300, 2, size=(n, 2))
+        # One scale per axis, down to 1e-300.
+        yield rng.normal(size=(rng.integers(3, 40), 2)) * 10.0 ** rng.integers(-300, 2, size=2)
 
 
 def test_convex_hull_keeps_every_extreme_point():
@@ -208,6 +210,26 @@ def test_convex_hull_keeps_every_extreme_point():
             assert (hull == distinct[order[-1]]).all(axis=1).any()
             checked += 1
     assert checked > 5000
+
+
+def test_convex_hull_keeps_vertices_when_cross_products_underflow():
+    # x of order 1e-206 and y of order 1e-155: every cross product of the raw
+    # coordinates underflows to 0.0, and the chain used to drop all but two
+    # points. With each axis divided by its largest magnitude the hull has
+    # six vertices, and so it must have here.
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-10.0, 10.0, 12) * 1e-206
+    y = rng.uniform(-10.0, 10.0, 12) * 1e-155
+    pts = np.stack([x, y], axis=1)
+    assert convex_hull(pts).tolist() == [
+        [-8.287016657127513e-206, -1.3874395917164435e-155],
+        [-8.117427155192016e-206, -4.315976725024171e-155],
+        [4.6915430281842915e-206, -9.970198329823276e-155],
+        [6.025489304127937e-206, 4.756755745843204e-155],
+        [1.6432407212873558e-206, 9.125345096721973e-155],
+        [-7.726559601571932e-206, 9.469205495328254e-155],
+    ]
+    assert len(convex_hull(pts / np.abs(pts).max(axis=0))) == 6
 
 
 # Vertex arrays of both regions at step 0.02, frozen to the bit.

@@ -23,8 +23,9 @@ from marc_cap.bounds import (
     df_bound_relay,
     outer_bound_dest,
     outer_bound_relay,
+    relay_cutset_table,
 )
-from marc_cap.verify import gamma_sampler, split_sampler
+from marc_cap.verify import CHORD_TOL, ChordReport, gamma_sampler, split_sampler
 from conftest import random_config
 
 RATE_1 = 1.660964047443681
@@ -32,7 +33,29 @@ RATE_1 = 1.660964047443681
 
 def cycle_sampler(points):
     it = itertools.cycle(points)
-    return lambda: next(it)
+    return lambda n: np.array([next(it) for _ in range(n)], dtype=np.float64)
+
+
+def rows(f):
+    """A scalar function of one domain vector as a function of rows."""
+    return lambda V: np.array([f(v) for v in V])
+
+
+def sequential_chords(fn, sampler, trials, seed, tol=CHORD_TOL):
+    """Chord-by-chord reference for chord_check: draw one row at a time,
+    evaluate one row at a time, stop at the first failing chord."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        a = sampler(1)[0]
+        b = sampler(1)[0]
+        lam = rng.random()
+        mid_value = float(fn((lam * a + (1.0 - lam) * b)[None])[0])
+        chord_value = lam * float(fn(a[None])[0]) + (1.0 - lam) * float(fn(b[None])[0])
+        if mid_value < chord_value - tol:
+            witness = {"a": a.tolist(), "b": b.tolist(), "lam": lam,
+                       "midpoint_value": mid_value, "chord_value": chord_value}
+            return ChordReport(False, trials, witness)
+    return ChordReport(True, trials)
 
 
 def test_mc_mode1_residual_relay_power(example1):
@@ -129,7 +152,7 @@ def test_grid_matches_solver(example1, bottleneck):
 
 def test_chords_pass_on_dest_cutset_bound(example1):
     for S in (0b01, 0b11):
-        fn = lambda g: outer_bound_dest(example1, as_correlation(g, 2), S)
+        fn = rows(lambda g: outer_bound_dest(example1, as_correlation(g, 2), S))
         rep = chord_check(fn, gamma_sampler(example1, seed=5), trials=300, seed=5)
         assert rep.passed and rep.witness is None
         assert rep.trials == 300
@@ -145,12 +168,12 @@ def test_chords_pass_on_df_bounds(example1):
         return df_bound_relay(example1, DfPowerSplit(tuple(v[:2]), tuple(v[2:])), 0b01)
 
     for fn in (dest, relay):
-        rep = chord_check(fn, split_sampler(example1, seed=6), trials=300, seed=6)
+        rep = chord_check(rows(fn), split_sampler(example1, seed=6), trials=300, seed=6)
         assert rep.passed
 
 
 def test_chord_negative_control(example1):
-    rep = chord_check(lambda g: float(g[0]) ** 2, gamma_sampler(example1, seed=2), trials=50, seed=2)
+    rep = chord_check(lambda G: G[:, 0] ** 2, gamma_sampler(example1, seed=2), trials=50, seed=2)
     assert not rep.passed
     assert set(rep.witness) == {"a", "b", "lam", "midpoint_value", "chord_value"}
     assert rep.witness["chord_value"] > rep.witness["midpoint_value"] + 1e-9
@@ -164,10 +187,74 @@ def test_relay_full_cut_not_concave_in_gamma():
     assert fn((1.0, 0.0)) == 0.5
     assert fn((0.0, 1.0)) == 0.5
     assert fn((0.5, 0.5)) == 0.0
-    rep = chord_check(fn, cycle_sampler([(1.0, 0.0), (0.0, 1.0)]), trials=5, seed=0)
+    rep = chord_check(rows(fn), cycle_sampler([(1.0, 0.0), (0.0, 1.0)]), trials=5, seed=0)
     assert not rep.passed
     assert rep.witness["chord_value"] == pytest.approx(0.5, abs=1e-15)
     assert rep.witness["midpoint_value"] < 0.1
+
+
+def test_samplers_match_one_row_draws(example1):
+    # Rows drawn one at a time by the scalar samplers of earlier releases,
+    # frozen bit for bit: gamma_sampler(seed=11) and split_sampler(seed=12).
+    k3 = ChannelConfig(3, (3.0, 1.5, 0.7), 2.0, 1.0, 1.5)
+    frozen = [
+        (example1, gamma_sampler, 11, [
+            [0.12145774030291094, 0.28477224787671734],
+            [0.011584676553326637, 0.029490820096476175],
+            [0.1293537479835835, 0.34182004285813966],
+        ]),
+        (example1, split_sampler, 12, [
+            [0.2508244581084461, 0.9467529428594246, 0.06959912043958295, 0.21132093539081784],
+            [0.23054124658990593, 0.6704457427727847, 0.10601771570064839, 0.703190833076066],
+            [0.00282703218662006, 0.5414661617187942, 0.37573298684309014, 0.19856984871942907],
+        ]),
+        (k3, gamma_sampler, 11, [
+            [0.11858475181020678, 0.27803618157784765, 0.5797248434596043],
+            [0.02797434044855968, 0.9096145998459279, 0.017134027073350447],
+            [0.13535606700490527, 0.32631848894570953, 0.16045547886033232],
+        ]),
+        (k3, split_sampler, 12, [
+            [0.2508244581084461, 0.9467529428594246, 0.1893203845397613,
+             0.040360229021059436, 0.13733722679895305, 0.1968620798545553],
+            [0.11507938212344748, 0.8963093737046804, 0.8581304890839089,
+             0.009625336359459008, 0.17690721154736735, 0.5322045035268391],
+            [0.4168960406331027, 0.4536161218532765, 0.46814659094390065,
+             0.537530478237529, 0.2803580720857553, 0.0968956991511951],
+        ]),
+    ]
+    for cfg, make, seed, expected in frozen:
+        assert make(cfg, seed)(3).tolist() == expected
+
+
+def test_samplers_batch_equals_one_row_draws():
+    rng = np.random.default_rng(8)
+    for K in range(1, 7):
+        cfg = random_config(rng, K=K)
+        for make in (gamma_sampler, split_sampler):
+            batch = make(cfg, seed=K)(40)
+            one = make(cfg, seed=K)
+            assert np.array_equal(batch, np.concatenate([one(1) for _ in range(40)]))
+            assert make(cfg, seed=K)(0).shape == (0, batch.shape[1])
+
+
+def test_chord_check_matches_sequential_reference(example1):
+    # Batched endpoints and midpoints give the report and witness of a
+    # chord-by-chord scan: the convex negative control, the relay cutset's
+    # failing corner chords, and a table function whose first failing chord
+    # is one of trials 6 to 10 (so 5 trials pass).
+    cases = [
+        (lambda G: np.einsum("ij,ij->i", G, G), lambda: gamma_sampler(example1, seed=4), 1000, 0),
+        (rows(lambda g: outer_bound_relay(ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0), g, 0b11)),
+         lambda: cycle_sampler([(1.0, 0.0), (0.0, 1.0)]), 5, 0),
+        (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 1000, 0),
+        (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 5, 0),
+    ]
+    failed = 0
+    for fn, sampler, trials, seed in cases:
+        rep = chord_check(fn, sampler(), trials=trials, seed=seed)
+        assert rep == sequential_chords(fn, sampler(), trials, seed)
+        failed += not rep.passed
+    assert failed == 3
 
 
 def test_relay_singleton_cut_not_concave(example1):
