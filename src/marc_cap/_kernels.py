@@ -1,41 +1,32 @@
-"""Lattice kernels of the verification oracle.
+"""Lattice kernels: the integer lattice enumerator and the verification
+oracle's max-min lattice search.
 
-The max-min lattice search evaluates min(relay SNR, destination SNR) of the
-K-user sum bounds over the triangular correlation lattice {gamma = i/n,
-sum(i) <= n}. Both SNRs are written here in their sum-statistic form,
-independently of the bound tables, so the oracle does not check the tables
-against themselves.
+`compositions` enumerates the integer points of a scaled simplex; every
+simplex lattice in the package comes from it. The max-min search evaluates
+min(relay SNR, destination SNR) of the K-user sum bounds over the
+triangular correlation lattice {gamma = i/n, sum(i) <= n}. Both SNRs are
+written here in their sum-statistic form, independently of the bound tables,
+so the oracle does not check the tables against themselves.
 """
 
 import numpy as np
 
 
-def _lattice_maxmin(sq1, sq2, sq3, sum_p, p_r, n_r, n_d, n, k_users):
-    # gamma_k = i_k / n; both SNRs depend on gamma only through
-    # s = sum_k sqrt(gamma_k P_k), tabulated per axis in sq1..sq3.
-    sqrt_pr = np.sqrt(p_r)
-    best = -np.inf
-    arg = (0, 0, 0)
-    for i in range(n + 1):
-        j_top = n - i if k_users >= 2 else 0
-        j = np.arange(j_top + 1)
-        if k_users >= 3:
-            k_top = n - i - j
-            jj = np.repeat(j, k_top + 1)
-            kk = np.concatenate([np.arange(t + 1) for t in k_top])
-            s = sq1[i] + sq2[jj] + sq3[kk]
-        else:
-            jj = j
-            kk = np.zeros_like(j)
-            s = sq1[i] + sq2[jj]
-        snr_r = (sum_p - s * s) / n_r
-        snr_d = (sum_p + p_r + 2.0 * sqrt_pr * s) / n_d
-        m = np.minimum(snr_r, snr_d)
-        pos = int(np.argmax(m))
-        if m[pos] > best:
-            best = float(m[pos])
-            arg = (i, int(jj[pos]), int(kk[pos]))
-    return best, arg[0], arg[1], arg[2]
+def compositions(K, n):
+    """Rows of K nonnegative integers summing to n, in lexicographic order.
+
+    Dropping the last column gives the points i in N^(K-1) with
+    sum(i) <= n, in the same order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n])
+    for _ in range(K - 1):
+        # Each row branches into the values 0..left of the next column.
+        counts = left + 1
+        parent = np.repeat(np.arange(len(rows)), counts)
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - value
+    return np.column_stack([rows, left])
 
 
 def lattice_maxmin(P, P_r, N_r, N_d, n):
@@ -50,15 +41,13 @@ def lattice_maxmin(P, P_r, N_r, N_d, n):
         lexicographically smallest index tuple.
     """
     P = np.asarray(P, dtype=np.float64)
-    k_users = P.shape[0]
-    if k_users > 3:
+    K = P.shape[0]
+    if K > 3:
         raise ValueError("dense lattice search supports K <= 3")
-    steps = np.arange(n + 1) / n
-    pads = [P[i] if i < k_users else 0.0 for i in range(3)]
-    sq1, sq2, sq3 = (np.sqrt(steps * p) for p in pads)
-    snr, i, j, k = _lattice_maxmin(sq1, sq2, sq3, float(P.sum()), float(P_r), float(N_r), float(N_d), n, k_users)
-    gamma = np.array([i, j, k][:k_users], dtype=np.float64) / n
-    return float(snr), gamma
+    G = compositions(K + 1, n)[:, :-1] / n
+    snr = min_snr_batch(P, P_r, N_r, N_d, G)
+    pos = int(np.argmax(snr))
+    return float(snr[pos]), G[pos].copy()
 
 
 def min_snr_batch(P, P_r, N_r, N_d, G):

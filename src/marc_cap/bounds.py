@@ -203,13 +203,17 @@ def _relay_cutset(config, G):
     # complement. When the complement's correlations sum to 1 (at
     # DOMAIN_TOL), the relay transmission is a deterministic function of
     # the complement and the penalty vanishes. Column S of a reversed table
-    # is the complement of S.
+    # is the complement of S. The residual mass 1 - comp_mass is at least
+    # the subset's own mass for a feasible gamma; taking the larger of the
+    # two keeps a mass sum rounded just above 1 from inflating the penalty
+    # past the subset power.
     P = config.powers()
     power = _subset_power(config.P)
-    comp_mass = _subset_sums(G)[:, ::-1]
+    mass = _subset_sums(G)
+    comp_mass = mass[:, ::-1]
     coherent = _subset_sums(np.sqrt(G * P))
     exact = np.abs(comp_mass - 1.0) <= DOMAIN_TOL
-    ubar = np.where(exact, 1.0, 1.0 - comp_mass)
+    ubar = np.where(exact, 1.0, np.maximum(1.0 - comp_mass, mass))
     snr = np.where(exact, power, power - coherent * coherent / ubar) / config.N_r
     # The penalty divides by the residual mass ubar, so a feasible gamma
     # (mass up to 1 + DOMAIN_TOL) moves it by up to power * DOMAIN_TOL / ubar.

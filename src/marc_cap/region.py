@@ -3,11 +3,11 @@ decode-and-forward region as a union over power splits, and the cutset outer
 region with its time-sharing closure. Two-user regions export as convex
 polygons with a deterministic vertex order."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import compositions
 from .bounds import (
     CorrelationVector,
     DfPowerSplit,
@@ -91,56 +91,21 @@ def _family_pair(config, params):
 
 
 def build_intersection(config, params):
-    """Polytope cut out by both bound families of one parameter choice.
+    """Two-user polytope cut out by both bound families of one parameter
+    choice, with its exact vertices in hull order.
 
-    Two-user polytopes list exact vertices in hull order; K <= 5 falls back
-    to exhaustive tight-constraint basis enumeration.
+    Only K=2 is supported: for K>2 the solver needs the intersection's
+    maximum sum-rate alone, which the min-formula of the two set functions
+    gives without listing vertices.
     """
+    if config.K != 2:
+        raise DomainError(f"polytope vertices support K=2 only, got K={config.K}")
     f1, f2 = _family_pair(config, params)
     g = np.minimum(f1.values, f2.values)
     facets = tuple((mask, float(g[mask])) for mask in range(1, 1 << config.K))
-    if config.K == 2:
-        cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
-        verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
-        return RegionPolytope(2, verts, facets)
-    if config.K > 5:
-        raise DomainError("vertex enumeration supports K <= 5")
-    verts = _basis_vertices(config.K, g)
-    return RegionPolytope(config.K, verts, facets)
-
-
-def _basis_vertices(K, g, chunk=200000):
-    rows = []
-    rhs = []
-    for mask in range(1, 1 << K):
-        rows.append([1.0 if mask >> k & 1 else 0.0 for k in range(K)])
-        rhs.append(g[mask])
-    for k in range(K):
-        row = [0.0] * K
-        row[k] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    combos = np.array(list(itertools.combinations(range(len(rows)), K)))
-    verts = []
-    for lo in range(0, len(combos), chunk):
-        idx = combos[lo : lo + chunk]
-        A = rows[idx]
-        b = rhs[idx]
-        dets = np.abs(np.linalg.det(A))
-        ok = dets > 1e-9
-        if not ok.any():
-            continue
-        sol = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
-        feas = np.all(sol >= -1e-9, axis=1)
-        feas &= np.all(sol @ rows[: (1 << K) - 1].T <= g[1:] + 1e-9, axis=1)
-        verts.append(sol[feas])
-    if not verts:
-        return np.zeros((1, K))
-    verts = np.vstack(verts)
-    verts = np.unique(np.round(verts, 9), axis=0)
-    return verts
+    cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
+    verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
+    return RegionPolytope(2, verts, facets)
 
 
 def _df_pentagon_grid(config, n):
@@ -172,15 +137,9 @@ def _pentagon_candidates_batch(g1, g2, g12):
 
 def _outer_pentagon_grid(config, n):
     """Candidate vertices of every lattice correlation's intersection."""
-    gamma = _correlation_lattice(n)
+    gamma = compositions(3, n)[:, :2] / n
     g = np.minimum(relay_cutset_table(config, gamma), dest_cutset_table(config, gamma))
     return _pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])
-
-
-def _correlation_lattice(n):
-    """Rows (i / n, j / n) with i + j <= n, ordered by i, then j."""
-    i, j = np.triu_indices(n + 1)
-    return np.stack([i, j - i], axis=1) / n
 
 
 def build_df_region(config, grid_resolution=0.02):

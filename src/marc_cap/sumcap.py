@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import compositions
 from .bounds import (
     CorrelationVector,
     DfPowerSplit,
@@ -257,8 +258,9 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
     Runs of Active grid points become the reported intervals, so the
     boundary localization error is at most the resolution; every grid point
     is classified. For K>2 the rule set is sampled (seeded loads that meet
-    the constraint by construction, then a simplex lattice) and only the
-    verdict is interval-free.
+    the constraint by construction, then the lattice loads total * i / 8,
+    i a composition of 8 into K parts, that stay within the caps) and only
+    the verdict is interval-free.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -319,7 +321,7 @@ def _load_chunks(rule_set, rng, n_random):
     the points of a simplex lattice that stay within the caps."""
     for lo in range(0, n_random, 64):
         yield _equalizing_loads(rule_set.caps, rule_set.total, min(64, n_random - lo), rng)
-    lattice = _simplex_lattice(len(rule_set.caps), 8) * rule_set.total
+    lattice = compositions(len(rule_set.caps), 8) / 8 * rule_set.total
     lattice = lattice[np.all(lattice <= rule_set.caps, axis=1)]
     for lo in range(0, len(lattice), 64):
         yield lattice[lo : lo + 64]
@@ -341,21 +343,6 @@ def _scan_sampled(config, rule_set, seed, n_random=10000):
     rules = _rules(config, family, np.vstack(chunks)[: len(kinds)])
     verdict = ACTIVE_CLASS if ACTIVE in kinds else INACTIVE_CLASS
     return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, verdict)
-
-
-def _simplex_lattice(K, m):
-    """Barycentric lattice of weight vectors with denominators m."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], m, K)
-    return np.asarray(out, dtype=np.float64) / m
 
 
 def sum_capacity(config, resolution=1e-3):

@@ -250,11 +250,9 @@ def dominance_check(config, trials=500, seed=0):
     trial-by-trial, subset-by-subset scan stopping at the first gap above
     tolerance would give."""
     config = validate(config)
-    rng = np.random.default_rng(seed)
     K = config.K
-    draws = [(rng.random(K), rng.dirichlet(np.ones(K + 1))[:K]) for _ in range(trials)]
-    alpha = np.array([a for a, _ in draws]).reshape(trials, K)
-    beta = np.array([b for _, b in draws]).reshape(trials, K)
+    rows = split_sampler(config, seed)(trials)
+    alpha, beta = rows[:, :K], rows[:, K:]
     inner = dest_df_table(config, alpha, beta)
     outer = dest_cutset_table(config, (1.0 - alpha) * beta)
     star = beta_star(config, alpha)

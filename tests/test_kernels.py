@@ -1,4 +1,4 @@
-"""Lattice kernels: a frozen lattice optimum, the min-SNR batch against its
+"""Lattice kernels: frozen lattice optima, the min-SNR batch against its
 scalar formula, and refusal of ground sets the dense search cannot handle."""
 
 import numpy as np
@@ -15,6 +15,19 @@ def test_numpy_path_frozen_optimum():
     snr, gamma = lattice_maxmin(EX1["P"], 4.0, 1.0, 2.0, 100)
     assert snr == 9.0
     assert np.array_equal(gamma, [0.0, 0.25])
+
+
+@pytest.mark.parametrize("P, n, snr, gamma", [
+    ((5.0,), 50, 3.931370849898476, [0.2]),
+    ((5.0,), 100, 3.9499999999999997, [0.21]),
+    ((3.0, 1.5, 0.7), 50, 4.078040361087918, [0.06, 0.06, 0.16]),
+    ((3.0, 1.5, 0.7), 100, 4.078242344433781, [0.0, 0.34, 0.17]),
+])
+def test_lattice_optimum_bits_frozen(P, n, snr, gamma):
+    # Frozen optima of a K=1 and a K=3 channel at two lattice densities.
+    got_snr, got_gamma = lattice_maxmin(P, 2.0, 1.0, 2.5, n)
+    assert got_snr == snr
+    assert got_gamma.tolist() == gamma
 
 
 def test_dense_search_rejects_large_ground_sets():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from marc_cap import ChannelConfig, awgn_capacity, solve_equalizer
@@ -76,6 +76,10 @@ def test_cutset_bounds_nonnegative_zero_on_empty(case):
 
 @settings(deadline=None, max_examples=60)
 @given(config_gamma_mask(), st.integers(0, 2**4 - 1))
+# A correlation mass that rounds just above 1: S={1} takes the exact branch,
+# and {1,3} divides its penalty by the rounded residual mass 1 - gamma_4.
+@example((ChannelConfig(4, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0),
+          as_correlation((0.0, 0.0, 3.178913377471486e-07, 0.9999996821086623), 4), 0b0001), 0b0100)
 def test_cutset_bounds_monotone_in_subset(case, extra):
     cfg, gamma, mask = case
     wider = (mask | extra) & full_mask(cfg.K)

@@ -1,5 +1,7 @@
 """Rate-region polytopes: pentagon vertices, grid hulls, mixtures, geometry."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,8 @@ from marc_cap.bounds import (
     outer_bound_dest,
     outer_bound_relay,
 )
+from marc_cap._kernels import compositions
 from marc_cap.region import (
-    _basis_vertices,
-    _correlation_lattice,
     _pentagon_candidates_batch,
     convex_hull,
     hausdorff_distance,
@@ -77,13 +78,6 @@ def test_build_intersection_accepts_split(example1):
     poly = build_intersection(example1, split)
     assert len(poly.facets) == 3
     assert all(v >= 0.0 for _, v in poly.facets)
-
-
-def test_basis_vertices_match_pentagon_route():
-    g = np.array([0.0, EX1_G[0], EX1_G[1], EX1_G[2]])
-    # Basis enumeration dedups at 9 decimals, so the match is that coarse.
-    basis = convex_hull(_basis_vertices(2, g))
-    np.testing.assert_allclose(basis, EX1_PENTAGON, rtol=0, atol=1e-8)
 
 
 def test_df_pentagon_inside_cutset_pentagon():
@@ -288,9 +282,13 @@ def test_region_vertices_frozen_at_step_002(request, example, bound):
 
 
 def test_correlation_lattice_rows():
-    for n in range(1, 51):
-        rows = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64) / n
-        np.testing.assert_array_equal(_correlation_lattice(n), rows, strict=True)
+    # The enumerator behind the cutset region grid (and every other simplex
+    # lattice): rows of K nonnegative integers summing to n, in
+    # lexicographic order.
+    for K in range(1, 5):
+        for n in range(13):
+            rows = np.array([r for r in itertools.product(range(n + 1), repeat=K) if sum(r) == n]).reshape(-1, K)
+            np.testing.assert_array_equal(compositions(K, n), rows, strict=True)
 
 
 def test_polygon_area_knowns():
@@ -349,6 +347,9 @@ def test_mixture_polytope_has_averaged_facets(example1):
 def test_build_intersection_rejects_unknown_params(example1):
     with pytest.raises(DomainError, match="unsupported parameter type"):
         build_intersection(example1, (0.1, 0.2))
+    three_user = ChannelConfig(3, (3.0, 1.5, 0.7), 2.0, 1.0, 1.5)
+    with pytest.raises(DomainError, match="K=2 only"):
+        build_intersection(three_user, CorrelationVector((0.1, 0.2, 0.3)))
 
 
 def test_region_polytope_max_sum():
