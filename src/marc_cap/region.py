@@ -120,19 +120,29 @@ def _df_pentagon_grid(config, n):
 
 
 def _pentagon_candidates_batch(g1, g2, g12):
-    zero = np.zeros_like(g1)
-    pts = [
-        np.stack([np.minimum(g1, g12), zero], axis=1),
-        np.stack([zero, np.minimum(g2, g12)], axis=1),
-    ]
+    """Candidate vertices, less the origin, of the pentagons R >= 0,
+    R1 <= g1, R2 <= g2, R1 + R2 <= g12, one pentagon per row.
+
+    Of the points on each axis only the nearest to the origin and the
+    farthest are kept: every other one lies between them on that axis, so
+    it is no vertex of a hull of the candidates."""
+    x = _ends(np.minimum(g1, g12))
+    y = _ends(np.minimum(g2, g12))
     rect = g1 + g2 <= g12
-    pts.append(np.stack([np.where(rect, g1, np.nan), np.where(rect, g2, np.nan)], axis=1))
-    c_ok = ~rect & (g12 - g1 >= 0.0) & (g12 - g1 <= g2)
-    pts.append(np.stack([np.where(c_ok, g1, np.nan), np.where(c_ok, g12 - g1, np.nan)], axis=1))
-    d_ok = ~rect & (g12 - g2 >= 0.0) & (g12 - g2 <= g1)
-    pts.append(np.stack([np.where(d_ok, g12 - g2, np.nan), np.where(d_ok, g2, np.nan)], axis=1))
-    out = np.vstack(pts)
-    return out[~np.isnan(out).any(axis=1)]
+    c = ~rect & (g12 - g1 >= 0.0) & (g12 - g1 <= g2)
+    d = ~rect & (g12 - g2 >= 0.0) & (g12 - g2 <= g1)
+    return np.concatenate([
+        np.stack([x, np.zeros_like(x)], axis=1),
+        np.stack([np.zeros_like(y), y], axis=1),
+        np.stack([g1[rect], g2[rect]], axis=1),
+        np.stack([g1[c], (g12 - g1)[c]], axis=1),
+        np.stack([(g12 - g2)[d], g2[d]], axis=1),
+    ])
+
+
+def _ends(v):
+    """The smallest and the largest entry of v, once each."""
+    return np.unique(v[[v.argmin(), v.argmax()]])
 
 
 def _outer_pentagon_grid(config, n):
@@ -181,9 +191,13 @@ def convex_hull(points):
     dropped highest point lies on or below a segment joining two other
     highest points, and either above its own column's lowest point or, being
     that point too, on or above a segment joining two other lowest points,
-    so it lies in the hull of the other points. A region grid of several
-    hundred thousand candidates leaves a few hundred for the chain."""
+    so it lies in the hull of the other points. The filter costs one stable
+    sort on x; a region grid of several hundred thousand candidates leaves
+    a few hundred for the chain. Every returned row is an input row, bit
+    for bit. Raises ValueError on a NaN or infinite coordinate."""
     pts = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise ValueError("convex_hull needs finite coordinates")
     if len(pts) > 2:
         pts = _hull_candidates(pts)
     pts = np.unique(pts, axis=0)
@@ -192,17 +206,21 @@ def convex_hull(points):
     # The chain runs on each axis scaled by a power of two that brings its
     # largest magnitude into [0.5, 1), so cross products of tiny coordinates
     # do not underflow to 0. The scaling is exact (above the subnormal
-    # range) and keeps the order; the original points are returned.
+    # range) and keeps the order; the original points are returned. The
+    # chain reads them as Python floats, which cost less than numpy scalars
+    # in its few operations per test.
     _, exponent = np.frexp(np.abs(pts).max(axis=0))
-    scaled = np.ldexp(pts, -exponent)
+    scaled = np.ldexp(pts, -exponent).tolist()
 
     def drop(o, a, b):
         # A near-collinear middle point a is dropped only when it lies between
         # o and b; when the chain doubles back on it, a is an extreme point.
-        o, a, b = scaled[o], scaled[a], scaled[b]
-        cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-        near = cross <= HULL_EPS * np.hypot(*(a - o)) * np.hypot(*(b - o))
-        return cross <= 0.0 or (near and (a - o) @ (b - a) > 0.0)
+        (ox, oy), (ax, ay), (bx, by) = scaled[o], scaled[a], scaled[b]
+        cross = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+        if cross <= 0.0:
+            return True
+        near = cross <= HULL_EPS * np.hypot(ax - ox, ay - oy) * np.hypot(bx - ox, by - oy)
+        return near and (ax - ox) * (bx - ax) + (ay - oy) * (by - ay) > 0.0
 
     lower = []
     for i in range(len(pts)):
@@ -219,12 +237,26 @@ def convex_hull(points):
 
 def _hull_candidates(pts):
     """The lowest and highest points of each distinct x that the filter in
-    `convex_hull` keeps."""
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    x = pts[:, 0]
-    bottom = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    top = np.r_[bottom[1:] - 1, len(x) - 1]
-    return pts[np.r_[bottom[_beyond_neighbours(-pts[bottom, 1])], top[_beyond_neighbours(pts[top, 1])]]]
+    `convex_hull` keeps: one stable sort on x, then the least and greatest y
+    of each run of equal x."""
+    # The bits of x, read as integers and with the magnitude bits of
+    # negatives flipped, sort as x does but put -0.0 before 0.0. A run then
+    # holds one bit pattern of x, and each kept (x, y) is an input row; -0.0
+    # and 0.0 make two columns at one abscissa, for which the argument in
+    # `convex_hull` holds as well.
+    bits = pts[:, 0].view(np.int64)
+    key = bits ^ ((bits >> 63) & np.iinfo(np.int64).max)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    x = pts[order[starts], 0]
+    y = pts[order, 1]
+    low = np.minimum.reduceat(y, starts)
+    high = np.maximum.reduceat(y, starts)
+    low_kept = _beyond_neighbours(-low)
+    high_kept = _beyond_neighbours(high)
+    return np.concatenate([np.stack([x[low_kept], low[low_kept]], axis=1),
+                           np.stack([x[high_kept], high[high_kept]], axis=1)])
 
 
 def _beyond_neighbours(y):

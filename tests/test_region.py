@@ -1,5 +1,6 @@
 """Rate-region polytopes: pentagon vertices, grid hulls, mixtures, geometry."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from marc_cap import (
     build_df_region,
     build_intersection,
     build_outer_region,
+    region,
 )
 from marc_cap.bounds import (
     CorrelationVector,
@@ -61,6 +63,52 @@ def test_pentagon_candidates_box_and_pentagon():
     # Full-set bound below one singleton: only the feasible corner survives.
     pts = candidates(5.0, 1.0, 5.5)
     assert (5.0, 0.5) in pts and (4.5, 1.0) in pts
+
+
+def _nan_sentinel_candidates(g1, g2, g12):
+    """The candidate builder before the axis points were reduced: both axis
+    points of every row, infeasible corners written as NaN and filtered."""
+    zero = np.zeros_like(g1)
+    pts = [
+        np.stack([np.minimum(g1, g12), zero], axis=1),
+        np.stack([zero, np.minimum(g2, g12)], axis=1),
+    ]
+    rect = g1 + g2 <= g12
+    pts.append(np.stack([np.where(rect, g1, np.nan), np.where(rect, g2, np.nan)], axis=1))
+    c_ok = ~rect & (g12 - g1 >= 0.0) & (g12 - g1 <= g2)
+    pts.append(np.stack([np.where(c_ok, g1, np.nan), np.where(c_ok, g12 - g1, np.nan)], axis=1))
+    d_ok = ~rect & (g12 - g2 >= 0.0) & (g12 - g2 <= g1)
+    pts.append(np.stack([np.where(d_ok, g12 - g2, np.nan), np.where(d_ok, g2, np.nan)], axis=1))
+    out = np.vstack(pts)
+    return out[~np.isnan(out).any(axis=1)]
+
+
+def test_pentagon_candidates_keep_the_hull():
+    # Dropping all but each axis's nearest and farthest point leaves the hull
+    # of a batch's pentagons, with the origin as `build_intersection` adds
+    # it, unchanged to the bit; every fourth batch is also checked without
+    # the origin, as the region grids use it. A quarter of the batches lie
+    # on g12 = g1 + g2, another quarter on g12 = g1 or g12 = g2; half of the
+    # batches sit on a coarse grid, so rows tie and axis points repeat.
+    rng = np.random.default_rng(909)
+    for i in range(20000):
+        n = rng.integers(1, 51)
+        g1, g2 = rng.uniform(0.0, 2.0, size=(2, n))
+        if i % 2:
+            g1, g2 = np.round(4.0 * g1) / 4.0, np.round(4.0 * g2) / 4.0
+        if i % 4 == 0:
+            g12 = g1 + g2
+        elif i % 4 == 1:
+            g12 = np.where(rng.random(n) < 0.5, g1, g2)
+        else:
+            g12 = rng.uniform(0.0, 1.2, n) * (g1 + g2)
+        new = _pentagon_candidates_batch(g1, g2, g12)
+        old = _nan_sentinel_candidates(g1, g2, g12)
+        origins = [np.zeros((1, 2)), np.zeros((0, 2))] if i % 4 == 3 else [np.zeros((1, 2))]
+        for origin in origins:
+            hull = convex_hull(np.vstack([origin, new]))
+            reference = convex_hull(np.vstack([origin, old]))
+            assert hull.tobytes() == reference.tobytes() and hull.shape == reference.shape
 
 
 def test_build_intersection_example1_zero_correlation(example1):
@@ -206,6 +254,42 @@ def test_convex_hull_keeps_every_extreme_point():
     assert checked > 5000
 
 
+def _filter_sets(rng):
+    # Repeated x columns, exact duplicates, and 0.0 mixed with -0.0.
+    for _ in range(40):
+        n = rng.integers(3, 60)
+        yield np.stack([rng.integers(-3, 4, size=n).astype(float), rng.normal(size=n)], axis=1)
+        base = rng.integers(-2, 3, size=(rng.integers(1, 8), 2)).astype(float)
+        yield base[rng.integers(0, len(base), size=rng.integers(3, 30))]
+        yield rng.choice([-1.0, -0.0, 0.0, 1.0], size=(rng.integers(3, 30), 2))
+    # A column's top and bottom come from rows whose x differ in the sign of
+    # zero; pairing one row's x with another's y makes a row not in the set.
+    yield np.array([(-0.0, 1.0), (0.0, 2.0), (0.0, -1.0), (-0.0, -2.0), (1.0, 0.0), (-1.0, 0.0)])
+    yield np.array([(0.0, 2.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (1.0, 0.0)])
+
+
+def test_hull_filter_matches_the_chain_alone(monkeypatch):
+    # The candidate filter drops only points that are no hull vertex: with it
+    # the hull equals the monotone chain run on every distinct point, and
+    # every vertex is an input row, bit for bit.
+    sets = [*_point_sets(np.random.default_rng(606)), *_filter_sets(np.random.default_rng(607))]
+    hulls = [convex_hull(pts) for pts in sets]
+    monkeypatch.setattr(region, "_hull_candidates", lambda pts: pts)
+    for pts, hull in zip(sets, hulls):
+        np.testing.assert_array_equal(hull, convex_hull(np.unique(pts, axis=0)), strict=True)
+        rows = {row.tobytes() for row in pts}
+        assert all(row.tobytes() in rows for row in hull)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_convex_hull_rejects_non_finite_points(axis, bad):
+    pts = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0), (0.5, 0.5)])
+    pts[1, axis] = bad
+    with pytest.raises(ValueError, match="finite"):
+        convex_hull(pts)
+
+
 def test_convex_hull_keeps_vertices_when_cross_products_underflow():
     # x of order 1e-206 and y of order 1e-155: every cross product of the raw
     # coordinates underflows to 0.0, and the chain used to drop all but two
@@ -279,6 +363,30 @@ def test_region_vertices_frozen_at_step_002(request, example, bound):
     build = build_df_region if bound == "inner" else build_outer_region
     vertices = build(request.getfixturevalue(example), 0.02).vertices
     np.testing.assert_array_equal(vertices, REGION_VERTICES_002[example, bound], strict=True)
+
+
+# Vertex count and SHA-256 of the vertex bytes of both regions at step
+# 0.005, where the candidate grids hold hundreds of thousands of points.
+REGION_DIGESTS_0005 = {
+    ("example1", "inner"): (14, "77b40c07ecc4187b2fde522f1327765fdc799d7aa4940917d8bde13b83283c2d"),
+    ("example1", "outer"): (16, "1d11f7f7e6ced547d0829cc990ceb3f6329103fb6e24a5dc426a8372bbef5e36"),
+    ("example2", "inner"): (14, "ed601922dfe99e8503e004af5f24c9fd4c6032ea50e6129688ac4e288c68c8a4"),
+    ("example2", "outer"): (12, "ac50c37d2b0f6f347986e176bd82d8517872207895871024dddafb59dfca549d"),
+}
+
+
+@pytest.mark.parametrize("example, bound", sorted(REGION_DIGESTS_0005))
+def test_region_vertices_frozen_at_step_0005(request, example, bound):
+    build = build_df_region if bound == "inner" else build_outer_region
+    vertices = build(request.getfixturevalue(example), 0.005).vertices
+    assert (len(vertices), hashlib.sha256(vertices.tobytes()).hexdigest()) == REGION_DIGESTS_0005[example, bound]
+
+
+def test_region_stages_keep_their_names():
+    # The benchmark's span tracer wraps these three by name to time the
+    # candidate grids and the hull; after a rename it would time nothing.
+    for name in ("_df_pentagon_grid", "_outer_pentagon_grid", "convex_hull"):
+        assert callable(getattr(region, name, None)), name
 
 
 def test_correlation_lattice_rows():
