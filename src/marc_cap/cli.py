@@ -413,6 +413,8 @@ def _verify_grid(config, seed, lines):
 
 def cmd_verify(args):
     config = load_config(args.config)
+    if args.n < config.K + 1:
+        raise InputError(f"--n must be at least K + 1 = {config.K + 1}, got {args.n}")
     params = {"suite": args.suite, "seed": args.seed, "n": args.n, "negative_control": args.with_negative_control}
     digest = _manifest_digest("verify", args.config, config, params)
     print(f"# manifest {digest}")

@@ -200,7 +200,7 @@ def convex_hull(points):
         raise ValueError("convex_hull needs finite coordinates")
     if len(pts) > 2:
         pts = _hull_candidates(pts)
-    pts = np.unique(pts, axis=0)
+    pts = _distinct_sorted(pts)
     if len(pts) <= 2:
         return pts
     # The chain runs on each axis scaled by a power of two that brings its
@@ -248,7 +248,7 @@ def _hull_candidates(pts):
     key = bits ^ ((bits >> 63) & np.iinfo(np.int64).max)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     x = pts[order[starts], 0]
     y = pts[order, 1]
     low = np.minimum.reduceat(y, starts)
@@ -262,9 +262,21 @@ def _hull_candidates(pts):
 def _beyond_neighbours(y):
     """Mask of the entries strictly greater than every entry before them or
     every entry after them."""
-    before = np.r_[-np.inf, np.maximum.accumulate(y)[:-1]]
-    after = np.r_[np.maximum.accumulate(y[::-1])[::-1][1:], -np.inf]
+    before = np.concatenate([[-np.inf], np.maximum.accumulate(y)[:-1]])
+    after = np.concatenate([np.maximum.accumulate(y[::-1])[::-1][1:], [-np.inf]])
     return (y > before) | (y > after)
+
+
+def _distinct_sorted(pts):
+    """The rows of `np.unique(pts, axis=0)`: sorted by x, then y, one row per
+    distinct (x, y). One stable lexsort and a comparison of adjacent rows,
+    with less fixed cost per call than `np.unique` on the small sets the
+    chain sees."""
+    if len(pts) < 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    new = np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])
+    return pts[new]
 
 
 def polygon_area(vertices):

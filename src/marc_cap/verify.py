@@ -26,6 +26,9 @@ DEGENERATE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
 CHORD_TOL = 1e-9
 
+# Rows of the Monte-Carlo normal draw folded into the Gram matrix at a time.
+_CHUNK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -68,22 +71,32 @@ class GridMaxMin:
     step: float
 
 
-def _gaussian_inputs(config, gamma, n, rng):
-    """Sample (X_1..X_K, X_r) with the channel's powers and the requested
-    source-relay correlations sqrt(gamma_k P_k P_r)."""
-    g = np.asarray(gamma, dtype=np.float64)
-    P = config.powers()
-    W = rng.standard_normal((n, config.K + 1))
-    X = W[:, 1:] * np.sqrt(P)
-    resid_mass = max(0.0, 1.0 - float(g.sum()))
-    X_r = W[:, 1:] @ np.sqrt(g * config.P_r) + W[:, 0] * np.sqrt(resid_mass * config.P_r)
-    return X, X_r
+def _gram(n, width, rng):
+    """W^T W of an (n, width) standard-normal draw W, drawn in chunks of rows.
+    The chunks continue one stream: they hold the rows, and leave `rng` in
+    the state, of one rng.standard_normal((n, width)) call, and memory does
+    not grow with n."""
+    G = np.zeros((width, width))
+    for start in range(0, n, _CHUNK_ROWS):
+        W = rng.standard_normal((min(_CHUNK_ROWS, n - start), width))
+        G += W.T @ W
+    return G
 
 
-def _residual_variance(y, design):
-    n = len(y)
-    p = design.shape[1]
+def _residual_variance(a, B, G, n):
+    """Residual variance of the least-squares regression of W a on W B, for
+    a draw W of n rows with Gram matrix G = W^T W. With R = cholesky(G)^T,
+    W = Q R for an orthonormal Q, so the regression on the n rows of W is
+    the same regression on the few rows of R. The draw is well-conditioned,
+    so R is accurate; any ill-conditioning is in B, and lstsq's rank cut
+    handles a rank-deficient design (X_r a multiple of the complement
+    inputs), where a QR without pivoting would project out a rounding
+    direction."""
+    R = np.linalg.cholesky(G).T
+    y = R @ a
+    p = B.shape[1]
     if p:
+        design = R @ B
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         y = y - design @ coef
     return float(y @ y) / (n - p), p
@@ -101,6 +114,8 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     vec = gamma if isinstance(gamma, CorrelationVector) else CorrelationVector(tuple(gamma))
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
+    if n < config.K + 1:
+        raise ValueError(f"n must be at least K + 1 = {config.K + 1}, got {n!r}")
     g = vec.vector()
     P = config.powers()
     in_S = subset_indices(S)
@@ -116,15 +131,21 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
         s = float(np.sqrt(g[in_S] * P[in_S]).sum())
         target = float(P[in_S].sum()) - s * s / ubar
 
-    rng = np.random.default_rng(seed)
-    X, X_r = _gaussian_inputs(config, g, n, rng)
+    # Every input is linear in a standard-normal draw W of n rows and K+1
+    # columns, column 0 the relay's own part: X_k = sqrt(P_k) W[:, k+1] and
+    # X_r = W @ relay, with source-relay correlations sqrt(gamma_k P_k P_r).
+    # Column k of `source` holds the coefficients of X_k.
+    source = np.vstack([np.zeros(config.K), np.diag(np.sqrt(P))])
+    resid_mass = max(0.0, 1.0 - float(g.sum()))
+    relay = np.concatenate([[np.sqrt(resid_mass * config.P_r)], np.sqrt(g * config.P_r)])
     if mode == 1:
-        y = X_r
-        design = X[:, comp]
+        a = relay
+        B = source[:, comp]
     else:
-        y = X[:, in_S].sum(axis=1)
-        design = np.column_stack([X[:, comp], X_r])
-    estimate, p = _residual_variance(y, design)
+        a = source[:, in_S].sum(axis=1)
+        B = np.column_stack([source[:, comp], relay])
+    G = _gram(n, config.K + 1, np.random.default_rng(seed))
+    estimate, p = _residual_variance(a, B, G, n)
 
     scale = max(1.0, config.P_r, float(P.sum()))
     degenerate = target <= DEGENERATE_TOL * scale

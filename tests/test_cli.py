@@ -240,6 +240,24 @@ def test_verify_mc_suite_warns_on_low_n(tmp_path, capsys):
     assert "verify result=PASS checks=5" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-5", "2"])
+def test_verify_rejects_fewer_samples_than_regressors(tmp_path, capsys, n):
+    # K=2: the regressions need n >= K + 1 = 3 rows.
+    cfg = write_config(tmp_path, EX1)
+    code, out, err = run(capsys, "verify", cfg, "--suite", "mc", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: --n must be at least K + 1 = 3, got {n}\n"
+
+
+def test_verify_mc_runs_at_the_smallest_sample_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, EX1)
+    code, out, err = run(capsys, "verify", cfg, "--suite", "mc", "--n", "3")
+    assert code in (0, 1) and err == ""
+    assert MANIFEST.match(out.split("\n", 1)[0])
+    assert out.count(" mc mode=") == 5
+    assert re.search(r"^verify result=(PASS|FAIL) checks=5$", out, re.M)
+
+
 def test_verify_grid_suite(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     code, out, _ = run(capsys, "verify", cfg, "--suite", "grid")

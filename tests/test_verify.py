@@ -25,7 +25,17 @@ from marc_cap.bounds import (
     outer_bound_relay,
     relay_cutset_table,
 )
-from marc_cap.verify import CHORD_TOL, ChordReport, gamma_sampler, split_sampler
+from marc_cap.verify import (
+    CHORD_TOL,
+    DEGENERATE_TOL,
+    EQUALITY_TOL,
+    ChordReport,
+    McReport,
+    _CHUNK_ROWS,
+    _gram,
+    gamma_sampler,
+    split_sampler,
+)
 from conftest import random_config
 
 RATE_1 = 1.660964047443681
@@ -118,6 +128,89 @@ def test_mc_validation(example1):
         mc_relay_conditional_variance(example1, (0.1, 0.1), 0b01, mode=3)
     with pytest.raises(DomainError, match="sum\\(gamma\\)"):
         mc_relay_conditional_variance(example1, (0.9, 0.9), 0b01)
+
+
+def test_mc_rejects_fewer_samples_than_regressors(example1):
+    for n in (-5, 0, 1, 2):
+        with pytest.raises(ValueError, match="n must be at least K \\+ 1 = 3"):
+            mc_relay_conditional_variance(example1, (0.1, 0.05), 0b01, mode=2, n=n)
+    rep = mc_relay_conditional_variance(example1, (0.1, 0.05), 0b01, mode=2, n=3)
+    assert rep.n == 3 and np.isfinite(rep.estimate)
+
+
+@pytest.mark.parametrize("n", [1000, _CHUNK_ROWS, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 37])
+@pytest.mark.parametrize("width", [3, 5])
+def test_mc_gram_continues_one_stream(n, width):
+    # The chunked draw is the one-call draw: same rows, and the generator
+    # left where one standard_normal call of n rows leaves it.
+    chunked = np.random.default_rng(11)
+    G = _gram(n, width, chunked)
+    whole = np.random.default_rng(11)
+    W = whole.standard_normal((n, width))
+    assert chunked.bit_generator.state == whole.bit_generator.state
+    ref = W.T @ W
+    assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_mc(config, gamma, S, mode, n, seed):
+    """The regression as it ran on the materialized draw: X and X_r of n
+    rows each, then np.linalg.lstsq on the n-row design."""
+    g = np.asarray(gamma, dtype=np.float64)
+    P = config.powers()
+    in_S = [k for k in range(config.K) if S >> k & 1]
+    comp = [k for k in range(config.K) if k not in in_S]
+    comp_mass = float(g[comp].sum()) if comp else 0.0
+    ubar = 1.0 - comp_mass
+    if mode == 1:
+        target = ubar * config.P_r
+    elif abs(comp_mass - 1.0) <= EQUALITY_TOL:
+        target = float(P[in_S].sum())
+    else:
+        s = float(np.sqrt(g[in_S] * P[in_S]).sum())
+        target = float(P[in_S].sum()) - s * s / ubar
+    W = np.random.default_rng(seed).standard_normal((n, config.K + 1))
+    X = W[:, 1:] * np.sqrt(P)
+    resid_mass = max(0.0, 1.0 - float(g.sum()))
+    X_r = W[:, 1:] @ np.sqrt(g * config.P_r) + W[:, 0] * np.sqrt(resid_mass * config.P_r)
+    if mode == 1:
+        y, design = X_r, X[:, comp]
+    else:
+        y, design = X[:, in_S].sum(axis=1), np.column_stack([X[:, comp], X_r])
+    p = design.shape[1]
+    if p:
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        y = y - design @ coef
+    estimate = float(y @ y) / (n - p)
+    degenerate = target <= DEGENERATE_TOL * max(1.0, config.P_r, float(P.sum()))
+    se = 0.0 if degenerate else estimate * np.sqrt(2.0 / (n - p))
+    z = 0.0 if degenerate else (estimate - target) / se
+    return McReport(mode, S, n, seed, estimate, target, se, float(z), degenerate)
+
+
+def test_mc_matches_the_materialized_regression():
+    # The five check shapes of `verify --suite mc`, plus a rank-deficient
+    # design (X_r a multiple of the one complement input), on K = 2..4.
+    rng = np.random.default_rng(1010)
+    degenerate = 0
+    for i in range(18):
+        config = random_config(rng, K=2 + i % 3)
+        K = config.K
+        full = (1 << K) - 1
+        g = list(gamma_sampler(config, i)(1)[0])
+        boundary = [1.0] + [0.0] * (K - 1)
+        shapes = [([0.0] * K, full, 1), (g, 1, 1), (g, full, 2), (g, 1, 2), (boundary, full ^ 1, 1),
+                  (boundary, full ^ 1, 2)]
+        for j, (gamma, S, mode) in enumerate(shapes):
+            rep = mc_relay_conditional_variance(config, gamma, S, mode=mode, n=20000, seed=i + j)
+            ref = reference_mc(config, gamma, S, mode, 20000, i + j)
+            assert (rep.target, rep.degenerate, rep.passed) == (ref.target, ref.degenerate, ref.passed)
+            if rep.degenerate:
+                degenerate += 1
+                assert 0.0 <= rep.estimate <= DEGENERATE_TOL
+            else:
+                assert rep.estimate == pytest.approx(ref.estimate, rel=1e-10, abs=0.0)
+                assert rep.z_score == pytest.approx(ref.z_score, rel=1e-6, abs=1e-9)
+    assert degenerate == 18
 
 
 def test_grid_maxmin_example1_frozen(example1):
