@@ -17,9 +17,7 @@ import numpy as np
 
 from .polymatroid import SubsetFunction
 
-# Slack for membership tests of the parameter domains; the branch switch in
-# the relay cutset bound is exact at this same tolerance (the branch-2 limit
-# is not branch 1, so a fuzzy switch would be wrong on both sides).
+# Slack for membership tests of the parameter domains.
 DOMAIN_TOL = 1e-12
 
 
@@ -91,6 +89,8 @@ def full_mask(K):
 
 def subset_indices(mask):
     """0-based source indices contained in a subset bitmask."""
+    if mask < 0:
+        raise DomainError(f"subset mask {mask!r} is negative")
     out = []
     k = 0
     while mask:
@@ -197,27 +197,21 @@ def _rates(snr, power, noise):
 
 
 def _relay_cutset(config, G):
-    # Correlating a source with the relay costs relay-side rate: the SNR is
-    # the subset power minus a penalty that grows with the subset's
-    # correlation mass and with the correlation already committed by the
-    # complement. When the complement's correlations sum to 1 (at
-    # DOMAIN_TOL), the relay transmission is a deterministic function of
-    # the complement and the penalty vanishes. Column S of a reversed table
-    # is the complement of S. The residual mass 1 - comp_mass is at least
-    # the subset's own mass for a feasible gamma; taking the larger of the
-    # two keeps a mass sum rounded just above 1 from inflating the penalty
-    # past the subset power.
+    # The SNR is the conditional variance of the subset's inputs given the
+    # complement's and the relay's: the subset power less the part the relay
+    # reveals, coherent(S)^2 / (gamma(S) + slack). Given the complement, the
+    # relay keeps the subset's correlations gamma(S) and its own share
+    # slack = 1 - sum(gamma), floored at 0 for a mass rounded above 1. By
+    # Cauchy-Schwarz the penalty is at most the subset power, and it is 0
+    # where its denominator is 0 (the relay is then a function of the
+    # complement).
     P = config.powers()
     power = _subset_power(config.P)
     mass = _subset_sums(G)
-    comp_mass = mass[:, ::-1]
+    room = mass + np.maximum(0.0, 1.0 - mass[:, -1:])
     coherent = _subset_sums(np.sqrt(G * P))
-    exact = np.abs(comp_mass - 1.0) <= DOMAIN_TOL
-    ubar = np.where(exact, 1.0, np.maximum(1.0 - comp_mass, mass))
-    snr = np.where(exact, power, power - coherent * coherent / ubar) / config.N_r
-    # The penalty divides by the residual mass ubar, so a feasible gamma
-    # (mass up to 1 + DOMAIN_TOL) moves it by up to power * DOMAIN_TOL / ubar.
-    return _rates(snr, power, ubar * config.N_r)
+    penalty = np.divide(coherent * coherent, room, out=np.zeros_like(room), where=room > 0.0)
+    return _rates((power - penalty) / config.N_r, power, config.N_r)
 
 
 def _dest_cutset(config, G):
@@ -277,6 +271,20 @@ def dest_df_table(config, alpha, beta):
     return _dest_df(config, *_split_rows(alpha, beta, config.K))
 
 
+def family_tables(config, family, rows, beta=None):
+    """The (dest, relay) bound tables of one family over a batch of
+    parameter rows: correlations for 'outer', alphas for 'inner', with the
+    relay split rows `beta` (by default beta_star of the rows). The
+    destination table comes first: the two-user case labels index it."""
+    if family == "outer":
+        G = _correlation_rows(rows, config.K)
+        return _dest_cutset(config, G), _relay_cutset(config, G)
+    if family == "inner":
+        A, B = _split_rows(rows, beta_star(config, rows) if beta is None else beta, config.K)
+        return _dest_df(config, A, B), _relay_df(config, A, B)
+    raise DomainError(f"unknown family {family!r}")
+
+
 def _cutset_row(family, config, gamma):
     """One correlation vector's table row."""
     return family(config, as_correlation(gamma, config.K).vector()[None])[0]
@@ -288,24 +296,31 @@ def _df_row(family, config, split):
     return family(config, sp.alpha_vector()[None], sp.beta_vector()[None])[0]
 
 
+def check_mask(S, K):
+    """S, once checked to be a subset bitmask of K sources: in [0, 2^K)."""
+    if not 0 <= S < 1 << K:
+        raise DomainError(f"subset mask {S!r} outside [0, {1 << K})")
+    return S
+
+
 def outer_bound_relay(config, gamma, S):
     """Cutset rate ceiling at the relay for the sources in subset S."""
-    return float(_cutset_row(_relay_cutset, config, gamma)[S])
+    return float(_cutset_row(_relay_cutset, config, gamma)[check_mask(S, config.K)])
 
 
 def outer_bound_dest(config, gamma, S):
     """Cutset rate ceiling at the destination for subset S."""
-    return float(_cutset_row(_dest_cutset, config, gamma)[S])
+    return float(_cutset_row(_dest_cutset, config, gamma)[check_mask(S, config.K)])
 
 
 def df_bound_relay(config, split, S):
     """Decode-and-forward rate ceiling at the relay for subset S."""
-    return float(_df_row(_relay_df, config, split)[S])
+    return float(_df_row(_relay_df, config, split)[check_mask(S, config.K)])
 
 
 def df_bound_dest(config, split, S):
     """Decode-and-forward rate ceiling at the destination for subset S."""
-    return float(_df_row(_dest_df, config, split)[S])
+    return float(_df_row(_dest_df, config, split)[check_mask(S, config.K)])
 
 
 def df_to_correlation(split):

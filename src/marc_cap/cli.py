@@ -20,19 +20,16 @@ from .bounds import (
     DfPowerSplit,
     DomainError,
     beta_star,
-    dest_cutset_function,
     dest_cutset_table,
-    dest_df_function,
     dest_df_table,
+    family_tables,
     full_mask,
-    relay_cutset_function,
-    relay_df_function,
     relay_df_table,
     relay_sum_snr,
     subset_label,
 )
 from .channel import ChannelConfig, ValidationError, awgn_capacity
-from .polymatroid import INACTIVE, intersection_max_sum
+from .polymatroid import INACTIVE, SubsetFunction, intersection_max_sum
 from .region import build_df_region, build_outer_region
 from .sumcap import (
     ACTIVE_CLASS,
@@ -235,8 +232,7 @@ def cmd_classify(args):
         if len(beta) != K:
             raise InputError(f"--beta expects {K} values, got {len(beta)}")
         split = DfPowerSplit(tuple(values), tuple(beta))
-        f1 = dest_df_function(config, split)
-        f2 = relay_df_function(config, split)
+        tables = family_tables(config, family, [split.alpha], [split.beta])
         params = {"alpha": list(split.alpha), "beta": list(split.beta)}
         param_line = (
             "params alpha=" + ",".join(f"{a:.6f}" for a in split.alpha)
@@ -244,10 +240,10 @@ def cmd_classify(args):
         )
     else:
         vec = CorrelationVector(tuple(values))
-        f1 = dest_cutset_function(config, vec)
-        f2 = relay_cutset_function(config, vec)
+        tables = family_tables(config, family, [vec.gamma])
         params = {"gamma": list(vec.gamma)}
         param_line = "params gamma=" + ",".join(f"{g:.6f}" for g in vec.gamma)
+    f1, f2 = (SubsetFunction(K, table[0]) for table in tables)
     digest = _manifest_digest("classify", args.config, config, params)
     print(f"# manifest {digest}")
     print(_config_line(config))

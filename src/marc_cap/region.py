@@ -13,16 +13,10 @@ from .bounds import (
     DfPowerSplit,
     DomainError,
     beta_star,
-    dest_cutset_function,
-    dest_cutset_table,
-    dest_df_function,
     dest_df_table,
-    relay_cutset_function,
-    relay_cutset_table,
-    relay_df_function,
+    family_tables,
     relay_df_table,
 )
-from .polymatroid import SubsetFunction
 
 # Relative orientation epsilon for the planar hull. A chain point a between
 # neighbours o and b is dropped as collinear when the cross product
@@ -75,19 +69,19 @@ class RegionPolytope:
 
 
 def _family_pair(config, params):
-    if isinstance(params, CorrelationVector):
-        return dest_cutset_function(config, params), relay_cutset_function(config, params)
+    """Destination and relay bounds of one parameter choice over all subsets;
+    a mixture's are the weighted sums of its points'."""
     if isinstance(params, DfPowerSplit):
-        return dest_df_function(config, params), relay_df_function(config, params)
-    if isinstance(params, TimeSharingMixture):
-        n = 1 << config.K
-        f1 = np.zeros(n)
-        f2 = np.zeros(n)
-        for vec, w in params.points:
-            f1 += w * dest_cutset_function(config, vec).values
-            f2 += w * relay_cutset_function(config, vec).values
-        return SubsetFunction(config.K, f1), SubsetFunction(config.K, f2)
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
+        dest, relay = family_tables(config, "inner", [params.alpha], [params.beta])
+        return dest[0], relay[0]
+    if isinstance(params, CorrelationVector):
+        params = TimeSharingMixture(((params, 1.0),))
+    if not isinstance(params, TimeSharingMixture):
+        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    vecs, weights = zip(*params.points)
+    w = np.array(weights)[:, None]
+    dest, relay = family_tables(config, "outer", [vec.gamma for vec in vecs])
+    return (w * dest).sum(axis=0), (w * relay).sum(axis=0)
 
 
 def build_intersection(config, params):
@@ -100,8 +94,7 @@ def build_intersection(config, params):
     """
     if config.K != 2:
         raise DomainError(f"polytope vertices support K=2 only, got K={config.K}")
-    f1, f2 = _family_pair(config, params)
-    g = np.minimum(f1.values, f2.values)
+    g = np.minimum(*_family_pair(config, params))
     facets = tuple((mask, float(g[mask])) for mask in range(1, 1 << config.K))
     cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
     verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
@@ -131,12 +124,9 @@ def _pentagon_candidates_batch(g1, g2, g12):
     rect = g1 + g2 <= g12
     c = ~rect & (g12 - g1 >= 0.0) & (g12 - g1 <= g2)
     d = ~rect & (g12 - g2 >= 0.0) & (g12 - g2 <= g1)
-    return np.concatenate([
-        np.stack([x, np.zeros_like(x)], axis=1),
-        np.stack([np.zeros_like(y), y], axis=1),
-        np.stack([g1[rect], g2[rect]], axis=1),
-        np.stack([g1[c], (g12 - g1)[c]], axis=1),
-        np.stack([(g12 - g2)[d], g2[d]], axis=1),
+    return np.column_stack([
+        np.concatenate([x, np.zeros_like(y), g1[rect], g1[c], (g12 - g2)[d]]),
+        np.concatenate([np.zeros_like(x), y, g2[rect], (g12 - g1)[c], g2[d]]),
     ])
 
 
@@ -148,7 +138,7 @@ def _ends(v):
 def _outer_pentagon_grid(config, n):
     """Candidate vertices of every lattice correlation's intersection."""
     gamma = compositions(3, n)[:, :2] / n
-    g = np.minimum(relay_cutset_table(config, gamma), dest_cutset_table(config, gamma))
+    g = np.minimum(*family_tables(config, "outer", gamma))
     return _pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])
 
 
@@ -255,8 +245,8 @@ def _hull_candidates(pts):
     high = np.maximum.reduceat(y, starts)
     low_kept = _beyond_neighbours(-low)
     high_kept = _beyond_neighbours(high)
-    return np.concatenate([np.stack([x[low_kept], low[low_kept]], axis=1),
-                           np.stack([x[high_kept], high[high_kept]], axis=1)])
+    return np.column_stack([np.concatenate([x[low_kept], x[high_kept]]),
+                            np.concatenate([low[low_kept], high[high_kept]])])
 
 
 def _beyond_neighbours(y):

@@ -19,18 +19,13 @@ from .bounds import (
     DfPowerSplit,
     DOMAIN_TOL,
     DomainError,
+    as_correlation,
+    as_split,
     beta_star,
-    dest_cutset_function,
-    dest_cutset_table,
-    dest_df_function,
-    dest_df_table,
-    relay_cutset_function,
-    relay_cutset_table,
-    relay_df_function,
-    relay_df_table,
+    family_tables,
 )
 from .channel import awgn_capacity
-from .polymatroid import ACTIVE, INACTIVE, intersection_max_sum, intersection_rows
+from .polymatroid import ACTIVE, INACTIVE, SubsetFunction, intersection_max_sum, intersection_rows
 
 BOTTLENECK = "Bottleneck"
 EQUALIZED = "Equalized"
@@ -140,7 +135,7 @@ class EqualizingSet:
         # The first load ranges over what leaves the second within its cap.
         span = np.array([max(0.0, self.total - self.caps[1]), min(self.caps[0], self.total)])
         lo, hi = sorted(np.clip(self.param(0, span), 0.0, 1.0).tolist())
-        grid = np.asarray(_sweep_grid(lo, hi, resolution))
+        grid = _sweep_grid(lo, hi, resolution)
         return self.clip_rows(np.column_stack([grid, self.param(1, self.total - self.load(0, grid))]))
 
     def check(self, rule):
@@ -193,32 +188,26 @@ def gamma_rule_outer(config, solution, gamma):
     return vec
 
 
+def _classify_row(config, family, row, beta=None):
+    dest, relay = family_tables(config, family, [row], None if beta is None else [beta])
+    return intersection_max_sum(SubsetFunction(config.K, dest[0]), SubsetFunction(config.K, relay[0]))
+
+
 def classify_inner_rule(config, split):
     """Intersection outcome of the decode-and-forward polymatroid pair;
     destination family first (its subset indexes the case label)."""
-    return intersection_max_sum(dest_df_function(config, split), relay_df_function(config, split))
+    split = as_split(split, config.K)
+    return _classify_row(config, "inner", split.alpha, split.beta)
 
 
 def classify_outer_rule(config, gamma):
     """Intersection outcome of the cutset polymatroid pair."""
-    return intersection_max_sum(dest_cutset_function(config, gamma), relay_cutset_function(config, gamma))
-
-
-def _kinds(config, family, rows):
-    """Kind of each parameter row as classify_inner_rule/classify_outer_rule
-    give it: rows are alphas (with the destination-optimal beta) for the
-    inner family, correlations for the outer one."""
-    if family == "inner":
-        beta = beta_star(config, rows)
-        tables = dest_df_table(config, rows, beta), relay_df_table(config, rows, beta)
-    else:
-        tables = dest_cutset_table(config, rows), relay_cutset_table(config, rows)
-    return np.where(intersection_rows(*tables)[2], ACTIVE, INACTIVE).tolist()
+    return _classify_row(config, "outer", as_correlation(gamma, config.K).gamma)
 
 
 def _rules(config, family, rows):
     if family == "inner":
-        return [DfPowerSplit(tuple(a), tuple(beta_star(config, a))) for a in rows.tolist()]
+        return [DfPowerSplit(tuple(a), tuple(b)) for a, b in zip(rows.tolist(), beta_star(config, rows).tolist())]
     return [CorrelationVector(tuple(g)) for g in rows.tolist()]
 
 
@@ -227,26 +216,20 @@ def _sweep_grid(lo, hi, resolution):
     # endpoints; reported boundaries therefore sit on the resolution grid.
     first = math.ceil(lo / resolution - 1e-9)
     last = math.floor(hi / resolution + 1e-9)
-    pts = [lo]
-    pts.extend(i * resolution for i in range(first, last + 1) if lo < i * resolution < hi)
-    if hi > lo:
-        pts.append(hi)
-    return pts
+    grid = np.arange(first, last + 1) * resolution
+    return np.concatenate([[lo], grid[(lo < grid) & (grid < hi)], [hi] if hi > lo else []])
 
-def _active_runs(points, kinds):
-    runs = []
-    start = None
-    for p, k in zip(points, kinds):
-        if k == ACTIVE:
-            if start is None:
-                start = p
-            prev = p
-        elif start is not None:
-            runs.append((start, prev))
-            start = None
-    if start is not None:
-        runs.append((start, prev))
-    return runs
+
+def _runs(active):
+    """The (first, last) index pairs of the Active runs of a boolean verdict
+    array, and the indices at both ends of every run of equal kind; zero
+    rows have none."""
+    # Entry b of `edge` marks a change of kind just before row b; the padding
+    # differs from both kinds, so the first and the last row start and end a run.
+    edge = np.diff(np.concatenate([[-1], active, [-1]])) != 0
+    starts, stops = edge[:-1], edge[1:]
+    runs = np.column_stack([np.flatnonzero(starts & active), np.flatnonzero(stops & active)])
+    return runs, np.flatnonzero(starts | stops)
 
 
 def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0):
@@ -278,12 +261,12 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
 def _scan_two_user(config, rule_set, resolution):
     family = rule_set.family
     rows = rule_set.sweep(resolution)
-    kinds = _kinds(config, family, rows)
-    runs = [rows[[i, j]].tolist() for i, j in _active_runs(range(len(rows)), kinds)]
+    active = intersection_rows(*family_tables(config, family, rows))[2]
+    runs, ends = _runs(active)
+    runs = rows[runs].tolist()
     # Every point is classified; the samples are the rules at both ends of
     # each run of equal kind, which pin the reported intervals.
-    ends = [i for i, k in enumerate(kinds) if i in (0, len(kinds) - 1) or k != kinds[i - 1] or k != kinds[i + 1]]
-    samples = zip(_rules(config, family, rows[ends]), [kinds[i] for i in ends])
+    samples = zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist())
     # The second coordinate decreases along the sweep, so its runs map reversed.
     names = (rule_set.name + "1", rule_set.name + "2")
     intervals = {names[0]: [(a[0], b[0]) for a, b in runs], names[1]: sorted((b[1], a[1]) for a, b in runs)}
@@ -332,17 +315,20 @@ def _scan_sampled(config, rule_set, seed, n_random=10000):
     # least 64.
     family = rule_set.family
     rng = np.random.default_rng(seed)
-    chunks, kinds = [], []
+    chunks, verdicts, found = [], [], False
     for loads in _load_chunks(rule_set, rng, n_random):
         rows = rule_set.clip_rows(rule_set.param(slice(None), loads))
         chunks.append(rows)
-        kinds.extend(_kinds(config, family, rows))
-        if ACTIVE in kinds and len(kinds) >= 64:
-            kinds = kinds[: max(64, kinds.index(ACTIVE) + 1)]
+        verdicts.append(intersection_rows(*family_tables(config, family, rows))[2])
+        found = found or verdicts[-1].any()
+        if found and sum(map(len, chunks)) >= 64:
             break
-    rules = _rules(config, family, np.vstack(chunks)[: len(kinds)])
-    verdict = ACTIVE_CLASS if ACTIVE in kinds else INACTIVE_CLASS
-    return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, verdict)
+    active = np.concatenate(verdicts)
+    if found:
+        active = active[: max(64, int(active.argmax()) + 1)]
+    rules = _rules(config, family, np.vstack(chunks)[: len(active)])
+    kinds = np.where(active, ACTIVE, INACTIVE).tolist()
+    return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, ACTIVE_CLASS if found else INACTIVE_CLASS)
 
 
 def sum_capacity(config, resolution=1e-3):

@@ -11,6 +11,7 @@ from . import _kernels
 from .bounds import (
     CorrelationVector,
     beta_star,
+    check_mask,
     dest_cutset_table,
     dest_df_table,
     relay_cutset_table,
@@ -99,7 +100,7 @@ def _residual_variance(a, B, G, n):
         design = R @ B
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         y = y - design @ coef
-    return float(y @ y) / (n - p), p
+    return float(y @ y) / (n - p)
 
 
 def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
@@ -108,7 +109,8 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
 
     mode 1: var(X_r | X_{S^c}) against the residual relay power.
     mode 2: var(sum_S X_k | X_{S^c}, X_r) against the relay-cut SNR
-    numerator, matching its branch at complement mass 1.
+    numerator, P(S) - coherent(S)^2 / (gamma(S) + slack), whose penalty is
+    0 where its denominator is.
     """
     config = validate(config)
     vec = gamma if isinstance(gamma, CorrelationVector) else CorrelationVector(tuple(gamma))
@@ -118,25 +120,27 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
         raise ValueError(f"n must be at least K + 1 = {config.K + 1}, got {n!r}")
     g = vec.vector()
     P = config.powers()
-    in_S = subset_indices(S)
+    in_S = subset_indices(check_mask(S, config.K))
     comp = [k for k in range(config.K) if k not in in_S]
+    # The regression has one column per complement input, plus X_r in mode 2.
+    p = len(comp) + (mode == 2)
+    if n <= p:
+        raise ValueError(f"n must exceed the {p} regressors, got {n!r}")
     comp_mass = float(g[comp].sum()) if comp else 0.0
-    ubar = 1.0 - comp_mass
+    resid_mass = max(0.0, 1.0 - float(g.sum()))
 
     if mode == 1:
-        target = ubar * config.P_r
-    elif abs(comp_mass - 1.0) <= EQUALITY_TOL:
-        target = float(P[in_S].sum())
+        target = (1.0 - comp_mass) * config.P_r
     else:
         s = float(np.sqrt(g[in_S] * P[in_S]).sum())
-        target = float(P[in_S].sum()) - s * s / ubar
+        room = float(g[in_S].sum()) + resid_mass
+        target = float(P[in_S].sum()) - (s * s / room if room > 0.0 else 0.0)
 
     # Every input is linear in a standard-normal draw W of n rows and K+1
     # columns, column 0 the relay's own part: X_k = sqrt(P_k) W[:, k+1] and
     # X_r = W @ relay, with source-relay correlations sqrt(gamma_k P_k P_r).
     # Column k of `source` holds the coefficients of X_k.
     source = np.vstack([np.zeros(config.K), np.diag(np.sqrt(P))])
-    resid_mass = max(0.0, 1.0 - float(g.sum()))
     relay = np.concatenate([[np.sqrt(resid_mass * config.P_r)], np.sqrt(g * config.P_r)])
     if mode == 1:
         a = relay
@@ -145,7 +149,7 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
         a = source[:, in_S].sum(axis=1)
         B = np.column_stack([source[:, comp], relay])
     G = _gram(n, config.K + 1, np.random.default_rng(seed))
-    estimate, p = _residual_variance(a, B, G, n)
+    estimate = _residual_variance(a, B, G, n)
 
     scale = max(1.0, config.P_r, float(P.sum()))
     degenerate = target <= DEGENERATE_TOL * scale

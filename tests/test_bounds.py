@@ -30,6 +30,7 @@ from marc_cap.bounds import (
     dest_cutset_table,
     dest_df_table,
     dest_sum_snr,
+    family_tables,
     full_mask,
     relay_cutset_table,
     relay_df_table,
@@ -56,6 +57,19 @@ def test_subset_helpers():
     assert subset_indices(0) == []
     assert subset_label(0b101) == "{1,3}"
     assert subset_label(0) == "{}"
+    # A negative mask used to shift forever.
+    with pytest.raises(DomainError, match="subset mask -1 is negative"):
+        subset_indices(-1)
+
+
+def test_scalar_bounds_check_the_subset_mask(example1):
+    split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
+    for fn, params in ((outer_bound_relay, (0.1, 0.05)), (outer_bound_dest, (0.1, 0.05)),
+                       (df_bound_relay, split), (df_bound_dest, split)):
+        assert fn(example1, params, 3) == fn(example1, params, 0b11)
+        for S in (-1, 4):
+            with pytest.raises(DomainError, match=f"subset mask {S} outside \\[0, 4\\)"):
+                fn(example1, params, S)
 
 
 def test_empty_subset_is_zero(example1):
@@ -94,7 +108,8 @@ def test_outer_dest_frozen_point(example1):
 
 def test_outer_relay_exact_branch_at_unit_complement(example1):
     # Complement mass exactly 1: the relay signal is a function of the
-    # complement, so the subset sees its full power.
+    # complement, so the subset sees its full power (the penalty's
+    # denominator gamma(S) + slack is 0).
     assert outer_bound_relay(example1, (0.0, 1.0), 0b01) == pytest.approx(C6, rel=1e-15)
     assert outer_bound_relay(example1, (1.0, 0.0), 0b10) == pytest.approx(C4, rel=1e-15)
 
@@ -315,6 +330,20 @@ def test_scalar_bounds_and_builders_are_table_entries():
     for K in (1, 2, 3, 4):
         config = random_config(rng, K)
         gamma, alpha, beta = _table_rows(rng, K, 5)
+        # The family pairs, destination first; the inner beta defaults to beta_star.
+        star = beta_star(config, alpha)
+        pairs = (
+            (family_tables(config, "outer", gamma),
+             dest_cutset_table(config, gamma), relay_cutset_table(config, gamma)),
+            (family_tables(config, "inner", alpha, beta),
+             dest_df_table(config, alpha, beta), relay_df_table(config, alpha, beta)),
+            (family_tables(config, "inner", alpha),
+             dest_df_table(config, alpha, star), relay_df_table(config, alpha, star)),
+        )
+        for (dest, relay), dest_table, relay_table in pairs:
+            assert np.array_equal(dest, dest_table) and np.array_equal(relay, relay_table)
+        with pytest.raises(DomainError, match="unknown family 'sideways'"):
+            family_tables(config, "sideways", gamma)
         for i in range(5):
             vec = CorrelationVector(tuple(gamma[i]))
             split = DfPowerSplit(tuple(alpha[i]), tuple(beta[i]))
@@ -349,10 +378,24 @@ def test_relay_cutset_clamps_dust_relative_to_power():
     # full-set relay SNR is exactly 0, and the rounding dust grows with power.
     config = ChannelConfig(2, (1e5, 3e5), 4.0, 1.0, 1.0)
     assert outer_bound_relay(config, (0.25, 0.75), 0b11) == 0.0
-    # Unit total mass with a tiny singleton: the residual mass 1 - gamma_1
-    # carries the rounding, which the penalty divides by.
+    # Unit total mass with a tiny singleton: the penalty divides the
+    # singleton's coherent term by its own tiny mass.
     config = ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0)
     assert outer_bound_relay(config, (0.9999998807907247, 1.1920927538914698e-07), 0b10) == 0.0
+
+
+def test_relay_cutset_is_zero_when_relay_and_complement_reveal_the_subset():
+    # sum(gamma) = 1 and gamma_1 > 0: X_r and the complement's inputs reveal
+    # X_1, so f({1}) = 0. The snap to the full subset power at complement
+    # mass 1 gave f({1}) = 2.529591 > f({1,4}) = 2.529373.
+    config = ChannelConfig(4, (32.34, 26.65, 1.404, 22.90), 1.0, 1.0, 1.0)
+    gamma = (1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207, 4.1464058295309335e-06)
+    row = relay_cutset_table(config, [gamma])[0]
+    assert row[0b0001] == 0.0
+    assert row[0b1001] == pytest.approx(2.529373, abs=5e-7)
+    for S in range(16):
+        for k in range(4):
+            assert row[S | 1 << k] >= row[S] - 1e-12
 
 
 def test_negative_snr_beyond_dust_is_an_error():

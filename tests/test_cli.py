@@ -327,6 +327,69 @@ def test_verify_all_stdout_frozen(tmp_path, capsys, name):
     assert rest == expected
 
 
+EX2_LINE = "config K=2 P=6.000000,0.400000 P_r=4.000000 N_r=1.000000 N_delta=1.000000\n"
+K3_LINE = "config K=3 P=3.000000,1.500000,0.700000 P_r=2.000000 N_r=1.000000 N_delta=1.500000\n"
+STDOUT_FROZEN = {
+    "sumcap-ex1": (EX1, ["sumcap", "--resolution", "1e-5"], """\
+config K=2 P=6.000000,4.000000 P_r=4.000000 N_r=1.000000 N_delta=1.000000
+regime=Equalized root=0.408248 c=0.166667 R=1.660964 status=Exact
+scan family=inner resolution=0.000010 verdict=ActiveClass
+active alpha1=[0.833333,1.000000]
+active alpha2=[0.750000,1.000000]
+"""),
+    "sumcap-ex2": (EX2, ["sumcap", "--resolution", "1e-5"], EX2_LINE + """\
+regime=Equalized root=0.197282 c=0.038920 R=1.420632 status=Exact
+scan family=inner resolution=0.000010 verdict=ActiveClass
+active alpha1=[0.961080,0.979540]
+active alpha2=[0.723098,1.000000]
+"""),
+    "classify-k3-alpha": (K3, ["classify", "--alpha", "0.9,0.95,0.97"], K3_LINE + """\
+params alpha=0.900000,0.950000,0.970000 beta=0.757576,0.189394,0.053030
+subset {1}: f1=0.871094 f2=0.943763
+subset {2}: f1=0.457801 f2=0.638992
+subset {1,2}: f1=1.040632 f2=1.178776
+subset {3}: f1=0.221898 f2=0.373801
+subset {1,3}: f1=0.944854 f2=1.065301
+subset {2,3}: f1=0.583851 f2=0.817064
+subset {1,2,3}: f1=1.099554 f2=1.268524
+max_sum=1.099554 kind=Active argmin={1,2,3}
+"""),
+    "classify-k3-gamma": (K3, ["classify", "--gamma", "0.1,0.2,0.3"], K3_LINE + """\
+params gamma=0.100000,0.200000,0.300000
+subset {1}: f1=0.843458 f2=0.882767
+subset {2}: f1=0.716393 f2=0.500000
+subset {1,2}: f1=1.100716 f2=0.960283
+subset {3}: f1=0.618922 f2=0.242713
+subset {1,3}: f1=1.045111 f2=0.890156
+subset {2,3}: f1=0.951160 f2=0.526750
+subset {1,2,3}: f1=1.247568 f2=0.960339
+max_sum=0.960339 kind=Active argmin={}
+"""),
+    "classify-k3-gamma-solved": (K3, ["classify", "--gamma", "0.05,0.02"], K3_LINE + """\
+params gamma=0.050000,0.020000,0.355172
+subset {1}: f1=0.824932 f2=0.955354
+subset {2}: f1=0.591925 f2=0.646263
+subset {1,2}: f1=0.990926 f2=1.162807
+subset {3}: f1=0.685953 f2=0.259351
+subset {1,3}: f1=1.046493 f2=0.981577
+subset {2,3}: f1=0.882785 f2=0.723101
+subset {1,2,3}: f1=1.172167 f2=1.172167
+max_sum=1.172167 kind=Active argmin={}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_FROZEN))
+def test_sumcap_and_classify_stdout_frozen(tmp_path, capsys, name):
+    # Full stdout below the manifest line (which hashes the config path).
+    data, (command, *flags), expected = STDOUT_FROZEN[name]
+    code, out, err = run(capsys, command, write_config(tmp_path, data), *flags)
+    assert code == 0 and err == ""
+    head, rest = out.split("\n", 1)
+    assert MANIFEST.match(head)
+    assert rest == expected
+
+
 def test_version_and_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

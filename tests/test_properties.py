@@ -74,12 +74,27 @@ def test_cutset_bounds_nonnegative_zero_on_empty(case):
     assert outer_bound_dest(cfg, gamma, mask) >= 0.0
 
 
+@st.composite
+def config_boundary_gamma_mask(draw):
+    """Correlations on the simplex boundary, sum(gamma) = 1 up to rounding,
+    with one member as small as 1e-15."""
+    cfg = draw(configs(min_k=2))
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=cfg.K, max_size=cfg.K))
+    w[draw(st.integers(0, cfg.K - 1))] = 10.0 ** -draw(st.floats(3.0, 15.0))
+    gamma = tuple(x / sum(w) for x in w)
+    return cfg, as_correlation(gamma, cfg.K), draw(st.integers(1, full_mask(cfg.K)))
+
+
 @settings(deadline=None, max_examples=60)
-@given(config_gamma_mask(), st.integers(0, 2**4 - 1))
-# A correlation mass that rounds just above 1: S={1} takes the exact branch,
-# and {1,3} divides its penalty by the rounded residual mass 1 - gamma_4.
+@given(st.one_of(config_gamma_mask(), config_boundary_gamma_mask()), st.integers(0, 2**4 - 1))
+# A correlation mass that rounds just above 1: the slack is 0, and {1,3}
+# divides its penalty by gamma_3 alone.
 @example((ChannelConfig(4, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0),
           as_correlation((0.0, 0.0, 3.178913377471486e-07, 0.9999996821086623), 4), 0b0001), 0b0100)
+# sum(gamma) = 1 with a 1.4e-13 gamma_1: X_r and the complement reveal X_1.
+@example((ChannelConfig(4, (32.34, 26.65, 1.404, 22.90), 1.0, 1.0, 1.0),
+          as_correlation((1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207,
+                          4.1464058295309335e-06), 4), 0b0001), 0b1000)
 def test_cutset_bounds_monotone_in_subset(case, extra):
     cfg, gamma, mask = case
     wider = (mask | extra) & full_mask(cfg.K)

@@ -23,7 +23,7 @@ from marc_cap.sumcap import (
     EXACT,
     INACTIVE_CLASS,
     UPPER_BOUND_ONLY,
-    _active_runs,
+    _runs,
     _sweep_grid,
     bottleneck_check,
     classify_inner_rule,
@@ -282,19 +282,55 @@ def test_scan_validates_resolution_and_family(example1):
 
 
 def test_sweep_grid_endpoints_and_multiples():
-    pts = _sweep_grid(0.1003, 0.1027, 1e-3)
+    pts = _sweep_grid(0.1003, 0.1027, 1e-3).tolist()
     assert pts[0] == 0.1003
     assert pts[-1] == 0.1027
     assert pts[1:-1] == [101 * 1e-3, 102 * 1e-3]
     assert all(a < b for a, b in zip(pts, pts[1:]))
-    assert _sweep_grid(0.5, 0.5, 1e-3) == [0.5]
+    assert _sweep_grid(0.5, 0.5, 1e-3).tolist() == [0.5]
+
+
+def _active_runs(points, kinds):
+    """Reference: the (first, last) points of each run of Active kinds, one
+    point at a time."""
+    runs = []
+    start = None
+    for p, k in zip(points, kinds):
+        if k == ACTIVE:
+            if start is None:
+                start = p
+            prev = p
+        elif start is not None:
+            runs.append((start, prev))
+            start = None
+    if start is not None:
+        runs.append((start, prev))
+    return runs
+
+
+def _run_ends(kinds):
+    """Reference: the indices at both ends of every run of equal kind."""
+    return [i for i, k in enumerate(kinds) if i in (0, len(kinds) - 1) or k != kinds[i - 1] or k != kinds[i + 1]]
 
 
 def test_active_runs_merges_consecutive_points():
-    kinds = [ACTIVE, ACTIVE, INACTIVE, ACTIVE, ACTIVE]
-    assert _active_runs([0, 1, 2, 3, 4], kinds) == [(0, 1), (3, 4)]
-    assert _active_runs([0, 1], [INACTIVE, INACTIVE]) == []
-    assert _active_runs([0, 1], [ACTIVE, ACTIVE]) == [(0, 1)]
+    runs, ends = _runs(np.array([True, True, False, True, True]))
+    assert runs.tolist() == [[0, 1], [3, 4]]
+    assert ends.tolist() == [0, 1, 2, 3, 4]
+    assert _runs(np.array([False, False]))[0].tolist() == []
+    assert _runs(np.array([True, True]))[0].tolist() == [[0, 1]]
+
+
+def test_runs_match_the_point_by_point_reference():
+    # Every boolean array of length 0-10, the empty one included: an outer
+    # sweep can keep no rows.
+    for n in range(11):
+        for bits in range(1 << n):
+            active = np.array([bool(bits >> i & 1) for i in range(n)], dtype=bool)
+            kinds = [ACTIVE if a else INACTIVE for a in active]
+            runs, ends = _runs(active)
+            assert [tuple(r) for r in runs.tolist()] == _active_runs(range(n), kinds)
+            assert ends.tolist() == _run_ends(kinds)
 
 
 def test_sum_capacity_equalized(example1):
@@ -337,9 +373,7 @@ def _reference_runs(config, sol, family, resolution):
         classify = classify_outer_rule
     points = [p for p, _ in rules]
     kinds = [classify(config, rule).kind for _, rule in rules]
-    # First and last point of every run of equal kind.
-    ends = [(points[i], kinds[i]) for i in range(len(kinds))
-            if i == 0 or i == len(kinds) - 1 or kinds[i] != kinds[i - 1] or kinds[i] != kinds[i + 1]]
+    ends = [(points[i], kinds[i]) for i in _run_ends(kinds)]
     return _active_runs(points, kinds), ends
 
 

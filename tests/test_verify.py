@@ -28,7 +28,6 @@ from marc_cap.bounds import (
 from marc_cap.verify import (
     CHORD_TOL,
     DEGENERATE_TOL,
-    EQUALITY_TOL,
     ChordReport,
     McReport,
     _CHUNK_ROWS,
@@ -92,8 +91,9 @@ def test_mc_full_set_zero_correlation(example1):
 
 
 def test_mc_mode2_exact_branch(example2):
-    # Complement mass exactly 1: the target switches to the plain subset
-    # power rather than the penalty ratio.
+    # Complement mass exactly 1: the subset has no correlation and the relay
+    # none of its own, so the penalty's denominator is 0 and the target is
+    # the plain subset power.
     rep = mc_relay_conditional_variance(example2, (1.0, 0.0), 0b10, mode=2, n=50000, seed=1)
     assert rep.target == 0.4
     assert not rep.degenerate
@@ -128,6 +128,12 @@ def test_mc_validation(example1):
         mc_relay_conditional_variance(example1, (0.1, 0.1), 0b01, mode=3)
     with pytest.raises(DomainError, match="sum\\(gamma\\)"):
         mc_relay_conditional_variance(example1, (0.9, 0.9), 0b01)
+    # K=2 masks lie in [0, 4): S=4 was the empty subset in mode 1 and an
+    # IndexError in mode 2.
+    for S in (4, -1):
+        for mode in (1, 2):
+            with pytest.raises(DomainError, match=f"subset mask {S} outside \\[0, 4\\)"):
+                mc_relay_conditional_variance(example1, (0.1, 0.05), S, mode=mode, n=1000)
 
 
 def test_mc_rejects_fewer_samples_than_regressors(example1):
@@ -136,6 +142,12 @@ def test_mc_rejects_fewer_samples_than_regressors(example1):
             mc_relay_conditional_variance(example1, (0.1, 0.05), 0b01, mode=2, n=n)
     rep = mc_relay_conditional_variance(example1, (0.1, 0.05), 0b01, mode=2, n=3)
     assert rep.n == 3 and np.isfinite(rep.estimate)
+    # S empty in mode 2 regresses on all K inputs and X_r: n = K + 1 leaves
+    # no degree of freedom.
+    with pytest.raises(ValueError, match="n must exceed the 3 regressors, got 3"):
+        mc_relay_conditional_variance(example1, (0.1, 0.05), 0, mode=2, n=3)
+    rep = mc_relay_conditional_variance(example1, (0.1, 0.05), 0, mode=2, n=4)
+    assert rep.degenerate and rep.target == 0.0
 
 
 @pytest.mark.parametrize("n", [1000, _CHUNK_ROWS, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 37])
@@ -160,17 +172,15 @@ def reference_mc(config, gamma, S, mode, n, seed):
     in_S = [k for k in range(config.K) if S >> k & 1]
     comp = [k for k in range(config.K) if k not in in_S]
     comp_mass = float(g[comp].sum()) if comp else 0.0
-    ubar = 1.0 - comp_mass
+    resid_mass = max(0.0, 1.0 - float(g.sum()))
     if mode == 1:
-        target = ubar * config.P_r
-    elif abs(comp_mass - 1.0) <= EQUALITY_TOL:
-        target = float(P[in_S].sum())
+        target = (1.0 - comp_mass) * config.P_r
     else:
         s = float(np.sqrt(g[in_S] * P[in_S]).sum())
-        target = float(P[in_S].sum()) - s * s / ubar
+        room = float(g[in_S].sum()) + resid_mass
+        target = float(P[in_S].sum()) - (s * s / room if room > 0.0 else 0.0)
     W = np.random.default_rng(seed).standard_normal((n, config.K + 1))
     X = W[:, 1:] * np.sqrt(P)
-    resid_mass = max(0.0, 1.0 - float(g.sum()))
     X_r = W[:, 1:] @ np.sqrt(g * config.P_r) + W[:, 0] * np.sqrt(resid_mass * config.P_r)
     if mode == 1:
         y, design = X_r, X[:, comp]
