@@ -204,7 +204,9 @@ def _relay_cutset(config, G):
     # slack = 1 - sum(gamma), floored at 0 for a mass rounded above 1. By
     # Cauchy-Schwarz the penalty is at most the subset power, and it is 0
     # where its denominator is 0 (the relay is then a function of the
-    # complement).
+    # complement). Subnormal correlations count as 0: there the quotient
+    # keeps no precision and can exceed the subset power.
+    G = np.where(G < np.finfo(np.float64).tiny, 0.0, G)
     P = config.powers()
     power = _subset_power(config.P)
     mass = _subset_sums(G)
@@ -366,15 +368,24 @@ def dest_df_function(config, split):
     return SubsetFunction(config.K, _df_row(_dest_df, config, split))
 
 
+def k_coefficients(config):
+    """(K_0, K_1, K_2, K_3) of the K-user sum-bound SNRs, written in the
+    correlation statistic x = sum_k sqrt(lambda_k gamma_k) below."""
+    total = sum(config.P)
+    k0 = config.P_max / config.N_r
+    k1 = math.sqrt(config.P_max * config.P_r) / config.N_d
+    k2 = (total + config.P_r) / config.N_d
+    k3 = total / config.N_r
+    return (k0, k1, k2, k3)
+
+
 def relay_sum_snr(config, x):
-    """SNR of the K-user relay cutset bound as a function of the correlation
-    statistic x = sum_k sqrt(gamma_k * lambda_k)."""
-    P = config.powers()
-    return (float(P.sum()) - x * x * config.P_max) / config.N_r
+    """K-user relay cutset SNR K_3 - x^2 K_0 at x (a float or an array)."""
+    k0, _, _, k3 = k_coefficients(config)
+    return k3 - x * x * k0
 
 
 def dest_sum_snr(config, x):
-    """SNR of the K-user destination cutset bound as a function of the same
-    correlation statistic x."""
-    P = config.powers()
-    return (float(P.sum()) + config.P_r + 2.0 * x * math.sqrt(config.P_max * config.P_r)) / config.N_d
+    """K-user destination cutset SNR K_2 + 2 K_1 x at x (a float or an array)."""
+    _, k1, k2, _ = k_coefficients(config)
+    return k2 + 2.0 * k1 * x

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tiny negative SNR arguments are floating-point cancellation dust from the
-# subtractive relay sum-SNR forms (the equalizer's K_3 - c K_0 and
-# bounds.relay_sum_snr); anything below this is a formula bug. The bound
-# tables judge their own dust relative to power (bounds._rates).
+# Tiny negative SNR arguments are cancellation dust from the relay sum-SNR
+# form bounds.relay_sum_snr, which the equalizer and the verify chord check
+# evaluate; anything below this is a formula bug. The bound tables judge
+# their own dust relative to power (bounds._rates).
 SNR_CLAMP = -1e-12
 
 

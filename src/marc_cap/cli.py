@@ -172,12 +172,11 @@ def _print_solution(result):
 
 def cmd_sumcap(args):
     config = load_config(args.config)
-    if args.resolution <= 0:
-        raise InputError(f"resolution must be positive, got {args.resolution!r}")
+    result = sum_capacity(config, resolution=args.resolution)
     digest = _manifest_digest("sumcap", args.config, config, {"resolution": args.resolution})
     print(f"# manifest {digest}")
     print(_config_line(config))
-    _print_solution(sum_capacity(config, resolution=args.resolution))
+    _print_solution(result)
     return 0
 
 
@@ -262,52 +261,29 @@ def cmd_classify(args):
 
 
 def _check(label, value, reference, tol):
-    ok = abs(value - reference) <= tol
-    word = "PASS" if ok else "FAIL"
-    print(f"  check {label}={value:.6f} reference={reference:.6f} tol={tol} -> {word}")
-    return ok
+    return abs(value - reference) <= tol, f"{label}={value:.6f} reference={reference:.6f} tol={tol}"
 
 
-def cmd_examples(args):
-    digest = _manifest_digest("examples", None, None, {"resolution": 1e-3})
-    print(f"# manifest {digest}")
-    ok = True
-
-    config = EXAMPLE_CONFIGS[1]
-    print("Example 1:")
-    print(_config_line(config))
-    result = sum_capacity(config, resolution=1e-3)
-    _print_solution(result)
-    scan = result["evidence"]
-    sol = result["solution"]
-    ok &= _check("root", sol.root, 0.408, 1e-3)
-    ok &= _check("alpha1_lo", scan.feasible_box["alpha1"][0], 0.833, 5e-3)
-    ok &= _check("alpha2_lo", scan.feasible_box["alpha2"][0], 0.750, 5e-3)
+def _example1_checks(config, sol, scan):
+    yield _check("root", sol.root, 0.408, 1e-3)
+    yield _check("alpha1_lo", scan.feasible_box["alpha1"][0], 0.833, 5e-3)
+    yield _check("alpha2_lo", scan.feasible_box["alpha2"][0], 0.750, 5e-3)
     full_box = scan.active_intervals["alpha1"] == [scan.feasible_box["alpha1"]]
-    print(f"  check full-rule-set-active={full_box} verdict={scan.verdict} -> "
-          f"{'PASS' if full_box and scan.verdict == ACTIVE_CLASS else 'FAIL'}")
-    ok &= full_box and scan.verdict == ACTIVE_CLASS
+    yield full_box and scan.verdict == ACTIVE_CLASS, f"full-rule-set-active={full_box} verdict={scan.verdict}"
 
-    config = EXAMPLE_CONFIGS[2]
-    print("Example 2:")
-    print(_config_line(config))
-    result = sum_capacity(config, resolution=1e-3)
-    _print_solution(result)
-    scan = result["evidence"]
-    sol = result["solution"]
-    ok &= _check("root", sol.root, 0.197, 1e-3)
-    ok &= _check("alpha1_lo", scan.feasible_box["alpha1"][0], 0.961, 5e-3)
-    ok &= _check("alpha2_lo", scan.feasible_box["alpha2"][0], 0.416, 1e-2)
-    runs1 = scan.active_intervals["alpha1"]
-    runs2 = scan.active_intervals["alpha2"]
+
+def _example2_checks(config, sol, scan):
+    yield _check("root", sol.root, 0.197, 1e-3)
+    yield _check("alpha1_lo", scan.feasible_box["alpha1"][0], 0.961, 5e-3)
+    yield _check("alpha2_lo", scan.feasible_box["alpha2"][0], 0.416, 1e-2)
+    runs1, runs2 = scan.active_intervals["alpha1"], scan.active_intervals["alpha2"]
     if len(runs1) == 1 and len(runs2) == 1:
-        ok &= _check("active_alpha1_lo", runs1[0][0], 0.961, 5e-3)
-        ok &= _check("active_alpha1_hi", runs1[0][1], 0.979, 5e-3)
-        ok &= _check("active_alpha2_lo", runs2[0][0], 0.731, 5e-3)
-        ok &= _check("active_alpha2_hi", runs2[0][1], 1.000, 5e-3)
+        yield _check("active_alpha1_lo", runs1[0][0], 0.961, 5e-3)
+        yield _check("active_alpha1_hi", runs1[0][1], 0.979, 5e-3)
+        yield _check("active_alpha2_lo", runs2[0][0], 0.731, 5e-3)
+        yield _check("active_alpha2_hi", runs2[0][1], 1.000, 5e-3)
     else:
-        print(f"  check active-runs count={len(runs1)} -> FAIL")
-        ok = False
+        yield False, f"active-runs count={len(runs1)}"
     # Equalizing rules beyond the active sub-interval must classify as the
     # two-user inactive case 2.
     for a1 in (0.985, 0.99, 1.0):
@@ -315,20 +291,32 @@ def cmd_examples(args):
         split = DfPowerSplit(tuple(alpha), tuple(beta_star(config, alpha)))
         outcome = classify_inner_rule(config, split)
         good = outcome.kind == INACTIVE and outcome.two_user_case == "2"
-        print(f"  check off-interval alpha1={a1:.6f} kind={outcome.kind} "
-              f"case={outcome.two_user_case} -> {'PASS' if good else 'FAIL'}")
-        ok &= good
+        yield good, f"off-interval alpha1={a1:.6f} kind={outcome.kind} case={outcome.two_user_case}"
 
+
+def cmd_examples(args):
+    digest = _manifest_digest("examples", None, None, {"resolution": 1e-3})
+    print(f"# manifest {digest}")
+    ok = True
+    for number, checks in ((1, _example1_checks), (2, _example2_checks)):
+        config = EXAMPLE_CONFIGS[number]
+        print(f"Example {number}:")
+        print(_config_line(config))
+        result = sum_capacity(config, resolution=1e-3)
+        _print_solution(result)
+        for good, text in checks(config, result["solution"], result["evidence"]):
+            print(f"  check {text} -> {'PASS' if good else 'FAIL'}")
+            ok &= good
     print(f"examples result={'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _verify_mc(config, n, seed, lines):
-    if n < MC_WARN_SAMPLES:
-        print(f"WARN mc sample count n={n} is low; z-scores will be noisy")
+def _verify_mc(config, args):
+    if args.n < MC_WARN_SAMPLES:
+        print(f"WARN mc sample count n={args.n} is low; z-scores will be noisy")
     K = config.K
     full = full_mask(K)
-    g = gamma_sampler(config, seed)(1)[0]
+    g = gamma_sampler(config, args.seed)(1)[0]
     boundary = [0.0] * K
     boundary[0] = 1.0
     checks = [
@@ -339,18 +327,17 @@ def _verify_mc(config, n, seed, lines):
         (boundary, full ^ 1, 1),
     ]
     for i, (gamma, S, mode) in enumerate(checks):
-        rep = mc_relay_conditional_variance(config, gamma, S, mode=mode, n=n, seed=seed + i)
-        word = "PASS" if rep.passed else "FAIL"
+        rep = mc_relay_conditional_variance(config, gamma, S, mode=mode, n=args.n, seed=args.seed + i)
         tail = " degenerate" if rep.degenerate else ""
-        print(
-            f"{word} mc mode={rep.mode} S={subset_label(rep.subset)} "
+        yield rep.passed, (
+            f"mc mode={rep.mode} S={subset_label(rep.subset)} "
             f"target={rep.target:.6f} estimate={rep.estimate:.6f} z={rep.z_score:+.6f}{tail}"
         )
-        lines.append(rep.passed)
 
 
-def _verify_chords(config, seed, lines, with_negative_control):
+def _verify_chords(config, args):
     K = config.K
+    seed = args.seed
     full = full_mask(K)
     # The relay cutset bound is concave in the scalar correlation statistic
     # x, not in gamma itself (the chord through (1,0,..) and (0,1,0,..)
@@ -358,12 +345,12 @@ def _verify_chords(config, seed, lines, with_negative_control):
     x_max = float(np.sqrt(config.lam_vector().sum()))
     x_rng = np.random.default_rng(seed + 1)
     # Each check maps a batch of rows to one value per row. The sum-statistic
-    # check stays a scalar oracle, independent of the bound tables.
+    # check evaluates bounds.relay_sum_snr, apart from the bound tables.
     checks = [
         ("dest-cut-full", lambda G: dest_cutset_table(config, G)[:, full], gamma_sampler(config, seed)),
         (
             "relay-cut-sumstat",
-            lambda X: np.array([awgn_capacity(relay_sum_snr(config, float(x))) for x in X[:, 0]]),
+            lambda X: np.vectorize(awgn_capacity)(relay_sum_snr(config, X[:, 0])),
             lambda n: x_rng.random(n)[:, None] * x_max,
         ),
         (
@@ -379,32 +366,34 @@ def _verify_chords(config, seed, lines, with_negative_control):
     ]
     for name, fn, sampler in checks:
         rep = chord_check(fn, sampler, trials=1000, seed=seed)
-        word = "PASS" if rep.passed else "FAIL"
-        print(f"{word} chords {name} trials={rep.trials}")
-        lines.append(rep.passed)
-    if with_negative_control:
-        control = chord_check(
+        yield rep.passed, f"chords {name} trials={rep.trials}"
+    if args.with_negative_control:
+        rep = chord_check(
             lambda G: np.einsum("ij,ij->i", G, G), gamma_sampler(config, seed + 4), trials=1000, seed=seed
         )
-        word = "PASS" if control.passed else "FAIL"
-        print(f"{word} chords negative-control trials={control.trials} (a convex function must fail)")
-        lines.append(control.passed)
+        yield rep.passed, f"chords negative-control trials={rep.trials} (a convex function must fail)"
 
 
-def _verify_grid(config, seed, lines):
+def _verify_grid(config, args):
     if config.K > 3:
         print(f"WARN grid suite skipped: dense search supports K<=3, got K={config.K}")
         return
     solution = solve_equalizer(config)
     fine = grid_maxmin(config, step=0.01)
     diff = abs(fine.value - solution.sum_rate)
-    ok = diff <= 1e-3
-    print(f"{'PASS' if ok else 'FAIL'} grid value={fine.value:.6f} closed_form={solution.sum_rate:.6f} diff={diff:.6f}")
-    lines.append(ok)
+    yield diff <= 1e-3, f"grid value={fine.value:.6f} closed_form={solution.sum_rate:.6f} diff={diff:.6f}"
     coarse = grid_maxmin(config, step=0.02)
     mono = fine.value >= coarse.value - 1e-12
-    print(f"{'PASS' if mono else 'FAIL'} grid refinement-monotone coarse={coarse.value:.6f} fine={fine.value:.6f}")
-    lines.append(mono)
+    yield mono, f"grid refinement-monotone coarse={coarse.value:.6f} fine={fine.value:.6f}"
+
+
+def _verify_dominance(config, args):
+    rep = dominance_check(config, trials=500, seed=args.seed)
+    yield rep.passed, f"dominance trials={rep.trials} max_gap={rep.max_gap:.2e}"
+
+
+# Each suite yields its checks as (passed, text); WARN lines print in place.
+VERIFY_SUITES = {"mc": _verify_mc, "chords": _verify_chords, "grid": _verify_grid, "dominance": _verify_dominance}
 
 
 def cmd_verify(args):
@@ -415,20 +404,14 @@ def cmd_verify(args):
     digest = _manifest_digest("verify", args.config, config, params)
     print(f"# manifest {digest}")
     print(_config_line(config))
-    suites = ("mc", "chords", "grid", "dominance") if args.suite == "all" else (args.suite,)
-    lines = []
-    if "mc" in suites:
-        _verify_mc(config, args.n, args.seed, lines)
-    if "chords" in suites:
-        _verify_chords(config, args.seed, lines, args.with_negative_control)
-    if "grid" in suites:
-        _verify_grid(config, args.seed, lines)
-    if "dominance" in suites:
-        rep = dominance_check(config, trials=500, seed=args.seed)
-        print(f"{'PASS' if rep.passed else 'FAIL'} dominance trials={rep.trials} max_gap={rep.max_gap:.2e}")
-        lines.append(rep.passed)
-    all_pass = all(lines)
-    print(f"verify result={'PASS' if all_pass else 'FAIL'} checks={len(lines)}")
+    passed = []
+    for name, suite in VERIFY_SUITES.items():
+        if args.suite in (name, "all"):
+            for ok, text in suite(config, args):
+                print(f"{'PASS' if ok else 'FAIL'} {text}")
+                passed.append(ok)
+    all_pass = all(passed)
+    print(f"verify result={'PASS' if all_pass else 'FAIL'} checks={len(passed)}")
     return 0 if all_pass else 1
 
 
@@ -464,7 +447,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run independent verification suites")
     p.add_argument("config")
-    p.add_argument("--suite", choices=("mc", "chords", "grid", "dominance", "all"), default="all")
+    p.add_argument("--suite", choices=(*VERIFY_SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=1000000, help="Monte-Carlo sample count (default 1e6)")
     p.add_argument("--with-negative-control", action="store_true",

@@ -22,7 +22,10 @@ from .bounds import (
     as_correlation,
     as_split,
     beta_star,
+    dest_sum_snr,
     family_tables,
+    k_coefficients,
+    relay_sum_snr,
 )
 from .channel import awgn_capacity
 from .polymatroid import ACTIVE, INACTIVE, SubsetFunction, intersection_max_sum, intersection_rows
@@ -36,6 +39,12 @@ UPPER_BOUND_ONLY = "UpperBoundOnly"
 
 CONSTRAINT_TOL = 1e-10
 
+# The K=2 sweep classifies at most this many grid points, about 230 B each.
+MAX_SWEEP_POINTS = 1 << 21
+# The K>2 sampled scan draws this many loads from this seed before its lattice.
+SCAN_DRAWS = 10000
+SCAN_SEED = 0
+
 
 @dataclass(frozen=True)
 class MaxMinSolution:
@@ -43,7 +52,6 @@ class MaxMinSolution:
     root: float
     sum_rate: float
     constraint_value: float
-    K_coeffs: tuple
 
 
 @dataclass(frozen=True)
@@ -59,36 +67,25 @@ class RuleSetScan:
 def bottleneck_check(config):
     """True when the source-relay link caps the sum-rate even without any
     source-relay correlation; the boundary case counts as bottleneck."""
-    total = sum(config.P)
-    return total / config.N_r <= (total + config.P_r) / config.N_d
-
-
-def k_coefficients(config):
-    total = sum(config.P)
-    k0 = config.P_max / config.N_r
-    k1 = math.sqrt(config.P_max * config.P_r) / config.N_d
-    k2 = (total + config.P_r) / config.N_d
-    k3 = total / config.N_r
-    return (k0, k1, k2, k3)
+    return relay_sum_snr(config, 0.0) <= dest_sum_snr(config, 0.0)
 
 
 def solve_equalizer(config):
     """Max-min of the two K-user sum bounds.
 
-    Bottleneck regime: root 0, value C(sum(P)/N_r). Otherwise the root is the
-    positive solution of K_0 x^2 + 2 K_1 x + K_2 - K_3 = 0, where the two
-    bounds cross; the constraint value root^2 parameterizes the rule sets.
+    Bottleneck regime: root 0, value the relay bound at 0. Otherwise the root
+    is where the relay bound meets the destination bound, the positive root
+    of K_0 x^2 + 2 K_1 x + K_2 - K_3; root^2 parameterizes the rule sets.
     """
-    k0, k1, k2, k3 = k_coefficients(config)
     if bottleneck_check(config):
-        return MaxMinSolution(BOTTLENECK, 0.0, awgn_capacity(k3), 0.0, (k0, k1, k2, k3))
+        return MaxMinSolution(BOTTLENECK, 0.0, awgn_capacity(relay_sum_snr(config, 0.0)), 0.0)
+    k0, k1, k2, k3 = k_coefficients(config)
     root = (-k1 + math.sqrt(k1 * k1 + (k3 - k2) * k0)) / k0
-    c = root * root
-    sum_rate = awgn_capacity(k3 - c * k0)
-    gap = awgn_capacity(k2 + 2.0 * k1 * root) - sum_rate
+    sum_rate = awgn_capacity(relay_sum_snr(config, root))
+    gap = awgn_capacity(dest_sum_snr(config, root)) - sum_rate
     if abs(gap) > 1e-8:
         raise RuntimeError(f"equalizer gap {gap!r} at root {root!r}")
-    return MaxMinSolution(EQUALIZED, root, sum_rate, c, (k0, k1, k2, k3))
+    return MaxMinSolution(EQUALIZED, root, sum_rate, root * root)
 
 
 @dataclass(frozen=True)
@@ -211,9 +208,18 @@ def _rules(config, family, rows):
     return [CorrelationVector(tuple(g)) for g in rows.tolist()]
 
 
+def _check_resolution(resolution):
+    if not 0.0 < resolution < math.inf:
+        raise DomainError(f"resolution must be positive and finite, got {resolution!r}")
+
+
 def _sweep_grid(lo, hi, resolution):
     # Integer multiples of the resolution inside the interval, plus the exact
     # endpoints; reported boundaries therefore sit on the resolution grid.
+    # A float point count: a tiny resolution gives inf, not an OverflowError.
+    points = (hi - lo) / resolution
+    if not points <= MAX_SWEEP_POINTS:
+        raise DomainError(f"resolution {resolution!r} gives {points:.6g} sweep points, more than {MAX_SWEEP_POINTS}")
     first = math.ceil(lo / resolution - 1e-9)
     last = math.floor(hi / resolution + 1e-9)
     grid = np.arange(first, last + 1) * resolution
@@ -232,7 +238,7 @@ def _runs(active):
     return runs, np.flatnonzero(starts | stops)
 
 
-def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0):
+def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     """Classify the equalizing rule set and report where it is active.
 
     For K=2 the rule set is one-dimensional: the first coordinate sweeps the
@@ -250,12 +256,11 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner", seed=0)
     """
     if solution.regime != EQUALIZED:
         raise DomainError("rule-set scan applies to the Equalized regime only")
-    if resolution <= 0:
-        raise DomainError(f"resolution must be positive, got {resolution!r}")
+    _check_resolution(resolution)
     rule_set = equalizing_set(config, solution, family)
     if config.K == 2:
         return _scan_two_user(config, rule_set, resolution)
-    return _scan_sampled(config, rule_set, seed)
+    return _scan_sampled(config, rule_set)
 
 
 def _scan_two_user(config, rule_set, resolution):
@@ -299,24 +304,23 @@ def _equalizing_loads(caps, total, n, rng):
     return np.take_along_axis(loads, np.argsort(order, axis=1), axis=1)
 
 
-def _load_chunks(rule_set, rng, n_random):
-    """Loads on the rule set, 64 rows at a time: n_random seeded draws, then
-    the points of a simplex lattice that stay within the caps."""
-    for lo in range(0, n_random, 64):
-        yield _equalizing_loads(rule_set.caps, rule_set.total, min(64, n_random - lo), rng)
+def _load_chunks(rule_set, rng):
+    """Loads on the rule set, 64 rows at a time: SCAN_DRAWS seeded draws,
+    then the points of a simplex lattice that stay within the caps."""
+    for lo in range(0, SCAN_DRAWS, 64):
+        yield _equalizing_loads(rule_set.caps, rule_set.total, min(64, SCAN_DRAWS - lo), rng)
     lattice = compositions(len(rule_set.caps), 8) / 8 * rule_set.total
     lattice = lattice[np.all(lattice <= rule_set.caps, axis=1)]
     for lo in range(0, len(lattice), 64):
         yield lattice[lo : lo + 64]
 
 
-def _scan_sampled(config, rule_set, seed, n_random=10000):
+def _scan_sampled(config, rule_set):
     # Classify chunk by chunk; stop at the first Active sample, but keep at
     # least 64.
     family = rule_set.family
-    rng = np.random.default_rng(seed)
     chunks, verdicts, found = [], [], False
-    for loads in _load_chunks(rule_set, rng, n_random):
+    for loads in _load_chunks(rule_set, np.random.default_rng(SCAN_SEED)):
         rows = rule_set.clip_rows(rule_set.param(slice(None), loads))
         chunks.append(rows)
         verdicts.append(intersection_rows(*family_tables(config, family, rows))[2])
@@ -336,8 +340,9 @@ def sum_capacity(config, resolution=1e-3):
 
     Bottleneck regime and the active class are met exactly by
     decode-and-forward; an inactive-class verdict leaves the equalizer value
-    as an upper bound only.
+    as an upper bound only. The resolution is checked in either regime.
     """
+    _check_resolution(resolution)
     solution = solve_equalizer(config)
     if solution.regime == BOTTLENECK:
         return {"value": solution.sum_rate, "status": EXACT, "evidence": BOTTLENECK, "solution": solution}

@@ -233,7 +233,7 @@ def split_sampler(config, seed=0):
     return draw
 
 
-def chord_check(fn, sampler, trials=1000, seed=0, tol=CHORD_TOL):
+def chord_check(fn, sampler, trials=1000, seed=0):
     """Concavity probe: random chords must not rise above the function.
 
     `sampler(n)` returns n domain rows as an (n, d) array; chord i runs
@@ -252,7 +252,7 @@ def chord_check(fn, sampler, trials=1000, seed=0, tol=CHORD_TOL):
     values = np.asarray(fn(np.concatenate([a, b, mid])), dtype=np.float64)
     fa, fb, mid_value = values[:trials], values[trials : 2 * trials], values[2 * trials :]
     chord_value = lam * fa + (1.0 - lam) * fb
-    failed = np.flatnonzero(mid_value < chord_value - tol)
+    failed = np.flatnonzero(mid_value < chord_value - CHORD_TOL)
     if not failed.size:
         return ChordReport(True, trials)
     t = int(failed[0])

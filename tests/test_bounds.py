@@ -32,6 +32,7 @@ from marc_cap.bounds import (
     dest_sum_snr,
     family_tables,
     full_mask,
+    k_coefficients,
     relay_cutset_table,
     relay_df_table,
     relay_sum_snr,
@@ -220,6 +221,16 @@ def test_sum_snr_forms_match_subset_bounds(example1):
         assert awgn_capacity(dest_sum_snr(example1, x)) == pytest.approx(
             outer_bound_dest(example1, gamma, 0b11), abs=1e-12
         )
+
+
+def test_sum_snr_forms_evaluate_floats_and_arrays(example1, example2):
+    x = np.linspace(0.0, 1.2, 7)
+    for cfg in (example1, example2):
+        k0, k1, k2, k3 = k_coefficients(cfg)
+        assert relay_sum_snr(cfg, 0.0) == k3 == sum(cfg.P) / cfg.N_r
+        assert dest_sum_snr(cfg, 0.0) == k2 == (sum(cfg.P) + cfg.P_r) / cfg.N_d
+        assert relay_sum_snr(cfg, x).tolist() == [relay_sum_snr(cfg, v) for v in x.tolist()]
+        assert dest_sum_snr(cfg, x).tolist() == [dest_sum_snr(cfg, v) for v in x.tolist()]
 
 
 def test_bounds_monotone_in_subset():

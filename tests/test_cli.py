@@ -67,6 +67,22 @@ def test_sumcap_resolution_validation(tmp_path, capsys):
     assert "resolution must be positive" in err
 
 
+@pytest.mark.parametrize("data, resolution, message", [
+    (EX1, "nan", "resolution must be positive and finite, got nan"),
+    (EX1, "inf", "resolution must be positive and finite, got inf"),
+    (EX1, "-1", "resolution must be positive and finite, got -1.0"),
+    (BOTTLENECK, "nan", "resolution must be positive and finite, got nan"),
+    (BOTTLENECK, "inf", "resolution must be positive and finite, got inf"),
+    (EX1, "1e-12", "resolution 1e-12 gives 1.66667e+11 sweep points, more than 2097152"),
+    (EX1, "5e-324", "resolution 5e-324 gives inf sweep points, more than 2097152"),
+])
+def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, data, resolution, message):
+    # One error line and no stdout, in either regime; these used to raise
+    # MemoryError, OverflowError or ValueError (exit 1), or run with inf.
+    code, out, err = run(capsys, "sumcap", write_config(tmp_path, data), "--resolution", resolution)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("data,fragment", [
     ({**EX1, **EX1_SNR}, "mixes power and SNR"),
     ({**EX1, "bogus": 1}, "unknown config field(s): ['bogus']"),
@@ -75,6 +91,12 @@ def test_sumcap_resolution_validation(tmp_path, capsys):
     ({"snr_relay": [6.0, 4.0], "snr_dest": [12.0, 8.0], "snr_relay_dest": 2.0}, "not degraded"),
     ({"snr_relay": [6.0, -4.0], "snr_dest": [3.0, 2.0], "snr_relay_dest": 2.0}, "must be positive"),
     ([1, 2, 3], "must be a JSON object"),
+    ({**EX1_SNR, "bogus": 1}, "unknown config field(s): ['bogus']"),
+    ({k: v for k, v in EX1_SNR.items() if k != "snr_dest"}, "missing config field(s): ['snr_dest']"),
+    ({"snr_relay": [], "snr_dest": [], "snr_relay_dest": 2.0}, "snr_relay is empty"),
+    ({"snr_relay": [6.0, 4.0], "snr_dest": [3.0], "snr_relay_dest": 2.0}, "snr_relay has 2 entries, snr_dest has 1"),
+    ({**EX1_SNR, "snr_relay": [6.0, "high"]}, "config field error: could not convert string to float: 'high'"),
+    ({**EX1, "P_r": "high"}, "config field error: could not convert string to float: 'high'"),
 ])
 def test_config_errors(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
@@ -209,6 +231,8 @@ def test_classify_flag_errors(tmp_path, capsys):
     assert code == 2 and "already exceeds the equalizing root" in err
     code, _, err = run(capsys, "classify", cfg, "--alpha", "0.9,oops")
     assert code == 2 and "--alpha expects comma-separated numbers" in err
+    code, _, err = run(capsys, "classify", cfg, "--alpha", "0.9,0.9", "--beta", "0.5")
+    assert code == 2 and "--beta expects 2 values, got 1" in err
 
 
 def test_examples_pass_and_are_deterministic(capsys):
@@ -265,6 +289,16 @@ def test_verify_grid_suite(tmp_path, capsys):
     assert "PASS grid value=1.660964 closed_form=1.660964" in out
     assert "PASS grid refinement-monotone" in out
     assert "verify result=PASS checks=2" in out
+
+
+def test_verify_grid_suite_warns_above_three_users(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"P": [5.0] * 4, "P_r": 3.0, "N_r": 1.0, "N_delta": 2.0})
+    code, out, err = run(capsys, "verify", cfg, "--suite", "grid")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [
+        "WARN grid suite skipped: dense search supports K<=3, got K=4",
+        "verify result=PASS checks=0",
+    ]
 
 
 def test_verify_chords_suite_with_negative_control(tmp_path, capsys):

@@ -95,6 +95,9 @@ def config_boundary_gamma_mask(draw):
 @example((ChannelConfig(4, (32.34, 26.65, 1.404, 22.90), 1.0, 1.0, 1.0),
           as_correlation((1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207,
                           4.1464058295309335e-06), 4), 0b0001), 0b1000)
+# A subnormal gamma_1 with sum(gamma) = 1: the rounded gamma_1 P_1 gave S={1}
+# a penalty of 2.0, above its power 1.5, so the relay SNR was -0.5.
+@example((ChannelConfig(3, (1.5, 1.0, 1.0), 1.0, 1.0, 1.0), as_correlation((5e-324, 0.0, 1.0), 3), 0b001), 0b010)
 def test_cutset_bounds_monotone_in_subset(case, extra):
     cfg, gamma, mask = case
     wider = (mask | extra) & full_mask(cfg.K)

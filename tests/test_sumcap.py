@@ -14,6 +14,8 @@ from marc_cap import (
     solve_equalizer,
     sum_capacity,
 )
+from marc_cap import bounds
+from marc_cap._kernels import compositions
 from marc_cap.polymatroid import INACTIVE
 from marc_cap.sumcap import (
     ACTIVE,
@@ -22,6 +24,8 @@ from marc_cap.sumcap import (
     EQUALIZED,
     EXACT,
     INACTIVE_CLASS,
+    MAX_SWEEP_POINTS,
+    SCAN_DRAWS,
     UPPER_BOUND_ONLY,
     _runs,
     _sweep_grid,
@@ -281,6 +285,27 @@ def test_scan_validates_resolution_and_family(example1):
         scan_active_rules(example1, sol, family="sideways")
 
 
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, -1.0, 0.0])
+def test_sum_capacity_checks_the_resolution_in_either_regime(example1, bottleneck, resolution):
+    for cfg in (example1, bottleneck):
+        with pytest.raises(DomainError, match="resolution must be positive and finite"):
+            sum_capacity(cfg, resolution=resolution)
+
+
+def test_sweep_holds_at_most_max_sweep_points():
+    assert MAX_SWEEP_POINTS == 2**21
+    assert len(_sweep_grid(0.0, 1.0, 1.0 / MAX_SWEEP_POINTS)) == MAX_SWEEP_POINTS + 1
+    for resolution in (1.0 / (MAX_SWEEP_POINTS + 1), 1e-12, 5e-324):
+        with pytest.raises(DomainError, match=f"sweep points, more than {MAX_SWEEP_POINTS}$"):
+            _sweep_grid(0.0, 1.0, resolution)
+
+
+def test_scan_rejects_a_resolution_too_fine_for_the_sweep(example1):
+    sol = solve_equalizer(example1)
+    with pytest.raises(DomainError, match=r"^resolution 1e-12 gives 1\.66667e\+11 sweep points"):
+        scan_active_rules(example1, sol, resolution=1e-12)
+
+
 def test_sweep_grid_endpoints_and_multiples():
     pts = _sweep_grid(0.1003, 0.1027, 1e-3).tolist()
     assert pts[0] == 0.1003
@@ -359,6 +384,36 @@ def test_sum_capacity_upper_bound_only():
     assert res["status"] == UPPER_BOUND_ONLY
     assert res["evidence"].verdict == INACTIVE_CLASS
     assert res["value"] == solve_equalizer(cfg).sum_rate
+
+
+def test_sampled_scan_classifies_its_lattice_after_the_draws():
+    # No draw is Active here, so the scan classifies all SCAN_DRAWS draws and
+    # then every lattice load total * i / 8 (the 495 compositions of 8 into
+    # five parts all stay within the caps).
+    cfg = ChannelConfig(
+        5,
+        (0.2270536711210418, 0.043630259084022655, 0.022102891705732267, 0.012669700688172988, 0.01331918342024507),
+        2.338600283146414, 1.0, 8.343551536260373,
+    )
+    res = sum_capacity(cfg)
+    assert res["status"] == UPPER_BOUND_ONLY
+    assert res["value"] == 0.19576403012430424
+    scan = res["evidence"]
+    assert scan.verdict == INACTIVE_CLASS
+    assert len(scan.samples) == SCAN_DRAWS + 495
+    assert all(kind == INACTIVE for _, kind in scan.samples)
+    rule_set = equalizing_set(cfg, res["solution"], "inner")
+    lattice = compositions(5, 8) / 8 * rule_set.total
+    tail = np.array([split.alpha for split, _ in scan.samples[SCAN_DRAWS:]])
+    np.testing.assert_array_equal(tail, rule_set.clip_rows(rule_set.param(slice(None), lattice)))
+
+
+def test_k_coefficients_live_in_bounds(example1):
+    # sumcap re-exports the one definition; the equalizer and the bottleneck
+    # test evaluate the two sum-bound forms at the root and at 0.
+    assert k_coefficients is bounds.k_coefficients
+    sol = solve_equalizer(example1)
+    assert sol.sum_rate == awgn_capacity(bounds.relay_sum_snr(example1, sol.root))
 
 
 def _reference_runs(config, sol, family, resolution):
