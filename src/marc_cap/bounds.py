@@ -5,8 +5,9 @@ source-relay correlation vector gamma; decode-and-forward (inner) bounds are
 parameterized by a power split (alpha, beta). Every bound is a per-subset
 rate ceiling. Each family is written once, as a table: a batch of (n, K)
 parameter rows evaluated over all 2^K subsets, an (n, 2^K) array indexed by
-subset bitmask. The scalar bounds, the SubsetFunction builders for the
-polymatroid engine and the region grids are views of these tables.
+subset bitmask. The region grids and the scans read these tables;
+bound_functions is their one-row view, the SubsetFunction pair of one
+parameter choice for the polymatroid engine.
 """
 
 import math
@@ -104,24 +105,6 @@ def subset_indices(mask):
 def subset_label(mask):
     """Human-readable 1-based set label, e.g. '{1,3}'."""
     return "{" + ",".join(str(k + 1) for k in subset_indices(mask)) + "}"
-
-
-def as_correlation(gamma, K):
-    if isinstance(gamma, CorrelationVector):
-        g = gamma
-    else:
-        g = CorrelationVector(tuple(gamma))
-    if len(g.gamma) != K:
-        raise DomainError(f"gamma has {len(g.gamma)} entries, expected {K}")
-    return g
-
-
-def as_split(split, K):
-    if not isinstance(split, DfPowerSplit):
-        raise DomainError("expected a DfPowerSplit")
-    if len(split.alpha) != K:
-        raise DomainError(f"split has {len(split.alpha)} entries, expected {K}")
-    return split
 
 
 def _unit_rows(X, K, name):
@@ -287,15 +270,17 @@ def family_tables(config, family, rows, beta=None):
     raise DomainError(f"unknown family {family!r}")
 
 
-def _cutset_row(family, config, gamma):
-    """One correlation vector's table row."""
-    return family(config, as_correlation(gamma, config.K).vector()[None])[0]
-
-
-def _df_row(family, config, split):
-    """One power split's table row."""
-    sp = as_split(split, config.K)
-    return family(config, sp.alpha_vector()[None], sp.beta_vector()[None])[0]
+def bound_functions(config, params):
+    """The (dest, relay) SubsetFunction pair of one parameter choice, the
+    one-row view of family_tables: decode-and-forward bounds for a
+    DfPowerSplit, cutset bounds for a CorrelationVector."""
+    if isinstance(params, DfPowerSplit):
+        tables = family_tables(config, "inner", [params.alpha], [params.beta])
+    elif isinstance(params, CorrelationVector):
+        tables = family_tables(config, "outer", [params.gamma])
+    else:
+        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    return tuple(SubsetFunction(config.K, table[0]) for table in tables)
 
 
 def check_mask(S, K):
@@ -303,26 +288,6 @@ def check_mask(S, K):
     if not 0 <= S < 1 << K:
         raise DomainError(f"subset mask {S!r} outside [0, {1 << K})")
     return S
-
-
-def outer_bound_relay(config, gamma, S):
-    """Cutset rate ceiling at the relay for the sources in subset S."""
-    return float(_cutset_row(_relay_cutset, config, gamma)[check_mask(S, config.K)])
-
-
-def outer_bound_dest(config, gamma, S):
-    """Cutset rate ceiling at the destination for subset S."""
-    return float(_cutset_row(_dest_cutset, config, gamma)[check_mask(S, config.K)])
-
-
-def df_bound_relay(config, split, S):
-    """Decode-and-forward rate ceiling at the relay for subset S."""
-    return float(_df_row(_relay_df, config, split)[check_mask(S, config.K)])
-
-
-def df_bound_dest(config, split, S):
-    """Decode-and-forward rate ceiling at the destination for subset S."""
-    return float(_df_row(_dest_df, config, split)[check_mask(S, config.K)])
 
 
 def df_to_correlation(split):
@@ -346,26 +311,6 @@ def beta_star(config, alpha):
     total = weights.sum(axis=-1, keepdims=True)
     idle = total < 1e-300
     return np.where(idle, 0.0, weights / np.where(idle, 1.0, total))
-
-
-def relay_cutset_function(config, gamma):
-    """Relay cutset bounds over all subsets as a SubsetFunction."""
-    return SubsetFunction(config.K, _cutset_row(_relay_cutset, config, gamma))
-
-
-def dest_cutset_function(config, gamma):
-    """Destination cutset bounds over all subsets as a SubsetFunction."""
-    return SubsetFunction(config.K, _cutset_row(_dest_cutset, config, gamma))
-
-
-def relay_df_function(config, split):
-    """Relay decode-and-forward bounds over all subsets as a SubsetFunction."""
-    return SubsetFunction(config.K, _df_row(_relay_df, config, split))
-
-
-def dest_df_function(config, split):
-    """Destination decode-and-forward bounds over all subsets as a SubsetFunction."""
-    return SubsetFunction(config.K, _df_row(_dest_df, config, split))
 
 
 def k_coefficients(config):

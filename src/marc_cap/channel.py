@@ -46,7 +46,7 @@ class ChannelConfig:
     lam: tuple = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
+        if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
             raise ValidationError(f"K must be a positive integer, got {self.K!r}")
         P = tuple(float(p) for p in self.P)
         if len(P) != self.K:

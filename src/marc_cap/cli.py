@@ -20,22 +20,21 @@ from .bounds import (
     DfPowerSplit,
     DomainError,
     beta_star,
+    bound_functions,
     dest_cutset_table,
     dest_df_table,
-    family_tables,
     full_mask,
     relay_df_table,
     relay_sum_snr,
     subset_label,
 )
 from .channel import ChannelConfig, ValidationError, awgn_capacity
-from .polymatroid import INACTIVE, SubsetFunction, intersection_max_sum
+from .polymatroid import INACTIVE, intersection_max_sum
 from .region import build_df_region, build_outer_region
 from .sumcap import (
     ACTIVE_CLASS,
     BOTTLENECK,
     EQUALIZED,
-    classify_inner_rule,
     equalizing_set,
     solve_equalizer,
     sum_capacity,
@@ -96,8 +95,8 @@ def load_config(path):
     if required - keys:
         raise InputError(f"missing config field(s): {sorted(required - keys)}")
     try:
-        P = tuple(float(x) for x in data["P"])
-        K = int(data.get("K", len(P)))
+        P = _floats(data, "P")
+        K = data.get("K", len(P))
         return ChannelConfig(K, P, float(data["P_r"]), float(data["N_r"]), float(data["N_delta"]))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -105,11 +104,19 @@ def load_config(path):
         raise InputError(f"config field error: {exc}") from exc
 
 
+def _floats(data, name):
+    """A config list field as a tuple of floats; anything else, a string
+    included, is an error."""
+    if not isinstance(data[name], list):
+        raise InputError(f"config field error: {name} must be a list of numbers, got {data[name]!r}")
+    return tuple(float(x) for x in data[name])
+
+
 def _config_from_snr(data):
     """SNR-form config, normalized to N_r = 1 (echoed in the config line)."""
     try:
-        snr_r = [float(x) for x in data["snr_relay"]]
-        snr_d = [float(x) for x in data["snr_dest"]]
+        snr_r = _floats(data, "snr_relay")
+        snr_d = _floats(data, "snr_dest")
         snr_rd = float(data["snr_relay_dest"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"config field error: {exc}") from exc
@@ -126,7 +133,7 @@ def _config_from_snr(data):
             raise InputError(f"inconsistent N_d: source 1 implies {n_d!r}, source {k + 1} implies {other!r}")
     if n_d < 1.0 - 1e-12:
         raise InputError(f"snr_dest exceeds snr_relay (N_d={n_d!r} < N_r=1); channel is not degraded")
-    return ChannelConfig(len(snr_r), tuple(snr_r), snr_rd * n_d, 1.0, max(0.0, n_d - 1.0))
+    return ChannelConfig(len(snr_r), snr_r, snr_rd * n_d, 1.0, max(0.0, n_d - 1.0))
 
 
 def _manifest_digest(command, config_path, config, params):
@@ -231,7 +238,7 @@ def cmd_classify(args):
         if len(beta) != K:
             raise InputError(f"--beta expects {K} values, got {len(beta)}")
         split = DfPowerSplit(tuple(values), tuple(beta))
-        tables = family_tables(config, family, [split.alpha], [split.beta])
+        f1, f2 = bound_functions(config, split)
         params = {"alpha": list(split.alpha), "beta": list(split.beta)}
         param_line = (
             "params alpha=" + ",".join(f"{a:.6f}" for a in split.alpha)
@@ -239,10 +246,9 @@ def cmd_classify(args):
         )
     else:
         vec = CorrelationVector(tuple(values))
-        tables = family_tables(config, family, [vec.gamma])
+        f1, f2 = bound_functions(config, vec)
         params = {"gamma": list(vec.gamma)}
         param_line = "params gamma=" + ",".join(f"{g:.6f}" for g in vec.gamma)
-    f1, f2 = (SubsetFunction(K, table[0]) for table in tables)
     digest = _manifest_digest("classify", args.config, config, params)
     print(f"# manifest {digest}")
     print(_config_line(config))
@@ -289,7 +295,7 @@ def _example2_checks(config, sol, scan):
     for a1 in (0.985, 0.99, 1.0):
         alpha = equalizing_set(config, sol, "inner").complete([a1])
         split = DfPowerSplit(tuple(alpha), tuple(beta_star(config, alpha)))
-        outcome = classify_inner_rule(config, split)
+        outcome = intersection_max_sum(*bound_functions(config, split))
         good = outcome.kind == INACTIVE and outcome.two_user_case == "2"
         yield good, f"off-interval alpha1={a1:.6f} kind={outcome.kind} case={outcome.two_user_case}"
 

@@ -45,6 +45,8 @@ class SubsetFunction:
         return cls(K, vals)
 
     def __call__(self, mask):
+        if not 0 <= mask < len(self.values):
+            raise ValueError(f"subset mask {mask!r} outside [0, {len(self.values)})")
         return float(self.values[mask])
 
     def full(self):

@@ -10,9 +10,9 @@ import numpy as np
 from ._kernels import compositions
 from .bounds import (
     CorrelationVector,
-    DfPowerSplit,
     DomainError,
     beta_star,
+    bound_functions,
     dest_df_table,
     family_tables,
     relay_df_table,
@@ -71,13 +71,8 @@ class RegionPolytope:
 def _family_pair(config, params):
     """Destination and relay bounds of one parameter choice over all subsets;
     a mixture's are the weighted sums of its points'."""
-    if isinstance(params, DfPowerSplit):
-        dest, relay = family_tables(config, "inner", [params.alpha], [params.beta])
-        return dest[0], relay[0]
-    if isinstance(params, CorrelationVector):
-        params = TimeSharingMixture(((params, 1.0),))
     if not isinstance(params, TimeSharingMixture):
-        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+        return tuple(f.values for f in bound_functions(config, params))
     vecs, weights = zip(*params.points)
     w = np.array(weights)[:, None]
     dest, relay = family_tables(config, "outer", [vec.gamma for vec in vecs])

@@ -19,8 +19,6 @@ from .bounds import (
     DfPowerSplit,
     DOMAIN_TOL,
     DomainError,
-    as_correlation,
-    as_split,
     beta_star,
     dest_sum_snr,
     family_tables,
@@ -28,7 +26,7 @@ from .bounds import (
     relay_sum_snr,
 )
 from .channel import awgn_capacity
-from .polymatroid import ACTIVE, INACTIVE, SubsetFunction, intersection_max_sum, intersection_rows
+from .polymatroid import ACTIVE, INACTIVE, intersection_rows
 
 BOTTLENECK = "Bottleneck"
 EQUALIZED = "Equalized"
@@ -183,23 +181,6 @@ def gamma_rule_outer(config, solution, gamma):
     vec = CorrelationVector(tuple(gamma))
     equalizing_set(config, solution, "outer").check(vec.vector())
     return vec
-
-
-def _classify_row(config, family, row, beta=None):
-    dest, relay = family_tables(config, family, [row], None if beta is None else [beta])
-    return intersection_max_sum(SubsetFunction(config.K, dest[0]), SubsetFunction(config.K, relay[0]))
-
-
-def classify_inner_rule(config, split):
-    """Intersection outcome of the decode-and-forward polymatroid pair;
-    destination family first (its subset indexes the case label)."""
-    split = as_split(split, config.K)
-    return _classify_row(config, "inner", split.alpha, split.beta)
-
-
-def classify_outer_rule(config, gamma):
-    """Intersection outcome of the cutset polymatroid pair."""
-    return _classify_row(config, "outer", as_correlation(gamma, config.K).gamma)
 
 
 def _rules(config, family, rows):

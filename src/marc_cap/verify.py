@@ -118,7 +118,9 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
     if n < config.K + 1:
         raise ValueError(f"n must be at least K + 1 = {config.K + 1}, got {n!r}")
+    # Subnormal correlations count as 0, as in the relay cutset bound table.
     g = vec.vector()
+    g[g < np.finfo(np.float64).tiny] = 0.0
     P = config.powers()
     in_S = subset_indices(check_mask(S, config.K))
     comp = [k for k in range(config.K) if k not in in_S]

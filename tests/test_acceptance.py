@@ -21,17 +21,7 @@ from marc_cap import (
     solve_equalizer,
     sum_capacity,
 )
-from marc_cap.bounds import (
-    DfPowerSplit,
-    as_correlation,
-    beta_star,
-    dest_cutset_function,
-    dest_df_function,
-    full_mask,
-    outer_bound_relay,
-    relay_cutset_function,
-    relay_df_function,
-)
+from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions, full_mask
 from marc_cap.cli import main
 from marc_cap.polymatroid import ACTIVE, INACTIVE, TIE_TOL, certify, intersection_max_sum
 from marc_cap.region import hausdorff_distance
@@ -39,8 +29,6 @@ from marc_cap.sumcap import (
     ACTIVE_CLASS,
     EXACT,
     bottleneck_check,
-    classify_inner_rule,
-    classify_outer_rule,
     equalizing_set,
     gamma_rule_outer,
     maxmin_rule_inner,
@@ -86,7 +74,7 @@ def test_criterion_02_example2_reproduction():
     for a1 in (0.985, 0.99, 1.0):
         alpha = equalizing_set(EXAMPLE_2, sol, "inner").complete([a1])
         split = DfPowerSplit(tuple(alpha), tuple(beta_star(EXAMPLE_2, alpha)))
-        out = classify_inner_rule(EXAMPLE_2, split)
+        out = intersection_max_sum(*bound_functions(EXAMPLE_2, split))
         off_ok = off_ok and out.kind == INACTIVE and out.two_user_case == "2"
     checks = [
         abs(sol.root - 0.197) <= 1e-3,
@@ -167,24 +155,25 @@ def test_criterion_04_polymatroid_certification():
     # it the criterion checks the closed form against the conditional
     # variance and checks that every certify witness is genuine.
     rng = np.random.default_rng(404)
-    draw_gamma = lambda K: as_correlation(random_gamma(rng, K), K)
+    draw_gamma = lambda K: CorrelationVector(random_gamma(rng, K))
     draw_split = lambda K: DfPowerSplit(*random_split(rng, K))
+    # Each family is one side of a bound_functions pair: 0 the destination, 1 the relay.
     families = (
-        ("dest-cutset", draw_gamma, dest_cutset_function),
-        ("relay-cutset", draw_gamma, relay_cutset_function),
-        ("dest-df", draw_split, dest_df_function),
-        ("relay-df", draw_split, relay_df_function),
+        ("dest-cutset", draw_gamma, 0),
+        ("relay-cutset", draw_gamma, 1),
+        ("dest-df", draw_split, 0),
+        ("relay-df", draw_split, 1),
     )
     counts = {}
     agree = nonmonotone = spurious = 0
     worst_rel = 0.0
     first = None
-    for name, draw, build in families:
+    for name, draw, side in families:
         bad = 0
         for i in range(200):
             cfg = random_config(rng, K=2 + i % 4)
             param = draw(cfg.K)
-            f = build(cfg, param)
+            f = bound_functions(cfg, param)[side]
             rep = certify(f)
             agree += (rep.submodular, rep.monotone) == _brute_force_verdict(f)
             certified = rep.submodular and rep.monotone
@@ -194,12 +183,11 @@ def test_criterion_04_polymatroid_certification():
                     first = (name, rep.witness, cfg)
                 continue
             nonmonotone += not rep.monotone
-            value = lambda S: outer_bound_relay(cfg, param, S)
             for S in range(1, 1 << cfg.K):
                 exact = awgn_capacity(_relay_conditional_variance(cfg, param, S) / cfg.N_r)
-                worst_rel = max(worst_rel, abs(value(S) - exact) / exact)
+                worst_rel = max(worst_rel, abs(f(S) - exact) / exact)
             if not certified:
-                spurious += _witness_violation(value, rep.witness) <= _certify_tol(f)
+                spurious += _witness_violation(f, rep.witness) <= _certify_tol(f)
         counts[name] = bad
     polymatroids_clean = all(v == 0 for k, v in counts.items() if k != "relay-cutset")
     ok = (
@@ -233,8 +221,7 @@ def _constructed_active(k):
     assert not bottleneck_check(cfg)
     c = solve_equalizer(cfg).constraint_value
     a = 1.0 - c / 2.0
-    split = DfPowerSplit((a, a), (0.5, 0.5))
-    return dest_df_function(cfg, split), relay_df_function(cfg, split)
+    return bound_functions(cfg, DfPowerSplit((a, a), (0.5, 0.5)))
 
 
 def _constructed_inactive(k):
@@ -243,7 +230,7 @@ def _constructed_inactive(k):
     a1 = 0.982 + 0.0018 * k
     alpha = equalizing_set(EXAMPLE_2, solve_equalizer(EXAMPLE_2), "inner").complete([a1])
     split = DfPowerSplit(tuple(alpha), tuple(beta_star(EXAMPLE_2, alpha)))
-    return dest_df_function(EXAMPLE_2, split), relay_df_function(EXAMPLE_2, split)
+    return bound_functions(EXAMPLE_2, split)
 
 
 def test_criterion_05_intersection_lemma_oracle():
@@ -255,11 +242,9 @@ def test_criterion_05_intersection_lemma_oracle():
         K = 2 + attempts % 3
         cfg = random_config(rng, K=K)
         if attempts % 2:
-            split = DfPowerSplit(*random_split(rng, K))
-            f1, f2 = dest_df_function(cfg, split), relay_df_function(cfg, split)
+            f1, f2 = bound_functions(cfg, DfPowerSplit(*random_split(rng, K)))
         else:
-            vec = as_correlation(random_gamma(rng, K), K)
-            f1, f2 = dest_cutset_function(cfg, vec), relay_cutset_function(cfg, vec)
+            f1, f2 = bound_functions(cfg, CorrelationVector(random_gamma(rng, K)))
         if _certified(f1) and _certified(f2):
             pairs.append((f1, f2))
     kinds = [intersection_max_sum(f1, f2).kind for f1, f2 in pairs]
@@ -310,9 +295,7 @@ def test_criterion_06_bottleneck_class():
         res = sum_capacity(cfg)
         ok &= res["value"] == awgn_capacity(sum(cfg.P) / cfg.N_r)
         ok &= res["status"] == EXACT
-        zero = as_correlation((0.0, 0.0), 2)
-        relay = relay_cutset_function(cfg, zero)
-        dest = dest_cutset_function(cfg, zero)
+        dest, relay = bound_functions(cfg, CorrelationVector((0.0, 0.0)))
         ok &= bool(np.all(relay.values <= dest.values + 1e-12))
         h = hausdorff_distance(build_df_region(cfg, step).vertices,
                                build_outer_region(cfg, step).vertices)
@@ -343,8 +326,8 @@ def test_criterion_07_symmetric_class():
         split = maxmin_rule_inner(cfg, sol, alpha)
         ok &= bool(np.allclose(split.beta, beta, rtol=0, atol=1e-12))
         vec = gamma_rule_outer(cfg, sol, gamma)
-        inner = classify_inner_rule(cfg, DfPowerSplit(alpha, beta))
-        outer = classify_outer_rule(cfg, vec)
+        inner = intersection_max_sum(*bound_functions(cfg, DfPowerSplit(alpha, beta)))
+        outer = intersection_max_sum(*bound_functions(cfg, vec))
         ok &= inner.kind == ACTIVE and outer.kind == ACTIVE
         gap = abs(inner.max_sum_rate - outer.max_sum_rate)
         worst_gap = max(worst_gap, gap)

@@ -12,21 +12,12 @@ from marc_cap import (
     DomainError,
     awgn_capacity,
     beta_star,
-    dest_cutset_function,
-    dest_df_function,
-    df_bound_dest,
-    df_bound_relay,
+    bound_functions,
     df_to_correlation,
-    outer_bound_dest,
-    outer_bound_relay,
-    relay_cutset_function,
-    relay_df_function,
     subset_label,
 )
 from marc_cap import ChannelConfig
 from marc_cap.bounds import (
-    as_correlation,
-    as_split,
     dest_cutset_table,
     dest_df_table,
     dest_sum_snr,
@@ -63,44 +54,35 @@ def test_subset_helpers():
         subset_indices(-1)
 
 
-def test_scalar_bounds_check_the_subset_mask(example1):
-    split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
-    for fn, params in ((outer_bound_relay, (0.1, 0.05)), (outer_bound_dest, (0.1, 0.05)),
-                       (df_bound_relay, split), (df_bound_dest, split)):
-        assert fn(example1, params, 3) == fn(example1, params, 0b11)
-        for S in (-1, 4):
-            with pytest.raises(DomainError, match=f"subset mask {S} outside \\[0, 4\\)"):
-                fn(example1, params, S)
-
-
 def test_empty_subset_is_zero(example1):
     gamma = CorrelationVector((0.2, 0.1))
     split = DfPowerSplit((0.5, 0.5), (0.5, 0.5))
-    assert outer_bound_relay(example1, gamma, 0) == 0.0
-    assert outer_bound_dest(example1, gamma, 0) == 0.0
-    assert df_bound_relay(example1, split, 0) == 0.0
-    assert df_bound_dest(example1, split, 0) == 0.0
+    for params in (gamma, split):
+        dest, relay = bound_functions(example1, params)
+        assert relay(0) == 0.0
+        assert dest(0) == 0.0
 
 
 def test_outer_relay_zero_correlation(example1):
-    gamma = (0.0, 0.0)
-    assert outer_bound_relay(example1, gamma, 0b11) == pytest.approx(C10, rel=1e-15)
-    assert outer_bound_relay(example1, gamma, 0b01) == pytest.approx(C6, rel=1e-15)
-    assert outer_bound_relay(example1, gamma, 0b10) == pytest.approx(C4, rel=1e-15)
+    _, relay = bound_functions(example1, CorrelationVector((0.0, 0.0)))
+    assert relay(0b11) == pytest.approx(C10, rel=1e-15)
+    assert relay(0b01) == pytest.approx(C6, rel=1e-15)
+    assert relay(0b10) == pytest.approx(C4, rel=1e-15)
 
 
 def test_outer_dest_zero_correlation(example1):
-    assert outer_bound_dest(example1, (0.0, 0.0), 0b11) == pytest.approx(C7, rel=1e-15)
+    dest, _ = bound_functions(example1, CorrelationVector((0.0, 0.0)))
+    assert dest(0b11) == pytest.approx(C7, rel=1e-15)
 
 
 def test_outer_relay_frozen_point(example1):
-    value = outer_bound_relay(example1, (0.1, 0.05), 0b01)
+    value = bound_functions(example1, CorrelationVector((0.1, 0.05)))[1](0b01)
     assert value == pytest.approx(RELAY_1_CAP, rel=1e-15)
     assert value == pytest.approx(awgn_capacity(6.0 - 0.6 / 0.95), rel=1e-15)
 
 
 def test_outer_dest_frozen_point(example1):
-    value = outer_bound_dest(example1, (0.1, 0.05), 0b01)
+    value = bound_functions(example1, CorrelationVector((0.1, 0.05)))[0](0b01)
     assert value == pytest.approx(DEST_1_CAP, rel=1e-15)
     assert value == pytest.approx(
         awgn_capacity((6.0 + 0.95 * 4.0 + 2.0 * math.sqrt(0.1 * 6.0 * 4.0)) / 2.0), rel=1e-15
@@ -111,12 +93,12 @@ def test_outer_relay_exact_branch_at_unit_complement(example1):
     # Complement mass exactly 1: the relay signal is a function of the
     # complement, so the subset sees its full power (the penalty's
     # denominator gamma(S) + slack is 0).
-    assert outer_bound_relay(example1, (0.0, 1.0), 0b01) == pytest.approx(C6, rel=1e-15)
-    assert outer_bound_relay(example1, (1.0, 0.0), 0b10) == pytest.approx(C4, rel=1e-15)
+    assert bound_functions(example1, CorrelationVector((0.0, 1.0)))[1](0b01) == pytest.approx(C6, rel=1e-15)
+    assert bound_functions(example1, CorrelationVector((1.0, 0.0)))[1](0b10) == pytest.approx(C4, rel=1e-15)
 
 
 def test_outer_relay_penalty_grows_with_own_mass(example1):
-    values = [outer_bound_relay(example1, (g, 0.0), 0b01) for g in (0.0, 0.2, 0.5, 1.0)]
+    values = [bound_functions(example1, CorrelationVector((g, 0.0)))[1](0b01) for g in (0.0, 0.2, 0.5, 1.0)]
     assert values == sorted(values, reverse=True)
     assert values[-1] <= 1e-12
 
@@ -124,17 +106,18 @@ def test_outer_relay_penalty_grows_with_own_mass(example1):
 def test_outer_dest_monotone_in_correlations(example1):
     # More own correlation boosts the coherent term; more complement
     # correlation eats the residual relay power.
-    low = outer_bound_dest(example1, (0.1, 0.0), 0b01)
-    high = outer_bound_dest(example1, (0.2, 0.0), 0b01)
+    dest = lambda gamma: bound_functions(example1, CorrelationVector(gamma))[0](0b01)
+    low = dest((0.1, 0.0))
+    high = dest((0.2, 0.0))
     assert high > low
-    taxed = outer_bound_dest(example1, (0.1, 0.3), 0b01)
+    taxed = dest((0.1, 0.3))
     assert taxed < low
 
 
 def test_df_relay_frozen_point(example1):
-    split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
-    assert df_bound_relay(example1, split, 0b10) == pytest.approx(DF_RELAY_2_CAP, rel=1e-15)
-    assert df_bound_relay(example1, split, 0b11) == pytest.approx(
+    _, relay = bound_functions(example1, DfPowerSplit((0.9, 0.8), (0.5, 0.5)))
+    assert relay(0b10) == pytest.approx(DF_RELAY_2_CAP, rel=1e-15)
+    assert relay(0b11) == pytest.approx(
         awgn_capacity(0.9 * 6.0 + 0.8 * 4.0), rel=1e-15
     )
 
@@ -142,13 +125,13 @@ def test_df_relay_frozen_point(example1):
 def test_df_dest_frozen_point(example1):
     alpha = (0.9, 0.8)
     split = DfPowerSplit(alpha, tuple(beta_star(example1, alpha)))
-    assert df_bound_dest(example1, split, 0b11) == pytest.approx(DF_DEST_12_CAP, rel=1e-15)
+    assert bound_functions(example1, split)[0](0b11) == pytest.approx(DF_DEST_12_CAP, rel=1e-15)
 
 
 def test_df_dest_complement_share_reduces_relay_power(example1):
     # beta pledged to the complement is unavailable to the subset.
-    full_relay = df_bound_dest(example1, DfPowerSplit((1.0, 1.0), (0.0, 0.0)), 0b01)
-    taxed = df_bound_dest(example1, DfPowerSplit((1.0, 1.0), (0.0, 0.6)), 0b01)
+    full_relay = bound_functions(example1, DfPowerSplit((1.0, 1.0), (0.0, 0.0)))[0](0b01)
+    taxed = bound_functions(example1, DfPowerSplit((1.0, 1.0), (0.0, 0.6)))[0](0b01)
     assert full_relay == pytest.approx(awgn_capacity((6.0 + 4.0) / 2.0), rel=1e-15)
     assert taxed == pytest.approx(awgn_capacity((6.0 + 0.4 * 4.0) / 2.0), rel=1e-15)
 
@@ -166,12 +149,12 @@ def test_beta_star_no_cooperation_gives_zero_split(example1):
 def test_beta_star_maximizes_dest_bound(example1):
     alpha = (0.7, 0.4)
     star = DfPowerSplit(alpha, tuple(beta_star(example1, alpha)))
-    best = df_bound_dest(example1, star, 0b11)
+    best = bound_functions(example1, star)[0](0b11)
     rng = np.random.default_rng(3)
     for _ in range(50):
         beta = rng.dirichlet((1.0, 1.0, 1.0))[:2]
         other = DfPowerSplit(alpha, tuple(beta))
-        assert df_bound_dest(example1, other, 0b11) <= best + 1e-12
+        assert bound_functions(example1, other)[0](0b11) <= best + 1e-12
 
 
 def test_beta_star_shape_check(example1):
@@ -184,11 +167,11 @@ def test_gamma_star_dest_maximizes_dest_bound(example1):
     # maximize the full-set destination cutset bound.
     c = 0.5
     star = c * example1.powers() / example1.powers().sum()
-    best = outer_bound_dest(example1, tuple(star), 0b11)
+    best = bound_functions(example1, CorrelationVector(tuple(star)))[0](0b11)
     rng = np.random.default_rng(4)
     for _ in range(50):
         w = rng.dirichlet((1.0, 1.0))
-        assert outer_bound_dest(example1, tuple(c * w), 0b11) <= best + 1e-12
+        assert bound_functions(example1, CorrelationVector(tuple(c * w)))[0](0b11) <= best + 1e-12
 
 
 def test_df_to_correlation_componentwise():
@@ -204,8 +187,8 @@ def test_reduction_identity_under_beta_star(example1):
     for _ in range(20):
         alpha = tuple(rng.random(2))
         split = DfPowerSplit(alpha, tuple(beta_star(example1, alpha)))
-        outer = outer_bound_relay(example1, df_to_correlation(split), 0b11)
-        inner = df_bound_relay(example1, split, 0b11)
+        outer = bound_functions(example1, df_to_correlation(split))[1](0b11)
+        inner = bound_functions(example1, split)[1](0b11)
         assert outer == pytest.approx(inner, abs=1e-12)
 
 
@@ -215,12 +198,9 @@ def test_sum_snr_forms_match_subset_bounds(example1):
     for _ in range(20):
         gamma = random_gamma(rng, 2)
         x = float(np.sqrt(lam * np.asarray(gamma)).sum())
-        assert awgn_capacity(relay_sum_snr(example1, x)) == pytest.approx(
-            outer_bound_relay(example1, gamma, 0b11), abs=1e-12
-        )
-        assert awgn_capacity(dest_sum_snr(example1, x)) == pytest.approx(
-            outer_bound_dest(example1, gamma, 0b11), abs=1e-12
-        )
+        dest, relay = bound_functions(example1, CorrelationVector(gamma))
+        assert awgn_capacity(relay_sum_snr(example1, x)) == pytest.approx(relay(0b11), abs=1e-12)
+        assert awgn_capacity(dest_sum_snr(example1, x)) == pytest.approx(dest(0b11), abs=1e-12)
 
 
 def test_sum_snr_forms_evaluate_floats_and_arrays(example1, example2):
@@ -240,31 +220,12 @@ def test_bounds_monotone_in_subset():
         K = config.K
         gamma = CorrelationVector(random_gamma(rng, K))
         split = DfPowerSplit(*random_split(rng, K))
-        for fn, params in (
-            (outer_bound_relay, gamma),
-            (outer_bound_dest, gamma),
-            (df_bound_relay, split),
-            (df_bound_dest, split),
-        ):
+        for f in (*bound_functions(config, gamma), *bound_functions(config, split)):
             for S in range(1 << K):
                 for k in range(K):
                     if S >> k & 1:
                         continue
-                    assert fn(config, params, S | 1 << k) >= fn(config, params, S) - 1e-12
-
-
-def test_family_builders_tabulate_all_subsets(example1):
-    gamma = CorrelationVector((0.1, 0.05))
-    split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
-    fr = relay_cutset_function(example1, gamma)
-    fd = dest_cutset_function(example1, gamma)
-    gr = relay_df_function(example1, split)
-    gd = dest_df_function(example1, split)
-    for mask in range(4):
-        assert fr(mask) == outer_bound_relay(example1, gamma, mask)
-        assert fd(mask) == outer_bound_dest(example1, gamma, mask)
-        assert gr(mask) == df_bound_relay(example1, split, mask)
-        assert gd(mask) == df_bound_dest(example1, split, mask)
+                    assert f(S | 1 << k) >= f(S) - 1e-12
 
 
 def test_correlation_vector_validation():
@@ -287,20 +248,6 @@ def test_power_split_validation():
         DfPowerSplit((0.5, 0.5), (0.6, 0.5))
     with pytest.raises(DomainError, match="entries"):
         DfPowerSplit((0.5, 0.5), (0.5,))
-
-
-def test_coercion_helpers(example1):
-    vec = as_correlation((0.1, 0.2), 2)
-    assert isinstance(vec, CorrelationVector)
-    assert as_correlation(vec, 2) is vec
-    with pytest.raises(DomainError, match="expected 3"):
-        as_correlation(vec, 3)
-    split = DfPowerSplit((0.5, 0.5), (0.5, 0.5))
-    assert as_split(split, 2) is split
-    with pytest.raises(DomainError, match="DfPowerSplit"):
-        as_split((0.5, 0.5), 2)
-    with pytest.raises(DomainError, match="expected 3"):
-        as_split(split, 3)
 
 
 def _table_rows(rng, K, n):
@@ -336,18 +283,17 @@ def test_tables_are_batch_invariant():
                     assert np.array_equal(alone[0], batch[i]), (table.__name__, K, i)
 
 
-def test_scalar_bounds_and_builders_are_table_entries():
+def test_bound_functions_are_family_table_rows():
     rng = np.random.default_rng(12)
-    for K in (1, 2, 3, 4):
+    for K in range(1, 6):
         config = random_config(rng, K)
         gamma, alpha, beta = _table_rows(rng, K, 5)
         # The family pairs, destination first; the inner beta defaults to beta_star.
         star = beta_star(config, alpha)
+        outer, inner = family_tables(config, "outer", gamma), family_tables(config, "inner", alpha, beta)
         pairs = (
-            (family_tables(config, "outer", gamma),
-             dest_cutset_table(config, gamma), relay_cutset_table(config, gamma)),
-            (family_tables(config, "inner", alpha, beta),
-             dest_df_table(config, alpha, beta), relay_df_table(config, alpha, beta)),
+            (outer, dest_cutset_table(config, gamma), relay_cutset_table(config, gamma)),
+            (inner, dest_df_table(config, alpha, beta), relay_df_table(config, alpha, beta)),
             (family_tables(config, "inner", alpha),
              dest_df_table(config, alpha, star), relay_df_table(config, alpha, star)),
         )
@@ -355,18 +301,21 @@ def test_scalar_bounds_and_builders_are_table_entries():
             assert np.array_equal(dest, dest_table) and np.array_equal(relay, relay_table)
         with pytest.raises(DomainError, match="unknown family 'sideways'"):
             family_tables(config, "sideways", gamma)
+        # bound_functions is the one-row view, bit for bit.
         for i in range(5):
-            vec = CorrelationVector(tuple(gamma[i]))
-            split = DfPowerSplit(tuple(alpha[i]), tuple(beta[i]))
-            pairs = (
-                (relay_cutset_table(config, gamma[i : i + 1])[0], outer_bound_relay, relay_cutset_function, vec),
-                (dest_cutset_table(config, gamma[i : i + 1])[0], outer_bound_dest, dest_cutset_function, vec),
-                (relay_df_table(config, alpha[i : i + 1], beta[i : i + 1])[0], df_bound_relay, relay_df_function, split),
-                (dest_df_table(config, alpha[i : i + 1], beta[i : i + 1])[0], df_bound_dest, dest_df_function, split),
-            )
-            for row, scalar, builder, params in pairs:
-                assert np.array_equal(builder(config, params).values, row)
-                assert [scalar(config, params, S) for S in range(1 << K)] == row.tolist()
+            for params, tables in ((CorrelationVector(tuple(gamma[i])), outer),
+                                   (DfPowerSplit(tuple(alpha[i]), tuple(beta[i])), inner)):
+                dest, relay = bound_functions(config, params)
+                assert (dest.K, relay.K) == (K, K)
+                assert dest.values.tobytes() == tables[0][i].tobytes()
+                assert relay.values.tobytes() == tables[1][i].tobytes()
+                assert [relay(S) for S in range(1 << K)] == tables[1][i].tolist()
+        with pytest.raises(DomainError, match="unsupported parameter type tuple"):
+            bound_functions(config, tuple(gamma[0]))
+        with pytest.raises(DomainError, match=f"gamma rows have shape \\(1, {K + 1}\\), expected \\(n, {K}\\)"):
+            bound_functions(config, CorrelationVector((0.0,) * (K + 1)))
+        with pytest.raises(DomainError, match=f"alpha rows have shape \\(1, {K + 1}\\), expected \\(n, {K}\\)"):
+            bound_functions(config, DfPowerSplit((1.0,) * (K + 1), (0.0,) * (K + 1)))
 
 
 def test_tables_check_the_parameter_domain(example1):
@@ -388,11 +337,12 @@ def test_relay_cutset_clamps_dust_relative_to_power():
     # gamma proportional to the powers with unit mass: by Cauchy-Schwarz the
     # full-set relay SNR is exactly 0, and the rounding dust grows with power.
     config = ChannelConfig(2, (1e5, 3e5), 4.0, 1.0, 1.0)
-    assert outer_bound_relay(config, (0.25, 0.75), 0b11) == 0.0
+    assert bound_functions(config, CorrelationVector((0.25, 0.75)))[1](0b11) == 0.0
     # Unit total mass with a tiny singleton: the penalty divides the
     # singleton's coherent term by its own tiny mass.
     config = ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0)
-    assert outer_bound_relay(config, (0.9999998807907247, 1.1920927538914698e-07), 0b10) == 0.0
+    gamma = CorrelationVector((0.9999998807907247, 1.1920927538914698e-07))
+    assert bound_functions(config, gamma)[1](0b10) == 0.0
 
 
 def test_relay_cutset_is_zero_when_relay_and_complement_reveal_the_subset():

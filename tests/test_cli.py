@@ -97,6 +97,13 @@ def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, da
     ({"snr_relay": [6.0, 4.0], "snr_dest": [3.0], "snr_relay_dest": 2.0}, "snr_relay has 2 entries, snr_dest has 1"),
     ({**EX1_SNR, "snr_relay": [6.0, "high"]}, "config field error: could not convert string to float: 'high'"),
     ({**EX1, "P_r": "high"}, "config field error: could not convert string to float: 'high'"),
+    # Fields that used to be reshaped: K truncated or read as 1, strings
+    # iterated character by character ("64" ran as P=(6, 4)).
+    ({**EX1, "K": 2.7}, "error: K must be a positive integer, got 2.7\n"),
+    ({**EX1, "K": True, "P": [6.0]}, "error: K must be a positive integer, got True\n"),
+    ({**EX1, "P": "64"}, "error: config field error: P must be a list of numbers, got '64'\n"),
+    ({**EX1_SNR, "snr_relay": "64"}, "error: config field error: snr_relay must be a list of numbers, got '64'\n"),
+    ({**EX1_SNR, "snr_dest": "32"}, "error: config field error: snr_dest must be a list of numbers, got '32'\n"),
 ])
 def test_config_errors(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
@@ -432,6 +439,13 @@ def test_version_and_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from marc_cap import *", namespace)
+    assert set(marc_cap.__all__) <= set(namespace)
+    assert "bound_functions" in marc_cap.__all__
 
 
 def test_sumcap_tiny_second_power_exits_zero(tmp_path, capsys):

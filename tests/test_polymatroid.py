@@ -13,14 +13,11 @@ from marc_cap import (
     INACTIVE,
     SubsetFunction,
     beta_star,
+    bound_functions,
     build_intersection,
     certify,
     classify_two_user,
-    dest_cutset_function,
-    dest_df_function,
     intersection_max_sum,
-    relay_cutset_function,
-    relay_df_function,
     solve_equalizer,
     vertex_enumeration,
 )
@@ -52,6 +49,16 @@ def test_subset_function_validation():
         f.values[1] = 2.0
 
 
+def test_subset_function_checks_its_mask():
+    # A negative mask used to index from the end (f(-1) was f(full)), and
+    # a mask past the end raised a bare IndexError.
+    f = square([0.0, 1.0, 2.0, 3.0])
+    assert [f(mask) for mask in range(4)] == [0.0, 1.0, 2.0, 3.0]
+    for mask in (-1, -4, 4):
+        with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 4\\)"):
+            f(mask)
+
+
 def test_subset_function_from_dict():
     f = SubsetFunction.from_dict(2, {1: 1.0, 2: 2.0, 3: 2.5})
     assert list(f.values) == [0.0, 1.0, 2.0, 2.5]
@@ -69,10 +76,9 @@ def test_certify_accepts_provably_submodular_families():
         gamma = CorrelationVector(random_gamma(rng, config.K))
         split = DfPowerSplit(*random_split(rng, config.K))
         for f in (
-            relay_cutset_function(config, CorrelationVector((0.0,) * config.K)),
-            dest_cutset_function(config, gamma),
-            relay_df_function(config, split),
-            dest_df_function(config, split),
+            bound_functions(config, CorrelationVector((0.0,) * config.K))[1],
+            bound_functions(config, gamma)[0],
+            *bound_functions(config, split),
         ):
             result = certify(f)
             assert result.submodular and result.monotone
@@ -86,7 +92,7 @@ def test_relay_cutset_not_submodular_everywhere():
     # enclosed region is still computed exactly (it collapses to a point).
     config = ChannelConfig(2, (4.0, 1.0), 1.0, 1.0, 1.0)
     gamma = CorrelationVector((0.5, 0.5))
-    f = relay_cutset_function(config, gamma)
+    f = bound_functions(config, gamma)[1]
     assert f(0b01) == 0.0
     assert f(0b10) == 0.0
     assert f(0b11) == pytest.approx(0.2924812503605781, rel=1e-15)
@@ -119,7 +125,7 @@ def test_certify_tolerance_absorbs_float_dust():
 
 def test_vertex_enumeration_frozen(example1):
     split = DfPowerSplit((1.0, 1.0), (0.0, 0.0))
-    f = relay_df_function(example1, split)
+    f = bound_functions(example1, split)[1]
     assert vertex_enumeration(f, [1, 2]) == pytest.approx(PERM_FWD, rel=1e-15)
     assert vertex_enumeration(f, [2, 1]) == pytest.approx(PERM_REV, rel=1e-15)
 
@@ -128,7 +134,7 @@ def test_vertex_enumeration_lies_on_dominant_face():
     rng = np.random.default_rng(12)
     for _ in range(10):
         config = random_config(rng)
-        f = dest_cutset_function(config, CorrelationVector(random_gamma(rng, config.K)))
+        f = bound_functions(config, CorrelationVector(random_gamma(rng, config.K)))[0]
         perm = list(rng.permutation(config.K) + 1)
         rates = vertex_enumeration(f, perm)
         assert rates.sum() == pytest.approx(f.full(), rel=1e-12)
@@ -157,8 +163,7 @@ def test_intersection_value_is_min_total():
     for _ in range(20):
         config = random_config(rng)
         gamma = CorrelationVector(random_gamma(rng, config.K))
-        f1 = dest_cutset_function(config, gamma)
-        f2 = relay_cutset_function(config, gamma)
+        f1, f2 = bound_functions(config, gamma)
         outcome = intersection_max_sum(f1, f2)
         full = (1 << config.K) - 1
         expect = min(f1(S) + f2(full ^ S) for S in range(1 << config.K))
@@ -204,9 +209,7 @@ def test_case_labels_limited_to_two_users():
 def test_example2_in_interval_rule_is_active(example2):
     alpha = (0.97, 0.8)
     split = DfPowerSplit(alpha, tuple(beta_star(example2, alpha)))
-    outcome = intersection_max_sum(
-        dest_df_function(example2, split), relay_df_function(example2, split)
-    )
+    outcome = intersection_max_sum(*bound_functions(example2, split))
     assert outcome.kind == ACTIVE
     assert outcome.two_user_case == "3c"
     assert outcome.max_sum_rate == pytest.approx(1.4179620371271875, rel=1e-15)
@@ -216,9 +219,7 @@ def test_example2_off_interval_rule_is_inactive_case_2(example2):
     _, a2 = equalizing_set(example2, solve_equalizer(example2), "inner").complete([0.99])
     assert a2 == pytest.approx(0.5661984870956629, rel=1e-12)
     split = DfPowerSplit((0.99, a2), tuple(beta_star(example2, (0.99, a2))))
-    outcome = intersection_max_sum(
-        dest_df_function(example2, split), relay_df_function(example2, split)
-    )
+    outcome = intersection_max_sum(*bound_functions(example2, split))
     assert outcome.kind == INACTIVE
     assert outcome.argmin_subset == 0b01
     assert outcome.two_user_case == "2"
@@ -235,12 +236,10 @@ def test_intersection_against_both_brute_force_oracles():
         config = random_config(rng, K=int(rng.integers(2, 5)))
         if rng.random() < 0.5:
             split = DfPowerSplit(*random_split(rng, config.K))
-            f1 = dest_df_function(config, split)
-            f2 = relay_df_function(config, split)
+            f1, f2 = bound_functions(config, split)
         else:
             gamma = CorrelationVector(random_gamma(rng, config.K))
-            f1 = dest_cutset_function(config, gamma)
-            f2 = relay_cutset_function(config, gamma)
+            f1, f2 = bound_functions(config, gamma)
         if not all(certify(f).submodular for f in (f1, f2)):
             continue
         kept += 1
@@ -261,8 +260,7 @@ def test_min_formula_upper_bounds_unverified_pairs():
     while checked < 5:
         config = random_config(rng, K=int(rng.integers(2, 4)))
         gamma = CorrelationVector(random_gamma(rng, config.K))
-        f1 = dest_cutset_function(config, gamma)
-        f2 = relay_cutset_function(config, gamma)
+        f1, f2 = bound_functions(config, gamma)
         if certify(f2).submodular:
             continue
         checked += 1

@@ -11,14 +11,10 @@ from marc_cap import ChannelConfig, awgn_capacity, solve_equalizer
 from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
-    as_correlation,
     beta_star,
-    df_bound_dest,
-    df_bound_relay,
+    bound_functions,
     df_to_correlation,
     full_mask,
-    outer_bound_dest,
-    outer_bound_relay,
     relay_sum_snr,
 )
 from marc_cap.region import convex_hull, polygon_contains
@@ -42,7 +38,7 @@ def config_gamma_mask(draw):
     total = sum(w)
     gamma = tuple(x / total for x in w[: cfg.K]) if total > 0 else (0.0,) * cfg.K
     mask = draw(st.integers(1, full_mask(cfg.K)))
-    return cfg, as_correlation(gamma, cfg.K), mask
+    return cfg, CorrelationVector(gamma), mask
 
 
 @st.composite
@@ -68,10 +64,11 @@ def test_capacity_monotone_nonnegative(x, y):
 @given(config_gamma_mask())
 def test_cutset_bounds_nonnegative_zero_on_empty(case):
     cfg, gamma, mask = case
-    assert outer_bound_relay(cfg, gamma, 0) == 0.0
-    assert outer_bound_dest(cfg, gamma, 0) == 0.0
-    assert outer_bound_relay(cfg, gamma, mask) >= 0.0
-    assert outer_bound_dest(cfg, gamma, mask) >= 0.0
+    dest, relay = bound_functions(cfg, gamma)
+    assert relay(0) == 0.0
+    assert dest(0) == 0.0
+    assert relay(mask) >= 0.0
+    assert dest(mask) >= 0.0
 
 
 @st.composite
@@ -82,7 +79,7 @@ def config_boundary_gamma_mask(draw):
     w = draw(st.lists(st.floats(0.01, 1.0), min_size=cfg.K, max_size=cfg.K))
     w[draw(st.integers(0, cfg.K - 1))] = 10.0 ** -draw(st.floats(3.0, 15.0))
     gamma = tuple(x / sum(w) for x in w)
-    return cfg, as_correlation(gamma, cfg.K), draw(st.integers(1, full_mask(cfg.K)))
+    return cfg, CorrelationVector(gamma), draw(st.integers(1, full_mask(cfg.K)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -90,19 +87,20 @@ def config_boundary_gamma_mask(draw):
 # A correlation mass that rounds just above 1: the slack is 0, and {1,3}
 # divides its penalty by gamma_3 alone.
 @example((ChannelConfig(4, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0),
-          as_correlation((0.0, 0.0, 3.178913377471486e-07, 0.9999996821086623), 4), 0b0001), 0b0100)
+          CorrelationVector((0.0, 0.0, 3.178913377471486e-07, 0.9999996821086623)), 0b0001), 0b0100)
 # sum(gamma) = 1 with a 1.4e-13 gamma_1: X_r and the complement reveal X_1.
 @example((ChannelConfig(4, (32.34, 26.65, 1.404, 22.90), 1.0, 1.0, 1.0),
-          as_correlation((1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207,
-                          4.1464058295309335e-06), 4), 0b0001), 0b1000)
+          CorrelationVector((1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207,
+                             4.1464058295309335e-06)), 0b0001), 0b1000)
 # A subnormal gamma_1 with sum(gamma) = 1: the rounded gamma_1 P_1 gave S={1}
 # a penalty of 2.0, above its power 1.5, so the relay SNR was -0.5.
-@example((ChannelConfig(3, (1.5, 1.0, 1.0), 1.0, 1.0, 1.0), as_correlation((5e-324, 0.0, 1.0), 3), 0b001), 0b010)
+@example((ChannelConfig(3, (1.5, 1.0, 1.0), 1.0, 1.0, 1.0), CorrelationVector((5e-324, 0.0, 1.0)), 0b001), 0b010)
 def test_cutset_bounds_monotone_in_subset(case, extra):
     cfg, gamma, mask = case
     wider = (mask | extra) & full_mask(cfg.K)
-    assert outer_bound_relay(cfg, gamma, mask) <= outer_bound_relay(cfg, gamma, wider) + 1e-12
-    assert outer_bound_dest(cfg, gamma, mask) <= outer_bound_dest(cfg, gamma, wider) + 1e-12
+    dest, relay = bound_functions(cfg, gamma)
+    assert relay(mask) <= relay(wider) + 1e-12
+    assert dest(mask) <= dest(wider) + 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -112,9 +110,10 @@ def test_df_relay_monotone_dest_antitone_in_alpha(case, idx, bump):
     k = idx % cfg.K
     raised = list(split.alpha)
     raised[k] = min(1.0, raised[k] + bump)
-    other = DfPowerSplit(tuple(raised), split.beta)
-    assert df_bound_relay(cfg, other, mask) >= df_bound_relay(cfg, split, mask) - 1e-12
-    assert df_bound_dest(cfg, other, mask) <= df_bound_dest(cfg, split, mask) + 1e-12
+    dest, relay = bound_functions(cfg, split)
+    other_dest, other_relay = bound_functions(cfg, DfPowerSplit(tuple(raised), split.beta))
+    assert other_relay(mask) >= relay(mask) - 1e-12
+    assert other_dest(mask) <= dest(mask) + 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -135,8 +134,8 @@ def test_reduction_identity_full_relay_cut(case):
     cfg, split, _ = case
     star = DfPowerSplit(split.alpha, tuple(beta_star(cfg, split.alpha)))
     full = full_mask(cfg.K)
-    outer = outer_bound_relay(cfg, df_to_correlation(star), full)
-    inner = df_bound_relay(cfg, star, full)
+    outer = bound_functions(cfg, df_to_correlation(star))[1](full)
+    inner = bound_functions(cfg, star)[1](full)
     assert outer == pytest.approx(inner, abs=1e-12)
 
 
@@ -145,7 +144,7 @@ def test_reduction_identity_full_relay_cut(case):
 def test_dest_dominance(case):
     cfg, split, mask = case
     gamma = df_to_correlation(split)
-    assert df_bound_dest(cfg, split, mask) <= outer_bound_dest(cfg, gamma, mask) + 1e-12
+    assert bound_functions(cfg, split)[0](mask) <= bound_functions(cfg, gamma)[0](mask) + 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -154,7 +153,7 @@ def test_beta_star_maximizes_full_dest_bound(case):
     cfg, split, _ = case
     star = DfPowerSplit(split.alpha, tuple(beta_star(cfg, split.alpha)))
     full = full_mask(cfg.K)
-    assert df_bound_dest(cfg, star, full) >= df_bound_dest(cfg, split, full) - 1e-12
+    assert bound_functions(cfg, star)[0](full) >= bound_functions(cfg, split)[0](full) - 1e-12
 
 
 @settings(deadline=None, max_examples=60)
@@ -173,9 +172,10 @@ def test_dest_cutset_concave_in_gamma(case_a, case_b, lam):
     if len(gb.gamma) != cfg.K:
         return
     a, b = np.array(ga.gamma), np.array(gb.gamma)
-    mid = as_correlation(tuple(lam * a + (1.0 - lam) * b), cfg.K)
-    chord = lam * outer_bound_dest(cfg, ga, mask) + (1.0 - lam) * outer_bound_dest(cfg, gb, mask)
-    assert outer_bound_dest(cfg, mid, mask) >= chord - 1e-9
+    dest = lambda gamma: bound_functions(cfg, gamma)[0](mask)
+    mid = CorrelationVector(tuple(lam * a + (1.0 - lam) * b))
+    chord = lam * dest(ga) + (1.0 - lam) * dest(gb)
+    assert dest(mid) >= chord - 1e-9
 
 
 # Coordinates of every scale from 1e-300 to 100, mixed within one point set.

@@ -19,10 +19,8 @@ from marc_cap import (
 from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
-    as_correlation,
+    bound_functions,
     df_to_correlation,
-    outer_bound_dest,
-    outer_bound_relay,
 )
 from marc_cap._kernels import compositions
 from marc_cap.region import (
@@ -436,12 +434,13 @@ def test_mixture_validation():
 
 
 def test_mixture_polytope_has_averaged_facets(example1):
-    ga, gb = as_correlation((0.1, 0.2), 2), as_correlation((0.3, 0.05), 2)
+    ga, gb = CorrelationVector((0.1, 0.2)), CorrelationVector((0.3, 0.05))
     mix = TimeSharingMixture(((ga, 0.5), (gb, 0.5)))
     poly = build_intersection(example1, mix)
+    (dest_a, relay_a), (dest_b, relay_b) = bound_functions(example1, ga), bound_functions(example1, gb)
     for mask, value in poly.facets:
-        dest = 0.5 * (outer_bound_dest(example1, ga, mask) + outer_bound_dest(example1, gb, mask))
-        relay = 0.5 * (outer_bound_relay(example1, ga, mask) + outer_bound_relay(example1, gb, mask))
+        dest = 0.5 * (dest_a(mask) + dest_b(mask))
+        relay = 0.5 * (relay_a(mask) + relay_b(mask))
         assert value == pytest.approx(min(dest, relay), rel=1e-15)
     # Time sharing: the average of any two pure operating points is in the
     # mixed polytope (pure polytopes themselves need not be).

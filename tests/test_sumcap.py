@@ -16,7 +16,7 @@ from marc_cap import (
 )
 from marc_cap import bounds
 from marc_cap._kernels import compositions
-from marc_cap.polymatroid import INACTIVE
+from marc_cap.polymatroid import INACTIVE, intersection_max_sum
 from marc_cap.sumcap import (
     ACTIVE,
     ACTIVE_CLASS,
@@ -30,14 +30,12 @@ from marc_cap.sumcap import (
     _runs,
     _sweep_grid,
     bottleneck_check,
-    classify_inner_rule,
-    classify_outer_rule,
     equalizing_set,
     gamma_rule_outer,
     k_coefficients,
     maxmin_rule_inner,
 )
-from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star
+from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions
 from marc_cap.sumcap import CONSTRAINT_TOL
 
 ROOT_1 = 0.40824829046386296
@@ -177,12 +175,14 @@ def test_classify_equalizing_rules_tie(example1):
     # Any rule satisfying the equalizer makes both full cuts equal, so the
     # two-user case is the tie "3b" and the value is the max-min rate.
     sol = solve_equalizer(example1)
-    out = classify_inner_rule(example1, maxmin_rule_inner(example1, sol, (0.9, 0.9)))
+    split = maxmin_rule_inner(example1, sol, (0.9, 0.9))
+    out = intersection_max_sum(*bound_functions(example1, split))
     assert out.kind == ACTIVE
     assert out.two_user_case == "3b"
     assert out.max_sum_rate == RATE_1
     c = sol.constraint_value
-    outer = classify_outer_rule(example1, gamma_rule_outer(example1, sol, (c / 4.0, 3.0 * c / 8.0)))
+    gamma = gamma_rule_outer(example1, sol, (c / 4.0, 3.0 * c / 8.0))
+    outer = intersection_max_sum(*bound_functions(example1, gamma))
     assert outer.kind == ACTIVE
     assert outer.max_sum_rate == pytest.approx(RATE_1, rel=1e-12)
 
@@ -194,14 +194,17 @@ def test_classify_example2_on_and_off_interval(example2):
     def partner(a1):
         return 1.0 - (sol.constraint_value - lam[0] * (1.0 - a1)) / lam[1]
 
-    on = classify_inner_rule(example2, maxmin_rule_inner(example2, sol, (0.97, partner(0.97))))
+    def classify(a1):
+        return intersection_max_sum(*bound_functions(example2, maxmin_rule_inner(example2, sol, (a1, partner(a1)))))
+
+    on = classify(0.97)
     assert on.kind == ACTIVE
     assert on.two_user_case == "3b"
     assert on.max_sum_rate == pytest.approx(RATE_2, rel=1e-12)
 
     # Too little power split towards the relay by user 1: the single-user
     # relay constraint on user 2 bites before the full cut does.
-    off = classify_inner_rule(example2, maxmin_rule_inner(example2, sol, (0.99, partner(0.99))))
+    off = classify(0.99)
     assert off.kind == INACTIVE
     assert off.argmin_subset == 0b01
     assert off.two_user_case == "2"
@@ -417,17 +420,15 @@ def test_k_coefficients_live_in_bounds(example1):
 
 
 def _reference_runs(config, sol, family, resolution):
-    """Active runs from classify_inner_rule/classify_outer_rule called on
-    each rule of the K=2 sweep."""
+    """Active runs from the intersection of each rule's bound_functions
+    pair, one rule of the K=2 sweep at a time."""
     rows = equalizing_set(config, sol, family).sweep(resolution).tolist()
     if family == "inner":
         rules = [(p[0], DfPowerSplit(tuple(p), tuple(beta_star(config, p)))) for p in rows]
-        classify = classify_inner_rule
     else:
         rules = [(p[0], CorrelationVector(tuple(p))) for p in rows]
-        classify = classify_outer_rule
     points = [p for p, _ in rules]
-    kinds = [classify(config, rule).kind for _, rule in rules]
+    kinds = [intersection_max_sum(*bound_functions(config, rule)).kind for _, rule in rules]
     ends = [(points[i], kinds[i]) for i in _run_ends(kinds)]
     return _active_runs(points, kinds), ends
 
@@ -495,5 +496,4 @@ def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
         kinds = [kind for _, kind in scan.samples]
         assert ACTIVE in kinds
         assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
-        classify = classify_inner_rule if family == "inner" else classify_outer_rule
-        assert kinds == [classify(example3, rule).kind for rule, _ in scan.samples]
+        assert kinds == [intersection_max_sum(*bound_functions(example3, rule)).kind for rule, _ in scan.samples]

@@ -17,12 +17,9 @@ from marc_cap import (
     solve_equalizer,
 )
 from marc_cap.bounds import (
+    CorrelationVector,
     DfPowerSplit,
-    as_correlation,
-    df_bound_dest,
-    df_bound_relay,
-    outer_bound_dest,
-    outer_bound_relay,
+    bound_functions,
     relay_cutset_table,
 )
 from marc_cap.verify import (
@@ -96,6 +93,21 @@ def test_mc_mode2_exact_branch(example2):
     # the plain subset power.
     rep = mc_relay_conditional_variance(example2, (1.0, 0.0), 0b10, mode=2, n=50000, seed=1)
     assert rep.target == 0.4
+    assert not rep.degenerate
+    assert rep.passed
+
+
+def test_mc_mode2_subnormal_correlation_counts_as_zero():
+    # gamma_1 = 5e-324 with sum(gamma) = 1: as in the relay cutset bound
+    # table, the subnormal correlation counts as 0, so S={1} keeps its power
+    # 1.5. The rounded quotient used to give a target of -0.5, a degenerate
+    # report and FAIL against an estimate near 1.5.
+    config = ChannelConfig(3, (1.5, 1.0, 1.0), 1.0, 1.0, 1.0)
+    gamma = (5e-324, 0.0, 1.0)
+    rep = mc_relay_conditional_variance(config, gamma, 0b001, mode=2, n=20000, seed=1)
+    assert rep.target == 1.5
+    table_snr = 2.0 ** (2.0 * relay_cutset_table(config, [gamma])[0, 0b001]) - 1.0
+    assert rep.target == pytest.approx(config.N_r * table_snr, rel=1e-15)
     assert not rep.degenerate
     assert rep.passed
 
@@ -255,7 +267,7 @@ def test_grid_matches_solver(example1, bottleneck):
 
 def test_chords_pass_on_dest_cutset_bound(example1):
     for S in (0b01, 0b11):
-        fn = rows(lambda g: outer_bound_dest(example1, as_correlation(g, 2), S))
+        fn = rows(lambda g: bound_functions(example1, CorrelationVector(tuple(g)))[0](S))
         rep = chord_check(fn, gamma_sampler(example1, seed=5), trials=300, seed=5)
         assert rep.passed and rep.witness is None
         assert rep.trials == 300
@@ -265,10 +277,10 @@ def test_chords_pass_on_df_bounds(example1):
     # Joint split vector (alpha ++ beta): the coherent term is a geometric
     # mean of affine pieces, so both bounds are concave in it.
     def dest(v):
-        return df_bound_dest(example1, DfPowerSplit(tuple(v[:2]), tuple(v[2:])), 0b11)
+        return bound_functions(example1, DfPowerSplit(tuple(v[:2]), tuple(v[2:])))[0](0b11)
 
     def relay(v):
-        return df_bound_relay(example1, DfPowerSplit(tuple(v[:2]), tuple(v[2:])), 0b01)
+        return bound_functions(example1, DfPowerSplit(tuple(v[:2]), tuple(v[2:])))[1](0b01)
 
     for fn in (dest, relay):
         rep = chord_check(rows(fn), split_sampler(example1, seed=6), trials=300, seed=6)
@@ -286,7 +298,7 @@ def test_relay_full_cut_not_concave_in_gamma():
     # Equal unit powers: both simplex corners give C(1) but the midpoint
     # cancels the subset power entirely, so the chord sits strictly above.
     cfg = ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0)
-    fn = lambda g: outer_bound_relay(cfg, as_correlation(g, 2), 0b11)
+    fn = lambda g: bound_functions(cfg, CorrelationVector(tuple(g)))[1](0b11)
     assert fn((1.0, 0.0)) == 0.5
     assert fn((0.0, 1.0)) == 0.5
     assert fn((0.5, 0.5)) == 0.0
@@ -345,9 +357,10 @@ def test_chord_check_matches_sequential_reference(example1):
     # chord-by-chord scan: the convex negative control, the relay cutset's
     # failing corner chords, and a table function whose first failing chord
     # is one of trials 6 to 10 (so 5 trials pass).
+    unit = ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0)
     cases = [
         (lambda G: np.einsum("ij,ij->i", G, G), lambda: gamma_sampler(example1, seed=4), 1000, 0),
-        (rows(lambda g: outer_bound_relay(ChannelConfig(2, (1.0, 1.0), 1.0, 1.0, 1.0), g, 0b11)),
+        (rows(lambda g: bound_functions(unit, CorrelationVector(tuple(g)))[1](0b11)),
          lambda: cycle_sampler([(1.0, 0.0), (0.0, 1.0)]), 5, 0),
         (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 1000, 0),
         (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 5, 0),
@@ -361,7 +374,7 @@ def test_chord_check_matches_sequential_reference(example1):
 
 
 def test_relay_singleton_cut_not_concave(example1):
-    fn = lambda g: outer_bound_relay(example1, as_correlation(g, 2), 0b01)
+    fn = lambda g: bound_functions(example1, CorrelationVector(tuple(g)))[1](0b01)
     assert fn((0.5, 0.0)) == 1.0
     assert fn((0.0, 0.9)) == pytest.approx(1.403677461028802, rel=1e-15)
     mid = fn((0.25, 0.45))
@@ -405,7 +418,7 @@ def test_dominance_check_reports_the_first_failing_trial(example1, monkeypatch):
         alpha, beta = draws.random(2), draws.dirichlet(np.ones(3))[:2]
     assert w["alpha"] == alpha.tolist() and w["beta"] == beta.tolist()
     split = DfPowerSplit(tuple(alpha), tuple(beta))
-    assert w["inner"] == df_bound_dest(example1, split, 0b10)
+    assert w["inner"] == bound_functions(example1, split)[0](0b10)
     assert w["inner"] - w["outer"] == pytest.approx(rep.max_gap, abs=1e-15)
 
     monkeypatch.setattr(verify, "dest_cutset_table", real_dest)
