@@ -283,7 +283,7 @@ def test_tables_are_batch_invariant():
                     assert np.array_equal(alone[0], batch[i]), (table.__name__, K, i)
 
 
-def test_bound_functions_are_family_table_rows():
+def test_scalar_bounds_and_builders_are_table_entries():
     rng = np.random.default_rng(12)
     for K in range(1, 6):
         config = random_config(rng, K)
@@ -310,8 +310,44 @@ def test_bound_functions_are_family_table_rows():
                 assert dest.values.tobytes() == tables[0][i].tobytes()
                 assert relay.values.tobytes() == tables[1][i].tobytes()
                 assert [relay(S) for S in range(1 << K)] == tables[1][i].tolist()
+
+
+def test_family_builders_tabulate_all_subsets(example1):
+    gamma = CorrelationVector((0.1, 0.05))
+    split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
+    fd, fr = bound_functions(example1, gamma)
+    gd, gr = bound_functions(example1, split)
+    rows = (
+        (fr, relay_cutset_table(example1, [gamma.gamma])[0]),
+        (fd, dest_cutset_table(example1, [gamma.gamma])[0]),
+        (gr, relay_df_table(example1, [split.alpha], [split.beta])[0]),
+        (gd, dest_df_table(example1, [split.alpha], [split.beta])[0]),
+    )
+    for f, row in rows:
+        assert [f(mask) for mask in range(4)] == row.tolist()
+    assert fr(0b01) == pytest.approx(RELAY_1_CAP, rel=1e-15)
+    assert fd(0b01) == pytest.approx(DEST_1_CAP, rel=1e-15)
+    assert gr(0b10) == pytest.approx(DF_RELAY_2_CAP, rel=1e-15)
+
+
+def test_coercion_helpers(example1):
+    # bound_functions takes a parameter object of the config's K, nothing else.
+    vec = CorrelationVector((0.1, 0.2))
+    split = DfPowerSplit((0.5, 0.5), (0.5, 0.5))
+    for params in (vec, split):
+        assert all(f.K == 2 for f in bound_functions(example1, params))
+    for params in ((0.1, 0.2), [0.1, 0.2], None):
+        with pytest.raises(DomainError, match=f"unsupported parameter type {type(params).__name__}"):
+            bound_functions(example1, params)
+    with pytest.raises(DomainError, match="gamma rows have shape \\(1, 3\\), expected \\(n, 2\\)"):
+        bound_functions(example1, CorrelationVector((0.1, 0.1, 0.1)))
+    with pytest.raises(DomainError, match="alpha rows have shape \\(1, 1\\), expected \\(n, 2\\)"):
+        bound_functions(example1, DfPowerSplit((0.5,), (0.5,)))
+    rng = np.random.default_rng(13)
+    for K in range(1, 6):
+        config = random_config(rng, K)
         with pytest.raises(DomainError, match="unsupported parameter type tuple"):
-            bound_functions(config, tuple(gamma[0]))
+            bound_functions(config, random_gamma(rng, K))
         with pytest.raises(DomainError, match=f"gamma rows have shape \\(1, {K + 1}\\), expected \\(n, {K}\\)"):
             bound_functions(config, CorrelationVector((0.0,) * (K + 1)))
         with pytest.raises(DomainError, match=f"alpha rows have shape \\(1, {K + 1}\\), expected \\(n, {K}\\)"):
