@@ -94,32 +94,34 @@ def load_config(path):
         raise InputError(f"unknown config field(s): {sorted(keys - POWER_FIELDS)}")
     if required - keys:
         raise InputError(f"missing config field(s): {sorted(required - keys)}")
+    P = _floats(data, "P")
+    K = data.get("K", len(P))
+    return ChannelConfig(K, P, *(_number(data[name], name) for name in ("P_r", "N_r", "N_delta")))
+
+
+def _number(value, name):
+    """A JSON number as a float; a boolean, a string or anything else is an
+    error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"config field error: {name} must be a number, got {value!r}")
     try:
-        P = _floats(data, "P")
-        K = data.get("K", len(P))
-        return ChannelConfig(K, P, float(data["P_r"]), float(data["N_r"]), float(data["N_delta"]))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise InputError(f"config field error: {exc}") from exc
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"config field error: {name} is too large: {exc}") from exc
 
 
 def _floats(data, name):
-    """A config list field as a tuple of floats; anything else, a string
-    included, is an error."""
+    """A config list field as a tuple of floats, one JSON number each."""
     if not isinstance(data[name], list):
         raise InputError(f"config field error: {name} must be a list of numbers, got {data[name]!r}")
-    return tuple(float(x) for x in data[name])
+    return tuple(_number(x, f"{name}[{k + 1}]") for k, x in enumerate(data[name]))
 
 
 def _config_from_snr(data):
     """SNR-form config, normalized to N_r = 1 (echoed in the config line)."""
-    try:
-        snr_r = _floats(data, "snr_relay")
-        snr_d = _floats(data, "snr_dest")
-        snr_rd = float(data["snr_relay_dest"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"config field error: {exc}") from exc
+    snr_r = _floats(data, "snr_relay")
+    snr_d = _floats(data, "snr_dest")
+    snr_rd = _number(data["snr_relay_dest"], "snr_relay_dest")
     if len(snr_r) != len(snr_d):
         raise InputError(f"snr_relay has {len(snr_r)} entries, snr_dest has {len(snr_d)}")
     if not snr_r:
@@ -193,15 +195,16 @@ def cmd_region(args):
         raise InputError(f"step must be in (0, 1], got {args.step!r}")
     if config.K != 2:
         raise UnsupportedError(f"region export requires K=2, got K={config.K}")
+    names = ("inner", "outer") if args.bound == "both" else (args.bound,)
+    # Both polygons are built before anything is printed, so a step the
+    # lattice cap rejects leaves stdout empty.
+    polys = [(build_df_region if name == "inner" else build_outer_region)(config, args.step) for name in names]
     params = {"bound": args.bound, "step": args.step, "out": str(args.out)}
     digest = _manifest_digest("region", args.config, config, params)
     print(f"# manifest {digest}")
     print(_config_line(config))
-    names = ("inner", "outer") if args.bound == "both" else (args.bound,)
     out = Path(args.out)
-    for name in names:
-        build = build_df_region if name == "inner" else build_outer_region
-        poly = build(config, args.step)
+    for name, poly in zip(names, polys):
         path = out if len(names) == 1 else out.with_suffix(f".{name}.csv")
         lines = [f"# manifest {digest}", "R1,R2"]
         lines.extend(f"{v[0]:.17g},{v[1]:.17g}" for v in poly.vertices)

@@ -25,6 +25,17 @@ from .bounds import (
 # the test keeps real extreme points of small-scale inputs.
 HULL_EPS = 1e-12
 
+# Above HULL_BIN_MIN_POINTS input points the hull first drops, in one pass
+# over HULL_BINS bins of x, points it can show to lie inside the hull; the
+# thousands of small hulls of a pentagon stay clear of the pass's cost.
+HULL_BINS = 256
+HULL_BIN_MIN_POINTS = 16 * HULL_BINS
+
+# A region lattice has at most this many points: (n + 1)^2 power splits,
+# about 390 B each while the decode-and-forward grid and hull run (93.6 MiB
+# above the import for n = 500), so about 400 MB at the cap.
+MAX_REGION_POINTS = 1 << 20
+
 # Relay power splits probed alongside the destination-optimal one when
 # sweeping the two-user decode-and-forward region.
 BOUNDARY_BETAS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
@@ -97,13 +108,22 @@ def build_intersection(config, params):
 
 
 def _df_pentagon_grid(config, n):
-    """Candidate vertices of every lattice power split's intersection."""
+    """Candidate vertices of every lattice power split's intersection.
+
+    A boundary beta with beta_k = 0 is taken only at alpha_k = 1: there the
+    destination bound does not depend on alpha_k (its coherent term is
+    sqrt(0) = 0), and the relay bound only rises in alpha_k, so that
+    pentagon contains every other one on its line, bit for bit."""
     steps = np.arange(n + 1) / n
     alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
-    betas = [beta_star(config, alpha)] + [np.broadcast_to(b, alpha.shape) for b in BOUNDARY_BETAS]
     # The relay bound does not depend on beta.
-    relay = relay_df_table(config, alpha, betas[0])
-    tables = (np.minimum(relay, dest_df_table(config, alpha, beta)) for beta in betas)
+    split = beta_star(config, alpha)
+    relay = relay_df_table(config, alpha, split)
+    parts = [(alpha, split, relay)]
+    for b in BOUNDARY_BETAS:
+        keep = (alpha[:, np.equal(b, 0.0)] == steps[-1]).all(axis=1)
+        parts.append((alpha[keep], np.broadcast_to(b, (keep.sum(), 2)), relay[keep]))
+    tables = (np.minimum(rel, dest_df_table(config, a, beta)) for a, beta, rel in parts)
     return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
 
 
@@ -141,8 +161,7 @@ def build_df_region(config, grid_resolution=0.02):
     """Two-user decode-and-forward region: hull of the per-split
     intersections over a power-split lattice. The region is convex, so the
     hull converges to it from inside as the lattice refines."""
-    _require_two_user(config, grid_resolution)
-    n = max(1, round(1.0 / grid_resolution))
+    n = _lattice_steps(config, grid_resolution)
     verts = convex_hull(_df_pentagon_grid(config, n))
     return RegionPolytope(2, verts)
 
@@ -151,17 +170,22 @@ def build_outer_region(config, grid_resolution=0.02):
     """Two-user cutset outer region: hull over the correlation lattice. The
     hull realizes the time-sharing closure, which in the plane equals the
     set of at-most-3-point mixtures."""
-    _require_two_user(config, grid_resolution)
-    n = max(1, round(1.0 / grid_resolution))
+    n = _lattice_steps(config, grid_resolution)
     verts = convex_hull(_outer_pentagon_grid(config, n))
     return RegionPolytope(2, verts)
 
 
-def _require_two_user(config, grid_resolution):
+def _lattice_steps(config, grid_resolution):
+    """Steps n per axis of a two-user lattice, round(1 / grid_resolution),
+    checked before anything is allocated: (n + 1)^2 points at most."""
     if config.K != 2:
         raise DomainError("polygon export supports K=2 only")
-    if grid_resolution <= 0 or grid_resolution > 1:
+    if not 0 < grid_resolution <= 1:
         raise DomainError(f"grid resolution must be in (0, 1], got {grid_resolution!r}")
+    n = max(1, round(min(1.0 / grid_resolution, MAX_REGION_POINTS)))
+    if (n + 1) ** 2 > MAX_REGION_POINTS:
+        raise DomainError(f"grid resolution {grid_resolution!r} needs more than {MAX_REGION_POINTS} lattice points")
+    return n
 
 
 def convex_hull(points):
@@ -177,12 +201,16 @@ def convex_hull(points):
     highest points, and either above its own column's lowest point or, being
     that point too, on or above a segment joining two other lowest points,
     so it lies in the hull of the other points. The filter costs one stable
-    sort on x; a region grid of several hundred thousand candidates leaves
-    a few hundred for the chain. Every returned row is an input row, bit
-    for bit. Raises ValueError on a NaN or infinite coordinate."""
+    sort on x; a region grid of a hundred thousand candidates leaves a few
+    hundred for the chain. Above HULL_BIN_MIN_POINTS points, an O(n) pass
+    over x bins (`_binned_candidates`) first drops most of the points the
+    sort would. Every returned row is an input row, bit for bit. Raises
+    ValueError on a NaN or infinite coordinate."""
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("convex_hull needs finite coordinates")
+    if len(pts) > HULL_BIN_MIN_POINTS:
+        pts = _binned_candidates(pts)
     if len(pts) > 2:
         pts = _hull_candidates(pts)
     pts = _distinct_sorted(pts)
@@ -220,6 +248,31 @@ def convex_hull(points):
     return pts[lower[:-1] + upper[:-1]]
 
 
+def _binned_candidates(pts):
+    """The points that survive one pass over HULL_BINS equal bins of x: a
+    point is dropped when points in strictly lower bins and points in
+    strictly higher bins reach at least its height, and points on both
+    sides reach at least as low. The bin index is monotone in x, so a
+    dropped point lies in the hull of four points of other x. The highest
+    point left of any bin survives (in the lowest bin holding that height),
+    and so does the lowest, so `_hull_candidates` keeps the same points
+    after this pass as without it. A zero span, or one whose reciprocal
+    overflows, skips the pass."""
+    x, y = pts[:, 0], pts[:, 1]
+    lo = x.min()
+    with np.errstate(over="ignore", divide="ignore"):
+        span = x.max() - lo
+        inv = 1.0 / span
+    if not (np.isfinite(span) and np.isfinite(inv)):
+        return pts
+    bins = np.minimum(((x - lo) * inv * HULL_BINS).astype(np.intp), HULL_BINS - 1)
+    top = np.full(HULL_BINS, -np.inf)
+    bottom = np.full(HULL_BINS, -np.inf)
+    np.maximum.at(top, bins, y)
+    np.maximum.at(bottom, bins, -y)
+    return pts[(y > _reach(top)[bins]) | (-y > _reach(bottom)[bins])]
+
+
 def _hull_candidates(pts):
     """The lowest and highest points of each distinct x that the filter in
     `convex_hull` keeps: one stable sort on x, then the least and greatest y
@@ -238,18 +291,19 @@ def _hull_candidates(pts):
     y = pts[order, 1]
     low = np.minimum.reduceat(y, starts)
     high = np.maximum.reduceat(y, starts)
-    low_kept = _beyond_neighbours(-low)
-    high_kept = _beyond_neighbours(high)
+    low_kept = -low > _reach(-low)
+    high_kept = high > _reach(high)
     return np.column_stack([np.concatenate([x[low_kept], x[high_kept]]),
                             np.concatenate([low[low_kept], high[high_kept]])])
 
 
-def _beyond_neighbours(y):
-    """Mask of the entries strictly greater than every entry before them or
-    every entry after them."""
-    before = np.concatenate([[-np.inf], np.maximum.accumulate(y)[:-1]])
-    after = np.concatenate([np.maximum.accumulate(y[::-1])[::-1][1:], [-np.inf]])
-    return (y > before) | (y > after)
+def _reach(v):
+    """For each entry of v, the greatest entry before it or the greatest
+    after it, whichever is lower (-inf where a side is empty): an entry
+    above its reach is strictly greater than every entry on one side."""
+    before = np.concatenate([[-np.inf], np.maximum.accumulate(v)[:-1]])
+    after = np.concatenate([np.maximum.accumulate(v[::-1])[::-1][1:], [-np.inf]])
+    return np.minimum(before, after)
 
 
 def _distinct_sorted(pts):

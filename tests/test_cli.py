@@ -95,8 +95,8 @@ def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, da
     ({k: v for k, v in EX1_SNR.items() if k != "snr_dest"}, "missing config field(s): ['snr_dest']"),
     ({"snr_relay": [], "snr_dest": [], "snr_relay_dest": 2.0}, "snr_relay is empty"),
     ({"snr_relay": [6.0, 4.0], "snr_dest": [3.0], "snr_relay_dest": 2.0}, "snr_relay has 2 entries, snr_dest has 1"),
-    ({**EX1_SNR, "snr_relay": [6.0, "high"]}, "config field error: could not convert string to float: 'high'"),
-    ({**EX1, "P_r": "high"}, "config field error: could not convert string to float: 'high'"),
+    ({**EX1_SNR, "snr_relay": [6.0, "high"]}, "config field error: snr_relay[2] must be a number, got 'high'"),
+    ({**EX1, "P_r": "high"}, "config field error: P_r must be a number, got 'high'"),
     # Fields that used to be reshaped: K truncated or read as 1, strings
     # iterated character by character ("64" ran as P=(6, 4)).
     ({**EX1, "K": 2.7}, "error: K must be a positive integer, got 2.7\n"),
@@ -104,12 +104,23 @@ def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, da
     ({**EX1, "P": "64"}, "error: config field error: P must be a list of numbers, got '64'\n"),
     ({**EX1_SNR, "snr_relay": "64"}, "error: config field error: snr_relay must be a list of numbers, got '64'\n"),
     ({**EX1_SNR, "snr_dest": "32"}, "error: config field error: snr_dest must be a list of numbers, got '32'\n"),
+    # Booleans and numeric strings used to pass through float(): this config
+    # ran as P=(1, 4), P_r=4.
+    ({"P": [True, 4.0], "P_r": "4", "N_r": 1.0, "N_delta": 1.0}, "error: config field error: P[1] must be a number, got True\n"),
+    ({**EX1, "P_r": "4"}, "error: config field error: P_r must be a number, got '4'\n"),
+    ({**EX1, "N_r": True}, "error: config field error: N_r must be a number, got True\n"),
+    ({**EX1, "N_delta": None}, "error: config field error: N_delta must be a number, got None\n"),
+    ({**EX1, "N_delta": [1.0]}, "error: config field error: N_delta must be a number, got [1.0]\n"),
+    ({**EX1, "P": [6.0, [4.0]]}, "error: config field error: P[2] must be a number, got [4.0]\n"),
+    ({**EX1, "P_r": 10 ** 400}, "error: config field error: P_r is too large: int too large to convert to float\n"),
+    ({**EX1_SNR, "snr_dest": [3.0, False]}, "error: config field error: snr_dest[2] must be a number, got False\n"),
+    ({**EX1_SNR, "snr_relay_dest": "2"}, "error: config field error: snr_relay_dest must be a number, got '2'\n"),
 ])
 def test_config_errors(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
-    code, _, err = run(capsys, "sumcap", cfg)
-    assert code == 2
-    assert fragment in err
+    code, out, err = run(capsys, "sumcap", cfg)
+    assert code == 2 and out == ""
+    assert fragment in err and err.count("\n") == 1
 
 
 def test_config_parse_and_read_errors(tmp_path, capsys):
@@ -160,6 +171,11 @@ def test_region_rejects_bad_step_and_dimension(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     code, _, err = run(capsys, "region", cfg, "--step", "0")
     assert code == 2 and "step must be in" in err
+    # A step the lattice cap rejects fails before any lattice is built and
+    # before anything is printed.
+    code, out, err = run(capsys, "region", cfg, "--step", "0.0009", "--out", str(tmp_path / "r.csv"))
+    assert (code, out, err) == (2, "", "error: grid resolution 0.0009 needs more than 1048576 lattice points\n")
+    assert not list(tmp_path.glob("r*.csv"))
     cfg3 = write_config(tmp_path, {"K": 3, "P": [1.0, 1.0, 1.0], "P_r": 1.0,
                                    "N_r": 1.0, "N_delta": 1.0}, "k3.json")
     code, _, err = run(capsys, "region", cfg3)

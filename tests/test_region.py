@@ -19,8 +19,11 @@ from marc_cap import (
 from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
+    beta_star,
     bound_functions,
     df_to_correlation,
+    dest_df_table,
+    relay_df_table,
 )
 from marc_cap._kernels import compositions
 from marc_cap.region import (
@@ -109,6 +112,56 @@ def test_pentagon_candidates_keep_the_hull():
             assert hull.tobytes() == reference.tobytes() and hull.shape == reference.shape
 
 
+def _five_beta_df_grid(config, n):
+    """The decode-and-forward candidate grid before the boundary betas were
+    pruned: every lattice power split's pentagon under beta_star and under
+    each of the four boundary betas."""
+    steps = np.arange(n + 1) / n
+    alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
+    betas = [beta_star(config, alpha)] + [np.broadcast_to(b, alpha.shape) for b in region.BOUNDARY_BETAS]
+    relay = relay_df_table(config, alpha, betas[0])
+    tables = (np.minimum(relay, dest_df_table(config, alpha, beta)) for beta in betas)
+    return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
+
+
+@pytest.mark.parametrize("n", [20, 50])
+def test_pruned_df_grid_keeps_the_hull(n):
+    # A boundary beta's pentagons are built only at alpha_k = 1 where
+    # beta_k = 0; the hull of the candidates stays the same to the bit.
+    rng = np.random.default_rng(912)
+    configs = [random_config(rng, K=2, lo=0.01, hi=100.0) for _ in range(20)]
+    for config in [ChannelConfig(2, (6.0, 4.0), 4.0, 1.0, 1.0), ChannelConfig(2, (6.0, 0.4), 4.0, 1.0, 1.0), *configs]:
+        pruned = region._df_pentagon_grid(config, n)
+        full = _five_beta_df_grid(config, n)
+        assert len(pruned) < len(full)
+        hull = convex_hull(pruned)
+        assert hull.tobytes() == convex_hull(full).tobytes() and len(hull) >= 3
+
+
+def test_pruned_df_grid_size(example1):
+    # At step 0.005 the boundary betas (0, 0), (1, 0) and (0, 1) keep 1, 201
+    # and 201 of the 40,401 power splits.
+    assert len(region._df_pentagon_grid(example1, 200)) == 159_719
+    assert len(_five_beta_df_grid(example1, 200)) == 395_877
+
+
+def test_df_bounds_at_zero_beta_favour_full_alpha():
+    # Why the pruning holds in floating point: with beta_k = 0 the
+    # destination row does not depend on alpha_k, bit for bit, and the relay
+    # row does not fall as alpha_k rises.
+    rng = np.random.default_rng(913)
+    for _ in range(50):
+        config = random_config(rng, K=2, lo=0.01, hi=100.0)
+        k = rng.integers(2)
+        alpha = np.repeat(rng.uniform(size=(1, 2)), 40, axis=0)
+        alpha[:, k] = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=38)]))
+        beta = np.zeros((40, 2))
+        beta[:, 1 - k] = rng.choice([0.0, 0.5, 1.0, rng.uniform()])
+        dest = dest_df_table(config, alpha, beta)
+        assert (dest.view(np.int64) == dest[:1].view(np.int64)).all()
+        assert (np.diff(relay_df_table(config, alpha, beta), axis=0) >= 0.0).all()
+
+
 def test_build_intersection_example1_zero_correlation(example1):
     poly = build_intersection(example1, CorrelationVector((0.0, 0.0)))
     assert poly.K == 2
@@ -181,6 +234,16 @@ def test_region_builder_validation(example1, example3):
         build_outer_region(example1, 0.0)
     with pytest.raises(DomainError, match="grid resolution"):
         build_df_region(example1, 1.5)
+    with pytest.raises(DomainError, match="grid resolution"):
+        build_df_region(example1, float("nan"))
+    # The lattice is capped before it is allocated: (n + 1)^2 points at most,
+    # so n = 1023 is the finest lattice (checked here without building it).
+    assert region.MAX_REGION_POINTS == 1024 ** 2
+    assert region._lattice_steps(example1, 1 / 1023) == 1023
+    for step in (1 / 1024, 1e-4, 5e-324):
+        for build in (build_df_region, build_outer_region):
+            with pytest.raises(DomainError, match=f"grid resolution {step!r} needs more than 1048576 lattice points"):
+                build(example1, step)
 
 
 def test_convex_hull_knowns():
@@ -277,6 +340,50 @@ def test_hull_filter_matches_the_chain_alone(monkeypatch):
         np.testing.assert_array_equal(hull, convex_hull(np.unique(pts, axis=0)), strict=True)
         rows = {row.tobytes() for row in pts}
         assert all(row.tobytes() in rows for row in hull)
+
+
+def _large_sets(rng):
+    # Sets above the threshold of the binned pass, each with whether the
+    # pass is skipped: x ties, 0.0 mixed with -0.0, a quarter disc like the
+    # region grids, and spans of zero, or whose reciprocal overflows.
+    n = region.HULL_BIN_MIN_POINTS + 1000
+    yield rng.normal(size=(n, 2)), False
+    yield rng.integers(-300, 301, size=(n, 2)).astype(float), False
+    yield rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, 2)) + [0.0, 1.0] * rng.normal(size=(n, 1)), False
+    t, r = rng.uniform(0.0, np.pi / 2, n), np.sqrt(rng.uniform(size=n))
+    yield np.stack([r * np.cos(t), r * np.sin(t)], axis=1), False
+    yield np.stack([rng.uniform(-1.0, 1.0, n) * 1e-300, rng.normal(size=n)], axis=1), False
+    yield rng.choice([-0.0, 0.0], size=(n, 2)) + [0.0, 1.0] * rng.normal(size=(n, 1)), True
+    yield rng.uniform(-1.0, 1.0, size=(n, 2)) * 1.7e308, True
+    yield np.stack([rng.integers(-2000, 2001, n) * 5e-324, rng.normal(size=n)], axis=1), True
+
+
+def test_binned_pass_matches_the_chain_alone(monkeypatch):
+    # The binned pass drops only points that `_hull_candidates` drops too,
+    # so the candidates, and the hull, are the same with it as without it:
+    # the monotone chain run on every distinct point.
+    sets, skipped = zip(*_large_sets(np.random.default_rng(608)))
+    hulls = [convex_hull(pts) for pts in sets]
+    for pts, skip in zip(sets, skipped):
+        binned = region._binned_candidates(pts)
+        assert len(binned) == len(pts) if skip else len(binned) < len(pts) / 2
+        same = region._hull_candidates(binned)
+        assert same.tobytes() == region._hull_candidates(pts).tobytes()
+    monkeypatch.setattr(region, "_binned_candidates", lambda pts: pts)
+    monkeypatch.setattr(region, "_hull_candidates", lambda pts: pts)
+    for pts, hull in zip(sets, hulls):
+        np.testing.assert_array_equal(hull, convex_hull(np.unique(pts, axis=0)), strict=True)
+
+
+def test_small_hulls_skip_the_binned_pass(monkeypatch):
+    # Hulls of at most HULL_BIN_MIN_POINTS points, like the many pentagon
+    # hulls, do not pay for the pass.
+    calls = []
+    monkeypatch.setattr(region, "_binned_candidates", lambda pts: calls.append(len(pts)) or pts)
+    convex_hull(np.random.default_rng(1).normal(size=(region.HULL_BIN_MIN_POINTS, 2)))
+    assert calls == []
+    convex_hull(np.random.default_rng(1).normal(size=(region.HULL_BIN_MIN_POINTS + 1, 2)))
+    assert calls == [region.HULL_BIN_MIN_POINTS + 1]
 
 
 @pytest.mark.parametrize("axis", [0, 1])
