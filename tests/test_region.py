@@ -125,12 +125,12 @@ def _five_beta_df_grid(config, n):
 
 
 @pytest.mark.parametrize("n", [20, 50])
-def test_pruned_df_grid_keeps_the_hull(n):
+def test_pruned_df_grid_keeps_the_hull(n, example1, example2):
     # A boundary beta's pentagons are built only at alpha_k = 1 where
     # beta_k = 0; the hull of the candidates stays the same to the bit.
     rng = np.random.default_rng(912)
     configs = [random_config(rng, K=2, lo=0.01, hi=100.0) for _ in range(20)]
-    for config in [ChannelConfig(2, (6.0, 4.0), 4.0, 1.0, 1.0), ChannelConfig(2, (6.0, 0.4), 4.0, 1.0, 1.0), *configs]:
+    for config in [example1, example2, *configs]:
         pruned = region._df_pentagon_grid(config, n)
         full = _five_beta_df_grid(config, n)
         assert len(pruned) < len(full)
