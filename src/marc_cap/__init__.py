@@ -18,7 +18,6 @@ from .polymatroid import (
     IntersectionOutcome,
     SubsetFunction,
     certify,
-    classify_two_user,
     intersection_max_sum,
     vertex_enumeration,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_outer_region",
     "certify",
     "chord_check",
-    "classify_two_user",
     "df_to_correlation",
     "dominance_check",
     "gamma_rule_outer",

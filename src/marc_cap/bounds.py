@@ -5,9 +5,10 @@ source-relay correlation vector gamma; decode-and-forward (inner) bounds are
 parameterized by a power split (alpha, beta). Every bound is a per-subset
 rate ceiling. Each family is written once, as a table: a batch of (n, K)
 parameter rows evaluated over all 2^K subsets, an (n, 2^K) array indexed by
-subset bitmask. The region grids and the scans read these tables;
-bound_functions is their one-row view, the SubsetFunction pair of one
-parameter choice for the polymatroid engine.
+subset bitmask. family_tables, the one evaluator, checks the rows and gives
+a family's (dest, relay) pair; bound_functions is its one-row view, the
+SubsetFunction pair of one parameter choice for the polymatroid engine. The
+parameter objects check their domain with the same row checks.
 """
 
 import math
@@ -37,11 +38,7 @@ class CorrelationVector:
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma)
-        for k, x in enumerate(g):
-            if not (-DOMAIN_TOL <= x <= 1.0 + DOMAIN_TOL):
-                raise DomainError(f"gamma[{k + 1}]={x!r} outside [0, 1]")
-        if sum(g) > 1.0 + DOMAIN_TOL:
-            raise DomainError(f"sum(gamma)={sum(g)!r} exceeds 1")
+        _correlation_rows([g], len(g))
         object.__setattr__(self, "gamma", g)
 
     def vector(self):
@@ -66,22 +63,19 @@ class DfPowerSplit:
         b = tuple(float(x) for x in self.beta)
         if len(a) != len(b):
             raise DomainError(f"alpha has {len(a)} entries, beta has {len(b)}")
-        for k, x in enumerate(a):
-            if not (-DOMAIN_TOL <= x <= 1.0 + DOMAIN_TOL):
-                raise DomainError(f"alpha[{k + 1}]={x!r} outside [0, 1]")
-        for k, x in enumerate(b):
-            if x < -DOMAIN_TOL:
-                raise DomainError(f"beta[{k + 1}]={x!r} negative")
-        if sum(b) > 1.0 + DOMAIN_TOL:
-            raise DomainError(f"sum(beta)={sum(b)!r} exceeds 1")
+        _split_rows([a], [b], len(a))
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
-    def alpha_vector(self):
-        return np.clip(np.asarray(self.alpha, dtype=np.float64), 0.0, 1.0)
 
-    def beta_vector(self):
-        return np.maximum(np.asarray(self.beta, dtype=np.float64), 0.0)
+def prechecked(cls, **fields):
+    """A CorrelationVector or DfPowerSplit of fields (tuples of floats) that
+    family_tables has checked, built without its constructor's row checks:
+    a scan builds thousands from one batch, and numpy checks them slowly."""
+    params = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+    return params
 
 
 def full_mask(K):
@@ -121,7 +115,8 @@ def _unit_rows(X, K, name):
 
 
 def _check_mass(X, name):
-    mass = sum(X.T)
+    # Added in index order from zeros, so rows of no entries (K = 0) have mass 0.
+    mass = sum(X.T, np.zeros(len(X)))
     bad = mass > 1.0 + DOMAIN_TOL
     if bad.any():
         raise DomainError(f"sum({name})={float(mass[bad][0])!r} exceeds 1")
@@ -135,7 +130,7 @@ def _correlation_rows(gamma, K):
 
 
 def _split_rows(alpha, beta, K):
-    """Validated power-split rows, clipped like DfPowerSplit's vectors."""
+    """Validated power-split rows, alpha clipped to [0, 1], beta floored at 0."""
     A = _unit_rows(alpha, K, "alpha")
     B = _unit_rows(beta, K, "beta")
     if A.shape != B.shape:
@@ -234,28 +229,6 @@ def _dest_df(config, A, B):
     return _rates(snr / config.N_d, power, config.N_d)
 
 
-def relay_cutset_table(config, gamma):
-    """Relay cutset bounds of each correlation row over all subsets."""
-    return _relay_cutset(config, _correlation_rows(gamma, config.K))
-
-
-def dest_cutset_table(config, gamma):
-    """Destination cutset bounds of each correlation row over all subsets."""
-    return _dest_cutset(config, _correlation_rows(gamma, config.K))
-
-
-def relay_df_table(config, alpha, beta):
-    """Relay decode-and-forward bounds of each power-split row over all
-    subsets (beta only has its domain checked)."""
-    return _relay_df(config, *_split_rows(alpha, beta, config.K))
-
-
-def dest_df_table(config, alpha, beta):
-    """Destination decode-and-forward bounds of each power-split row over
-    all subsets."""
-    return _dest_df(config, *_split_rows(alpha, beta, config.K))
-
-
 def family_tables(config, family, rows, beta=None):
     """The (dest, relay) bound tables of one family over a batch of
     parameter rows: correlations for 'outer', alphas for 'inner', with the
@@ -292,9 +265,8 @@ def check_mask(S, K):
 
 def df_to_correlation(split):
     """Correlation vector induced by a power split: gamma_k = (1-alpha_k)*beta_k."""
-    a = split.alpha_vector()
-    b = split.beta_vector()
-    return CorrelationVector(tuple((1.0 - a) * b))
+    a, b = _split_rows([split.alpha], [split.beta], len(split.alpha))
+    return CorrelationVector(tuple((1.0 - a[0]) * b[0]))
 
 
 def beta_star(config, alpha):

@@ -21,10 +21,8 @@ from .bounds import (
     DomainError,
     beta_star,
     bound_functions,
-    dest_cutset_table,
-    dest_df_table,
+    family_tables,
     full_mask,
-    relay_df_table,
     relay_sum_snr,
     subset_label,
 )
@@ -196,20 +194,22 @@ def cmd_region(args):
     if config.K != 2:
         raise UnsupportedError(f"region export requires K=2, got K={config.K}")
     names = ("inner", "outer") if args.bound == "both" else (args.bound,)
-    # Both polygons are built before anything is printed, so a step the
-    # lattice cap rejects leaves stdout empty.
+    # Both polygons are built and written before anything is printed, so a
+    # step the lattice cap rejects or an unwritable path leaves stdout empty.
     polys = [(build_df_region if name == "inner" else build_outer_region)(config, args.step) for name in names]
     params = {"bound": args.bound, "step": args.step, "out": str(args.out)}
     digest = _manifest_digest("region", args.config, config, params)
-    print(f"# manifest {digest}")
-    print(_config_line(config))
     out = Path(args.out)
+    report = [f"# manifest {digest}", _config_line(config)]
     for name, poly in zip(names, polys):
         path = out if len(names) == 1 else out.with_suffix(f".{name}.csv")
-        lines = [f"# manifest {digest}", "R1,R2"]
-        lines.extend(f"{v[0]:.17g},{v[1]:.17g}" for v in poly.vertices)
-        path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path} bound={name} vertices={len(poly.vertices)}")
+        lines = [f"# manifest {digest}", "R1,R2", *(f"{v[0]:.17g},{v[1]:.17g}" for v in poly.vertices)]
+        try:
+            path.write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        report.append(f"wrote {path} bound={name} vertices={len(poly.vertices)}")
+    print("\n".join(report))
     return 0
 
 
@@ -356,7 +356,7 @@ def _verify_chords(config, args):
     # Each check maps a batch of rows to one value per row. The sum-statistic
     # check evaluates bounds.relay_sum_snr, apart from the bound tables.
     checks = [
-        ("dest-cut-full", lambda G: dest_cutset_table(config, G)[:, full], gamma_sampler(config, seed)),
+        ("dest-cut-full", lambda G: family_tables(config, "outer", G)[0][:, full], gamma_sampler(config, seed)),
         (
             "relay-cut-sumstat",
             lambda X: np.vectorize(awgn_capacity)(relay_sum_snr(config, X[:, 0])),
@@ -364,12 +364,12 @@ def _verify_chords(config, args):
         ),
         (
             "dest-df-full",
-            lambda V: dest_df_table(config, V[:, :K], V[:, K:])[:, full],
+            lambda V: family_tables(config, "inner", V[:, :K], V[:, K:])[0][:, full],
             split_sampler(config, seed + 2),
         ),
         (
             "relay-df-full",
-            lambda V: relay_df_table(config, V[:, :K], V[:, K:])[:, full],
+            lambda V: family_tables(config, "inner", V[:, :K], V[:, K:])[1][:, full],
             split_sampler(config, seed + 3),
         ),
     ]
@@ -409,6 +409,8 @@ def cmd_verify(args):
     config = load_config(args.config)
     if args.n < config.K + 1:
         raise InputError(f"--n must be at least K + 1 = {config.K + 1}, got {args.n}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     params = {"suite": args.suite, "seed": args.seed, "n": args.n, "negative_control": args.with_negative_control}
     digest = _manifest_digest("verify", args.config, config, params)
     print(f"# manifest {digest}")

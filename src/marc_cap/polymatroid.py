@@ -159,18 +159,12 @@ def intersection_max_sum(f1, f2):
 
 
 def _two_user_case(f1, f2, kind, argmin):
+    """Intersection case label for two sources: '1'/'2' inactive (by which
+    source is rate-limited at the first bound), '3a'/'3b'/'3c' active (by
+    which full sum-rate plane is lower)."""
     if kind == INACTIVE:
         return "1" if argmin == 0b10 else "2"
     d = f1.full() - f2.full()
     if abs(d) <= TIE_TOL:
         return "3b"
     return "3a" if d < 0 else "3c"
-
-
-def classify_two_user(f1, f2):
-    """Intersection case label for two sources: '1'/'2' inactive (by which
-    source is rate-limited at the first bound), '3a'/'3b'/'3c' active (by
-    which full sum-rate plane is lower)."""
-    if f1.K != 2 or f2.K != 2:
-        raise ValueError("case labels are defined for K=2 only")
-    return intersection_max_sum(f1, f2).two_user_case

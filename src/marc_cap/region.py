@@ -11,11 +11,8 @@ from ._kernels import compositions
 from .bounds import (
     CorrelationVector,
     DomainError,
-    beta_star,
     bound_functions,
-    dest_df_table,
     family_tables,
-    relay_df_table,
 )
 
 # Relative orientation epsilon for the planar hull. A chain point a between
@@ -36,10 +33,6 @@ HULL_BIN_MIN_POINTS = 16 * HULL_BINS
 # above the import for n = 500), so about 400 MB at the cap.
 MAX_REGION_POINTS = 1 << 20
 
-# Relay power splits probed alongside the destination-optimal one when
-# sweeping the two-user decode-and-forward region.
-BOUNDARY_BETAS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
-
 
 @dataclass(frozen=True)
 class TimeSharingMixture:
@@ -55,11 +48,12 @@ class TimeSharingMixture:
         K = len(pts[0][0].gamma)
         if len(pts) > K + 1:
             raise DomainError(f"{len(pts)} mixture points exceed the cap of K+1={K + 1}")
+        # Written so that a NaN weight or total fails them.
         for _, w in pts:
-            if w < -1e-12:
+            if not w >= -1e-12:
                 raise DomainError(f"negative mixture weight {w!r}")
         total = sum(w for _, w in pts)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise DomainError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "points", pts)
 
@@ -108,22 +102,19 @@ def build_intersection(config, params):
 
 
 def _df_pentagon_grid(config, n):
-    """Candidate vertices of every lattice power split's intersection.
+    """Candidate vertices of every lattice power split's intersection under
+    beta_star and under the even relay split (0.5, 0.5).
 
-    A boundary beta with beta_k = 0 is taken only at alpha_k = 1: there the
-    destination bound does not depend on alpha_k (its coherent term is
-    sqrt(0) = 0), and the relay bound only rises in alpha_k, so that
-    pentagon contains every other one on its line, bit for bit."""
+    A split with beta_k = 0 adds none: the destination bound then does not
+    depend on alpha_k (its coherent term is sqrt(0)) and the relay bound
+    only rises in it, so its pentagon at alpha_k = 1 holds the others on its
+    line, and there beta_star is that split bit for bit ((1.0, 0.0) at
+    alpha = (a, 1) as w/w and 0/w; at (1, 1) the zero split, whose pentagon
+    holds those of (1, 0) and (0, 1))."""
     steps = np.arange(n + 1) / n
     alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
-    # The relay bound does not depend on beta.
-    split = beta_star(config, alpha)
-    relay = relay_df_table(config, alpha, split)
-    parts = [(alpha, split, relay)]
-    for b in BOUNDARY_BETAS:
-        keep = (alpha[:, np.equal(b, 0.0)] == steps[-1]).all(axis=1)
-        parts.append((alpha[keep], np.broadcast_to(b, (keep.sum(), 2)), relay[keep]))
-    tables = (np.minimum(rel, dest_df_table(config, a, beta)) for a, beta, rel in parts)
+    even = np.full(alpha.shape, 0.5)
+    tables = (np.minimum(*family_tables(config, "inner", alpha, beta)) for beta in (None, even))
     return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
 
 

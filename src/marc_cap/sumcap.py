@@ -23,6 +23,7 @@ from .bounds import (
     dest_sum_snr,
     family_tables,
     k_coefficients,
+    prechecked,
     relay_sum_snr,
 )
 from .channel import awgn_capacity
@@ -184,9 +185,11 @@ def gamma_rule_outer(config, solution, gamma):
 
 
 def _rules(config, family, rows):
+    # family_tables has checked the rows and their beta_star.
     if family == "inner":
-        return [DfPowerSplit(tuple(a), tuple(b)) for a, b in zip(rows.tolist(), beta_star(config, rows).tolist())]
-    return [CorrelationVector(tuple(g)) for g in rows.tolist()]
+        pairs = zip(rows.tolist(), beta_star(config, rows).tolist())
+        return [prechecked(DfPowerSplit, alpha=tuple(a), beta=tuple(b)) for a, b in pairs]
+    return [prechecked(CorrelationVector, gamma=tuple(g)) for g in rows.tolist()]
 
 
 def _check_resolution(resolution):

@@ -12,10 +12,7 @@ from .bounds import (
     CorrelationVector,
     beta_star,
     check_mask,
-    dest_cutset_table,
-    dest_df_table,
-    relay_cutset_table,
-    relay_df_table,
+    family_tables,
     subset_indices,
 )
 from .channel import awgn_capacity, validate
@@ -280,11 +277,12 @@ def dominance_check(config, trials=500, seed=0):
     K = config.K
     rows = split_sampler(config, seed)(trials)
     alpha, beta = rows[:, :K], rows[:, K:]
-    inner = dest_df_table(config, alpha, beta)
-    outer = dest_cutset_table(config, (1.0 - alpha) * beta)
+    # The relay decode-and-forward bound does not depend on beta.
+    inner, relay_df = family_tables(config, "inner", alpha, beta)
+    outer = family_tables(config, "outer", (1.0 - alpha) * beta)[0]
     star = beta_star(config, alpha)
-    relay_outer = relay_cutset_table(config, (1.0 - alpha) * star)[:, -1]
-    relay_inner = relay_df_table(config, alpha, star)[:, -1]
+    relay_outer = family_tables(config, "outer", (1.0 - alpha) * star)[1][:, -1]
+    relay_inner = relay_df[:, -1]
     # Per trial: destination gaps for subsets 1..2^K-1, then the relay gap.
     gaps = np.column_stack([(inner - outer)[:, 1:], np.abs(relay_outer - relay_inner)]).ravel()
     failed = np.flatnonzero(gaps > EQUALITY_TOL)

@@ -18,14 +18,10 @@ from marc_cap import (
 )
 from marc_cap import ChannelConfig
 from marc_cap.bounds import (
-    dest_cutset_table,
-    dest_df_table,
     dest_sum_snr,
     family_tables,
     full_mask,
     k_coefficients,
-    relay_cutset_table,
-    relay_df_table,
     relay_sum_snr,
     subset_indices,
 )
@@ -146,6 +142,23 @@ def test_beta_star_no_cooperation_gives_zero_split(example1):
     assert np.array_equal(beta_star(example1, (1.0, 1.0)), [0.0, 0.0])
 
 
+def test_beta_star_is_exact_where_one_source_keeps_all_its_power():
+    # At alpha_k = 1 source k commits nothing to cooperation, and the split
+    # is (1, 0), (0, 1) or (0, 0) bit for bit: the region grid builds no
+    # separate pentagon for those relay splits.
+    rng = np.random.default_rng(14)
+    steps = np.arange(201) / 200
+    for _ in range(20):
+        config = random_config(rng, K=2, lo=0.01, hi=100.0)
+        for k in range(2):
+            alpha = np.ones((len(steps), 2))
+            alpha[:, 1 - k] = steps
+            star = beta_star(config, alpha)
+            expect = np.zeros_like(alpha)
+            expect[:-1, 1 - k] = 1.0
+            assert star.tobytes() == expect.tobytes()
+
+
 def test_beta_star_maximizes_dest_bound(example1):
     alpha = (0.7, 0.4)
     star = DfPowerSplit(alpha, tuple(beta_star(example1, alpha)))
@@ -248,6 +261,20 @@ def test_power_split_validation():
         DfPowerSplit((0.5, 0.5), (0.6, 0.5))
     with pytest.raises(DomainError, match="entries"):
         DfPowerSplit((0.5, 0.5), (0.5,))
+    # NaN fails the row checks the bound tables apply.
+    with pytest.raises(DomainError, match="beta\\[1\\]=nan outside \\[0, 1\\]"):
+        DfPowerSplit((0.5, 0.5), (float("nan"), 0.0))
+    with pytest.raises(DomainError, match="alpha\\[2\\]=nan"):
+        DfPowerSplit((0.5, float("nan")), (0.0, 0.0))
+    with pytest.raises(DomainError, match="gamma\\[1\\]=nan"):
+        CorrelationVector((float("nan"), 0.0))
+
+
+def test_parameter_objects_with_no_sources():
+    # K=0 objects pass the row checks (an empty row has mass 0).
+    assert CorrelationVector(()).gamma == ()
+    split = DfPowerSplit((), ())
+    assert (split.alpha, split.beta) == ((), ())
 
 
 def _table_rows(rng, K, n):
@@ -268,19 +295,13 @@ def test_tables_are_batch_invariant():
         for _ in range(3):
             config = random_config(rng, K)
             gamma, alpha, beta = _table_rows(rng, K, 40)
-            tables = (
-                (relay_cutset_table, (gamma,)),
-                (dest_cutset_table, (gamma,)),
-                (relay_df_table, (alpha, beta)),
-                (dest_df_table, (alpha, beta)),
-            )
-            for table, rows in tables:
-                batch = table(config, *rows)
-                assert batch.shape == (40, 1 << K)
-                assert np.all(batch[:, 0] == 0.0)
-                for i in range(40):
-                    alone = table(config, *(r[i : i + 1] for r in rows))
-                    assert np.array_equal(alone[0], batch[i]), (table.__name__, K, i)
+            for family, rows in (("outer", (gamma,)), ("inner", (alpha, beta))):
+                for side, batch in enumerate(family_tables(config, family, *rows)):
+                    assert batch.shape == (40, 1 << K)
+                    assert np.all(batch[:, 0] == 0.0)
+                    for i in range(40):
+                        alone = family_tables(config, family, *(r[i : i + 1] for r in rows))[side]
+                        assert np.array_equal(alone[0], batch[i]), (family, side, K, i)
 
 
 def test_scalar_bounds_and_builders_are_table_entries():
@@ -289,16 +310,12 @@ def test_scalar_bounds_and_builders_are_table_entries():
         config = random_config(rng, K)
         gamma, alpha, beta = _table_rows(rng, K, 5)
         # The family pairs, destination first; the inner beta defaults to beta_star.
-        star = beta_star(config, alpha)
         outer, inner = family_tables(config, "outer", gamma), family_tables(config, "inner", alpha, beta)
-        pairs = (
-            (outer, dest_cutset_table(config, gamma), relay_cutset_table(config, gamma)),
-            (inner, dest_df_table(config, alpha, beta), relay_df_table(config, alpha, beta)),
-            (family_tables(config, "inner", alpha),
-             dest_df_table(config, alpha, star), relay_df_table(config, alpha, star)),
-        )
-        for (dest, relay), dest_table, relay_table in pairs:
-            assert np.array_equal(dest, dest_table) and np.array_equal(relay, relay_table)
+        star = family_tables(config, "inner", alpha, beta_star(config, alpha))
+        for default, explicit in zip(family_tables(config, "inner", alpha), star):
+            assert default.tobytes() == explicit.tobytes()
+        # The relay decode-and-forward bound does not depend on beta.
+        assert inner[1].tobytes() == star[1].tobytes()
         with pytest.raises(DomainError, match="unknown family 'sideways'"):
             family_tables(config, "sideways", gamma)
         # bound_functions is the one-row view, bit for bit.
@@ -317,13 +334,9 @@ def test_family_builders_tabulate_all_subsets(example1):
     split = DfPowerSplit((0.9, 0.8), (0.5, 0.5))
     fd, fr = bound_functions(example1, gamma)
     gd, gr = bound_functions(example1, split)
-    rows = (
-        (fr, relay_cutset_table(example1, [gamma.gamma])[0]),
-        (fd, dest_cutset_table(example1, [gamma.gamma])[0]),
-        (gr, relay_df_table(example1, [split.alpha], [split.beta])[0]),
-        (gd, dest_df_table(example1, [split.alpha], [split.beta])[0]),
-    )
-    for f, row in rows:
+    dest, relay = family_tables(example1, "outer", [gamma.gamma])
+    dest_df, relay_df = family_tables(example1, "inner", [split.alpha], [split.beta])
+    for f, row in ((fr, relay[0]), (fd, dest[0]), (gr, relay_df[0]), (gd, dest_df[0])):
         assert [f(mask) for mask in range(4)] == row.tolist()
     assert fr(0b01) == pytest.approx(RELAY_1_CAP, rel=1e-15)
     assert fd(0b01) == pytest.approx(DEST_1_CAP, rel=1e-15)
@@ -356,17 +369,17 @@ def test_coercion_helpers(example1):
 
 def test_tables_check_the_parameter_domain(example1):
     with pytest.raises(DomainError, match="gamma\\[2\\]"):
-        relay_cutset_table(example1, [[0.2, 0.1], [0.2, -0.1]])
+        family_tables(example1, "outer", [[0.2, 0.1], [0.2, -0.1]])
     with pytest.raises(DomainError, match="sum\\(gamma\\)"):
-        dest_cutset_table(example1, [[0.6, 0.5]])
+        family_tables(example1, "outer", [[0.6, 0.5]])
     with pytest.raises(DomainError, match="alpha\\[1\\]"):
-        relay_df_table(example1, [[1.5, 0.5]], [[0.5, 0.5]])
+        family_tables(example1, "inner", [[1.5, 0.5]], [[0.5, 0.5]])
     with pytest.raises(DomainError, match="beta\\[2\\]"):
-        dest_df_table(example1, [[0.5, 0.5]], [[0.5, -0.5]])
+        family_tables(example1, "inner", [[0.5, 0.5]], [[0.5, -0.5]])
     with pytest.raises(DomainError, match="sum\\(beta\\)"):
-        dest_df_table(example1, [[0.5, 0.5]], [[0.6, 0.5]])
+        family_tables(example1, "inner", [[0.5, 0.5]], [[0.6, 0.5]])
     with pytest.raises(DomainError, match="shape"):
-        dest_cutset_table(example1, [[0.1, 0.1, 0.1]])
+        family_tables(example1, "outer", [[0.1, 0.1, 0.1]])
 
 
 def test_relay_cutset_clamps_dust_relative_to_power():
@@ -387,7 +400,7 @@ def test_relay_cutset_is_zero_when_relay_and_complement_reveal_the_subset():
     # mass 1 gave f({1}) = 2.529591 > f({1,4}) = 2.529373.
     config = ChannelConfig(4, (32.34, 26.65, 1.404, 22.90), 1.0, 1.0, 1.0)
     gamma = (1.4183247616826562e-13, 0.11188383521682158, 0.888112018377207, 4.1464058295309335e-06)
-    row = relay_cutset_table(config, [gamma])[0]
+    row = family_tables(config, "outer", [gamma])[1][0]
     assert row[0b0001] == 0.0
     assert row[0b1001] == pytest.approx(2.529373, abs=5e-7)
     for S in range(16):

@@ -182,6 +182,16 @@ def test_region_rejects_bad_step_and_dimension(tmp_path, capsys):
     assert code == 3 and "requires K=2" in err
 
 
+@pytest.mark.parametrize("bound", ["inner", "both"])
+def test_region_reports_an_unwritable_path(tmp_path, capsys, bound):
+    cfg = write_config(tmp_path, EX1)
+    out = tmp_path / "missing" / "r.csv"
+    code, stdout, err = run(capsys, "region", cfg, "--bound", bound, "--step", "0.25", "--out", str(out))
+    path = out if bound == "inner" else out.with_suffix(".inner.csv")
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_classify_alpha_full_rule(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     code, out, _ = run(capsys, "classify", cfg, "--alpha", "0.9,0.9")
@@ -294,6 +304,13 @@ def test_verify_rejects_fewer_samples_than_regressors(tmp_path, capsys, n):
     code, out, err = run(capsys, "verify", cfg, "--suite", "mc", "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: --n must be at least K + 1 = 3, got {n}\n"
+
+
+@pytest.mark.parametrize("suite", ["mc", "chords", "dominance", "all"])
+def test_verify_rejects_a_negative_seed(tmp_path, capsys, suite):
+    cfg = write_config(tmp_path, EX1)
+    code, out, err = run(capsys, "verify", cfg, "--suite", suite, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be non-negative, got -1\n")
 
 
 def test_verify_mc_runs_at_the_smallest_sample_count(tmp_path, capsys):

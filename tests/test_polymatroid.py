@@ -16,7 +16,6 @@ from marc_cap import (
     bound_functions,
     build_intersection,
     certify,
-    classify_two_user,
     intersection_max_sum,
     solve_equalizer,
     vertex_enumeration,
@@ -189,7 +188,6 @@ def test_two_user_cases(f1_vals, f2_vals, kind, argmin, case):
     assert outcome.kind == kind
     assert outcome.argmin_subset == argmin
     assert outcome.two_user_case == case
-    assert classify_two_user(square(f1_vals), square(f2_vals)) == case
 
 
 def test_tie_between_split_and_full_classifies_active():
@@ -202,8 +200,6 @@ def test_tie_between_split_and_full_classifies_active():
 def test_case_labels_limited_to_two_users():
     f3 = SubsetFunction(3, np.arange(8.0) * 0.0)
     assert intersection_max_sum(f3, f3).two_user_case is None
-    with pytest.raises(ValueError, match="K=2"):
-        classify_two_user(f3, f3)
 
 
 def test_example2_in_interval_rule_is_active(example2):

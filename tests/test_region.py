@@ -22,8 +22,7 @@ from marc_cap.bounds import (
     beta_star,
     bound_functions,
     df_to_correlation,
-    dest_df_table,
-    relay_df_table,
+    family_tables,
 )
 from marc_cap._kernels import compositions
 from marc_cap.region import (
@@ -115,19 +114,19 @@ def test_pentagon_candidates_keep_the_hull():
 def _five_beta_df_grid(config, n):
     """The decode-and-forward candidate grid before the boundary betas were
     pruned: every lattice power split's pentagon under beta_star and under
-    each of the four boundary betas."""
+    each of four boundary betas, written here rather than read from region."""
     steps = np.arange(n + 1) / n
     alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
-    betas = [beta_star(config, alpha)] + [np.broadcast_to(b, alpha.shape) for b in region.BOUNDARY_BETAS]
-    relay = relay_df_table(config, alpha, betas[0])
-    tables = (np.minimum(relay, dest_df_table(config, alpha, beta)) for beta in betas)
+    boundary = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+    betas = [beta_star(config, alpha)] + [np.broadcast_to(b, alpha.shape) for b in boundary]
+    tables = (np.minimum(*family_tables(config, "inner", alpha, beta)) for beta in betas)
     return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
 
 
 @pytest.mark.parametrize("n", [20, 50])
 def test_pruned_df_grid_keeps_the_hull(n, example1, example2):
-    # A boundary beta's pentagons are built only at alpha_k = 1 where
-    # beta_k = 0; the hull of the candidates stays the same to the bit.
+    # The grid builds only the beta_star and (0.5, 0.5) pentagons; the hull
+    # of the candidates stays the same to the bit.
     rng = np.random.default_rng(912)
     configs = [random_config(rng, K=2, lo=0.01, hi=100.0) for _ in range(20)]
     for config in [example1, example2, *configs]:
@@ -139,9 +138,9 @@ def test_pruned_df_grid_keeps_the_hull(n, example1, example2):
 
 
 def test_pruned_df_grid_size(example1):
-    # At step 0.005 the boundary betas (0, 0), (1, 0) and (0, 1) keep 1, 201
-    # and 201 of the 40,401 power splits.
-    assert len(region._df_pentagon_grid(example1, 200)) == 159_719
+    # At step 0.005 the grid builds the pentagons of beta_star and (0.5, 0.5)
+    # over the 40,401 power splits, none of (0, 0), (1, 0) and (0, 1).
+    assert len(region._df_pentagon_grid(example1, 200)) == 158_990
     assert len(_five_beta_df_grid(example1, 200)) == 395_877
 
 
@@ -157,9 +156,9 @@ def test_df_bounds_at_zero_beta_favour_full_alpha():
         alpha[:, k] = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=38)]))
         beta = np.zeros((40, 2))
         beta[:, 1 - k] = rng.choice([0.0, 0.5, 1.0, rng.uniform()])
-        dest = dest_df_table(config, alpha, beta)
+        dest, relay = family_tables(config, "inner", alpha, beta)
         assert (dest.view(np.int64) == dest[:1].view(np.int64)).all()
-        assert (np.diff(relay_df_table(config, alpha, beta), axis=0) >= 0.0).all()
+        assert (np.diff(relay, axis=0) >= 0.0).all()
 
 
 def test_build_intersection_example1_zero_correlation(example1):
@@ -536,6 +535,11 @@ def test_mixture_validation():
         TimeSharingMixture(((v, 0.5), (v, 0.4)))
     with pytest.raises(DomainError, match="negative mixture weight"):
         TimeSharingMixture(((v, 1.5), (v, -0.5)))
+    # Non-finite weights fail here rather than in the hull.
+    with pytest.raises(DomainError, match="negative mixture weight nan"):
+        TimeSharingMixture(((v, float("nan")), (v, 1.0)))
+    with pytest.raises(DomainError, match="sum to inf"):
+        TimeSharingMixture(((v, float("inf")), (v, 0.0)))
     mix = TimeSharingMixture(((v, 0.5), ((0.0, 0.0), 0.5)))
     assert all(isinstance(vec, CorrelationVector) for vec, _ in mix.points)
 

@@ -497,3 +497,17 @@ def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
         assert ACTIVE in kinds
         assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
         assert kinds == [intersection_max_sum(*bound_functions(example3, rule)).kind for rule, _ in scan.samples]
+
+
+def test_scan_samples_equal_checked_objects(example1, example3):
+    # The scans build their sample objects without the constructors' checks;
+    # each equals the object its constructor builds from the same fields.
+    for config in (example1, example3):
+        sol = solve_equalizer(config)
+        for family in ("inner", "outer"):
+            for rule, _ in scan_active_rules(config, sol, family=family).samples:
+                cls = type(rule)
+                assert cls in (DfPowerSplit, CorrelationVector)
+                fields = (rule.alpha, rule.beta) if cls is DfPowerSplit else (rule.gamma,)
+                assert all(type(x) is float for field in fields for x in field)
+                assert cls(*fields) == rule

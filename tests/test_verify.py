@@ -20,7 +20,7 @@ from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
     bound_functions,
-    relay_cutset_table,
+    family_tables,
 )
 from marc_cap.verify import (
     CHORD_TOL,
@@ -106,7 +106,7 @@ def test_mc_mode2_subnormal_correlation_counts_as_zero():
     gamma = (5e-324, 0.0, 1.0)
     rep = mc_relay_conditional_variance(config, gamma, 0b001, mode=2, n=20000, seed=1)
     assert rep.target == 1.5
-    table_snr = 2.0 ** (2.0 * relay_cutset_table(config, [gamma])[0, 0b001]) - 1.0
+    table_snr = 2.0 ** (2.0 * family_tables(config, "outer", [gamma])[1][0, 0b001]) - 1.0
     assert rep.target == pytest.approx(config.N_r * table_snr, rel=1e-15)
     assert not rep.degenerate
     assert rep.passed
@@ -362,8 +362,8 @@ def test_chord_check_matches_sequential_reference(example1):
         (lambda G: np.einsum("ij,ij->i", G, G), lambda: gamma_sampler(example1, seed=4), 1000, 0),
         (rows(lambda g: bound_functions(unit, CorrelationVector(tuple(g)))[1](0b11)),
          lambda: cycle_sampler([(1.0, 0.0), (0.0, 1.0)]), 5, 0),
-        (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 1000, 0),
-        (lambda G: relay_cutset_table(example1, G)[:, 0b01], lambda: gamma_sampler(example1, seed=0), 5, 0),
+        (lambda G: family_tables(example1, "outer", G)[1][:, 0b01], lambda: gamma_sampler(example1, seed=0), 1000, 0),
+        (lambda G: family_tables(example1, "outer", G)[1][:, 0b01], lambda: gamma_sampler(example1, seed=0), 5, 0),
     ]
     failed = 0
     for fn, sampler, trials, seed in cases:
@@ -401,14 +401,15 @@ def test_dominance_check_reports_the_first_failing_trial(example1, monkeypatch):
     # caught there, with the running max gap up to that point.
     from marc_cap import verify
 
-    real_dest = verify.dest_cutset_table
+    real_tables = verify.family_tables
 
-    def lowered(config, gamma):
-        table = real_dest(config, gamma)
-        table[7, 0b10] -= 0.25
-        return table
+    def lowered(config, family, rows, beta=None):
+        tables = real_tables(config, family, rows, beta)
+        if family == "outer":
+            tables[0][7, 0b10] -= 0.25
+        return tables
 
-    monkeypatch.setattr(verify, "dest_cutset_table", lowered)
+    monkeypatch.setattr(verify, "family_tables", lowered)
     rep = dominance_check(example1, trials=20, seed=3)
     assert not rep.passed
     w = rep.witness
@@ -421,15 +422,13 @@ def test_dominance_check_reports_the_first_failing_trial(example1, monkeypatch):
     assert w["inner"] == bound_functions(example1, split)[0](0b10)
     assert w["inner"] - w["outer"] == pytest.approx(rep.max_gap, abs=1e-15)
 
-    monkeypatch.setattr(verify, "dest_cutset_table", real_dest)
-    real_relay = verify.relay_df_table
+    def shifted(config, family, rows, beta=None):
+        tables = real_tables(config, family, rows, beta)
+        if family == "inner":
+            tables[1][4, -1] += 1e-9
+        return tables
 
-    def shifted(config, alpha, beta):
-        table = real_relay(config, alpha, beta)
-        table[4, -1] += 1e-9
-        return table
-
-    monkeypatch.setattr(verify, "relay_df_table", shifted)
+    monkeypatch.setattr(verify, "family_tables", shifted)
     rep = dominance_check(example1, trials=20, seed=3)
     assert not rep.passed
     assert (rep.witness["kind"], rep.witness["subset"]) == ("relay_full_equality", 0b11)
