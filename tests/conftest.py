@@ -1,5 +1,8 @@
 """Shared fixtures: the two worked example channels, a bottleneck channel,
-and seeded random-config generators used across the suite."""
+seeded random-config generators used across the suite, and the digest of
+frozen arrays."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -115,3 +118,11 @@ def grid_max_sum(values, K):
         if float(width.max()) < 1e-9 * scale:
             break
     return best
+
+
+def sha256_of(*arrays):
+    """SHA-256 of the arrays' bytes, each in row-major order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()

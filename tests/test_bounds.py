@@ -25,7 +25,8 @@ from marc_cap.bounds import (
     relay_sum_snr,
     subset_indices,
 )
-from conftest import random_config, random_gamma, random_split
+from marc_cap.polymatroid import intersection_rows
+from conftest import random_config, random_gamma, random_split, sha256_of
 
 # Frozen values computed by hand from 0.5*log2(1+x) before wiring the tests.
 C4 = 1.160964047443681
@@ -425,3 +426,32 @@ def test_beta_star_batches_rows(example1):
     for row, expect in zip(alpha, batch):
         assert np.array_equal(beta_star(example1, row), expect)
     assert np.array_equal(batch[1], [0.0, 0.0])
+
+
+# Per K: the tables of both families on _table_rows (the inner family with
+# the given beta and with beta_star), and their intersection_rows arrays.
+FROZEN_TABLE_DIGESTS = {
+    1: ("a34d44451bbd1e006b4e0694057347f7a579eddb5c4122f3a0eaab3901617d3c",
+        "357048698f19a32fdd4b5f07449e531f5c5cec83cdc90790fb463f064b3a8aa3"),
+    2: ("c71b4b953d84b528e7e7b54eb700b7bd051cb73a5eda4ffed8a1b9795b2096a2",
+        "4cbeec8215a99abc1aba325ae909028959abadb4d6288de3022fbc3a9c4efe70"),
+    3: ("57bdf739f2f68538f157ed5ceb971322866493d2eaeca039912388d43d2562af",
+        "c8f2820cf4f2a04ca96a7c7c17c40b70ca5470cb9ac3ec639006f5b387bbf308"),
+    4: ("fc123ece82c72f327f723e5d6b48131e9419e494ad281952747c9f61632296e9",
+        "9e6e4ea0b6befdb68e96c76f0cae5b6aeec93eb0bff84a88d6e462a1aa4fd52f"),
+    5: ("f8101434e6943f4c782d77144d3942b25c1eacfb3670b2857bee627339809307",
+        "c8418f393653446d2b39799c4beb691f6123d1e0ba8291bb33b8a9db7a594ae9"),
+    6: ("7d8c923f3d4a359e2787eadd6ca1d8338d03c541b35b43ce265f47d08699c58f",
+        "0e614e58d7bf01148705e96f32e2789aa097312ae89511c63d5ee9bc6ec66e2f"),
+}
+
+
+def test_table_bits_are_frozen():
+    for K, expect in FROZEN_TABLE_DIGESTS.items():
+        rng = np.random.default_rng(100 + K)
+        config = random_config(rng, K)
+        gamma, alpha, beta = _table_rows(rng, K, 40)
+        pairs = [family_tables(config, "outer", gamma), family_tables(config, "inner", alpha, beta),
+                 family_tables(config, "inner", alpha)]
+        verdicts = [array for pair in pairs for array in intersection_rows(*pair)]
+        assert (sha256_of(*(table for pair in pairs for table in pair)), sha256_of(*verdicts)) == expect, K

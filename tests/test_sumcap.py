@@ -16,7 +16,7 @@ from marc_cap import (
 )
 from marc_cap import bounds
 from marc_cap._kernels import compositions
-from marc_cap.polymatroid import INACTIVE, intersection_max_sum
+from marc_cap.polymatroid import INACTIVE, intersection_max_sum, intersection_rows
 from marc_cap.sumcap import (
     ACTIVE,
     ACTIVE_CLASS,
@@ -35,8 +35,9 @@ from marc_cap.sumcap import (
     k_coefficients,
     maxmin_rule_inner,
 )
-from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions
+from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions, family_tables
 from marc_cap.sumcap import CONSTRAINT_TOL
+from conftest import sha256_of
 
 ROOT_1 = 0.40824829046386296
 C_1 = 0.16666666666666663
@@ -511,3 +512,18 @@ def test_scan_samples_equal_checked_objects(example1, example3):
                 fields = (rule.alpha, rule.beta) if cls is DfPowerSplit else (rule.gamma,)
                 assert all(type(x) is float for field in fields for x in field)
                 assert cls(*fields) == rule
+
+
+# The K=2 sweep rows of example 1 at resolution 1e-5 and their
+# intersection_rows (value, argmin, active) arrays, per family.
+FROZEN_SWEEP_DIGESTS = {
+    "inner": "bc24f3b99a2e5bf71151320f82e408e3a956a23b00744dc57abc17f9f863db9f",
+    "outer": "878e872716eeed31f248c00bd7168b1e62fd38e1af61e5917433e69fa3eb1128",
+}
+
+
+def test_sweep_verdict_bits_are_frozen(example1):
+    solution = solve_equalizer(example1)
+    for family, expect in FROZEN_SWEEP_DIGESTS.items():
+        rows = equalizing_set(example1, solution, family).sweep(1e-5)
+        assert sha256_of(rows, *intersection_rows(*family_tables(example1, family, rows))) == expect, family
