@@ -140,38 +140,46 @@ def _split_rows(alpha, beta, K):
 
 
 def _subset_sums(X):
-    """Sums of each row of X (n, K) over all 2^K subsets, as an (n, 2^K)
-    array indexed by subset bitmask. A subset's sum is the sum of the subset
-    without its highest member plus that member, so members are added one
-    at a time in index order and a row gives the same bits alone as inside
-    a batch."""
-    sums = np.zeros((len(X), 1 << X.shape[1]))
-    for k in range(X.shape[1]):
-        np.add(sums[:, : 1 << k], X[:, k, None], out=sums[:, 1 << k : 2 << k])
+    """Sums of the K parameter vectors of X (K, n) over all 2^K subsets, as a
+    (2^K, n) array indexed by subset bitmask. A subset's sum is the sum of
+    the subset without its highest member plus that member, so members are
+    added one at a time in index order and a row gives the same bits alone
+    as inside a batch."""
+    sums = np.zeros((1 << len(X), X.shape[1]))
+    for k in range(len(X)):
+        np.add(sums[: 1 << k], X[k], out=sums[1 << k : 2 << k])
     return sums
 
 
 @lru_cache(maxsize=128)
 def _subset_power(P):
-    """Read-only subset sums of the source powers P (a tuple), per config."""
-    power = _subset_sums(np.array([P]))
+    """Read-only subset sums of the source powers P (a tuple), per config,
+    as a (2^K, 1) column."""
+    power = _subset_sums(np.array(P)[:, None])
     power.setflags(write=False)
     return power
 
 
 def _rates(snr, power, noise):
-    """0.5*log2(1+snr) per subset; snr's empty-set column is set to 0 in place.
+    """0.5*log2(1+snr), elementwise, written over snr.
 
     A negative SNR within DOMAIN_TOL times the subset's SNR scale
     power/noise is rounding dust (it grows with power) and counts as 0;
     anything lower is a formula bug."""
-    snr[:, 0] = 0.0
     if snr.min(initial=0.0) < 0.0:
         low = snr < -DOMAIN_TOL * power / noise
         if low.any():
             raise ValueError(f"negative SNR argument {float(snr[low][0])!r}")
-        snr = np.maximum(snr, 0.0)
-    return 0.5 * np.log2(1.0 + snr)
+        np.maximum(snr, 0.0, out=snr)
+    snr += 1.0
+    np.log2(snr, out=snr)
+    snr *= 0.5
+    return snr
+
+
+# The formulas below take parameter vectors (K, n), one contiguous vector
+# per source, and give (2^K, n) tables, one contiguous vector per subset.
+# The empty subset's rate is 0: its SNR is 0 by construction or set to 0.
 
 
 def _relay_cutset(config, G):
@@ -185,10 +193,10 @@ def _relay_cutset(config, G):
     # complement). Subnormal correlations count as 0: there the quotient
     # keeps no precision and can exceed the subset power.
     G = np.where(G < np.finfo(np.float64).tiny, 0.0, G)
-    P = config.powers()
+    P = config.powers()[:, None]
     power = _subset_power(config.P)
     mass = _subset_sums(G)
-    room = mass + np.maximum(0.0, 1.0 - mass[:, -1:])
+    room = mass + np.maximum(0.0, 1.0 - mass[-1])
     coherent = _subset_sums(np.sqrt(G * P))
     penalty = np.divide(coherent * coherent, room, out=np.zeros_like(room), where=room > 0.0)
     return _rates((power - penalty) / config.N_r, power, config.N_r)
@@ -197,17 +205,18 @@ def _relay_cutset(config, G):
 def _dest_cutset(config, G):
     # Subset power plus the relay power left after the complement's share
     # plus the coherent combining gain of the subset's correlations.
-    P = config.powers()
+    P = config.powers()[:, None]
     power = _subset_power(config.P)
-    ubar = 1.0 - _subset_sums(G)[:, ::-1]
+    ubar = 1.0 - _subset_sums(G)[::-1]
     coherent = 2.0 * _subset_sums(np.sqrt(G * P * config.P_r))
     snr = (power + ubar * config.P_r + coherent) / config.N_d
+    snr[0] = 0.0
     return _rates(snr, power, config.N_d)
 
 
 def _relay_df(config, A, B):
     # Only the fresh-information fraction alpha_k of each power counts.
-    power = _subset_sums(A * config.powers())
+    power = _subset_sums(A * config.powers()[:, None])
     return _rates(power / config.N_r, power, config.N_r)
 
 
@@ -217,30 +226,37 @@ def _dest_df(config, A, B):
     # onto the rest one source at a time in index order, not summed first:
     # both are bit-stable, and this order keeps the decode-and-forward
     # region's vertices bit-identical to earlier releases.
-    P = config.powers()
+    P = config.powers()[:, None]
     power = _subset_power(config.P)
-    comp_beta = _subset_sums(B)[:, ::-1]
-    snr = power + (1.0 - comp_beta) * config.P_r
+    snr = power + (1.0 - _subset_sums(B)[::-1]) * config.P_r
     coherent = 2.0 * np.sqrt((1.0 - A) * B * P * config.P_r)
-    subsets = np.arange(1 << config.K)
     for k in range(config.K):
-        # Source k's gain in the columns whose bitmask holds k, 0.0 elsewhere.
-        snr = snr + coherent[:, k, None] * (subsets >> k & 1)
-    return _rates(snr / config.N_d, power, config.N_d)
+        # Source k's gain in the subsets whose bitmask holds k: the upper
+        # half of each block of 2^(k+1) subsets.
+        snr.reshape(-1, 2, 1 << k, snr.shape[1])[:, 1] += coherent[k]
+    snr /= config.N_d
+    snr[0] = 0.0
+    return _rates(snr, power, config.N_d)
 
 
 def family_tables(config, family, rows, beta=None):
     """The (dest, relay) bound tables of one family over a batch of
     parameter rows: correlations for 'outer', alphas for 'inner', with the
     relay split rows `beta` (by default beta_star of the rows). The
-    destination table comes first: the two-user case labels index it."""
+    destination table comes first: the two-user case labels index it.
+    Each table is an (n, 2^K) view of a subset-major (2^K, n) array."""
     if family == "outer":
-        G = _correlation_rows(rows, config.K)
-        return _dest_cutset(config, G), _relay_cutset(config, G)
+        G = _columns(_correlation_rows(rows, config.K))
+        return _dest_cutset(config, G).T, _relay_cutset(config, G).T
     if family == "inner":
-        A, B = _split_rows(rows, beta_star(config, rows) if beta is None else beta, config.K)
-        return _dest_df(config, A, B), _relay_df(config, A, B)
+        A, B = map(_columns, _split_rows(rows, beta_star(config, rows) if beta is None else beta, config.K))
+        return _dest_df(config, A, B).T, _relay_df(config, A, B).T
     raise DomainError(f"unknown family {family!r}")
+
+
+def _columns(X):
+    """Checked parameter rows (n, K) as K contiguous length-n vectors."""
+    return np.ascontiguousarray(X.T)
 
 
 def bound_functions(config, params):
@@ -279,10 +295,13 @@ def beta_star(config, alpha):
     a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
     if a.ndim not in (1, 2) or a.shape[-1] != config.K:
         raise DomainError(f"alpha has shape {a.shape}, expected ({config.K},) or (n, {config.K})")
-    weights = (1.0 - a) * config.powers()
-    total = weights.sum(axis=-1, keepdims=True)
-    idle = total < 1e-300
-    return np.where(idle, 0.0, weights / np.where(idle, 1.0, total))
+    weights = (1.0 - _columns(a.reshape(-1, config.K))) * config.powers()[:, None]
+    # Added in index order. The weights are nonnegative, so the total is 0
+    # exactly when no source cooperates, at any scale of the powers.
+    total = sum(weights, np.zeros(weights.shape[1]))
+    idle = total == 0.0
+    split = np.where(idle, 0.0, weights / np.where(idle, 1.0, total))
+    return split.T.reshape(a.shape)
 
 
 def k_coefficients(config):

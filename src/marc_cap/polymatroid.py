@@ -136,7 +136,7 @@ def intersection_rows(T1, T2):
         return totals.min(axis=1), arg_full, np.ones(len(totals), dtype=bool)
     best_full = np.minimum(totals[:, 0], totals[:, full])
     arg_mixed = 1 + np.argmin(totals[:, 1:full], axis=1)
-    best_mixed = np.take_along_axis(totals, arg_mixed[:, None], axis=1)[:, 0]
+    best_mixed = totals[:, 1:full].min(axis=1)
     active = best_mixed >= best_full - TIE_TOL
     return totals.min(axis=1), np.where(active, arg_full, arg_mixed), active
 

@@ -29,8 +29,8 @@ HULL_BINS = 256
 HULL_BIN_MIN_POINTS = 16 * HULL_BINS
 
 # A region lattice has at most this many points: (n + 1)^2 power splits,
-# about 390 B each while the decode-and-forward grid and hull run (93.6 MiB
-# above the import for n = 500), so about 400 MB at the cap.
+# about 223 B each while the decode-and-forward grid and hull run (a
+# tracemalloc peak of 53.5 MiB for n = 500), so about 223 MiB at the cap.
 MAX_REGION_POINTS = 1 << 20
 
 

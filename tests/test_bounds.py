@@ -455,3 +455,21 @@ def test_table_bits_are_frozen():
                  family_tables(config, "inner", alpha)]
         verdicts = [array for pair in pairs for array in intersection_rows(*pair)]
         assert (sha256_of(*(table for pair in pairs for table in pair)), sha256_of(*verdicts)) == expect, K
+
+
+def test_beta_star_does_not_depend_on_the_power_scale(example1):
+    # No source cooperates exactly when the cooperative power is 0, at any
+    # scale: example 1 scaled by 1e-300 cooperates 6e-302 at alpha (0.99, 1),
+    # below the absolute threshold 1e-300 that once gave it the zero split.
+    s = 1e-300
+    alpha = (0.99, 1.0)
+    tiny = ChannelConfig(2, (6.0 * s, 4.0 * s), 4.0 * s, s, s)
+    assert beta_star(tiny, alpha).tobytes() == beta_star(example1, alpha).tobytes()
+    assert beta_star(tiny, alpha).tolist() == [1.0, 0.0]
+    # Power-of-two scales cancel exactly, at every alpha.
+    alpha = np.random.default_rng(15).random((200, 2))
+    alpha[0] = 1.0
+    for e in (-1000, -500, 500, 1000):
+        s = 2.0**e
+        scaled = ChannelConfig(2, (6.0 * s, 4.0 * s), 4.0 * s, s, s)
+        assert beta_star(scaled, alpha).tobytes() == beta_star(example1, alpha).tobytes(), e

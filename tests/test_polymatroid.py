@@ -282,3 +282,38 @@ def test_intersection_rows_match_the_one_row_view():
             assert (ACTIVE if active[i] else INACTIVE) == one.kind
         if K > 1:
             assert active[:5].all() and not active.all()
+
+
+def test_intersection_rows_do_not_depend_on_the_layout():
+    # The bound tables are (n, 2^K) views of subset-major arrays; the same
+    # pairs in C order, in F order and as such views give the same arrays.
+    rng = np.random.default_rng(43)
+    for K in range(1, 7):
+        full = (1 << K) - 1
+        # Small integers: many exact ties, between mixed subsets and between
+        # the two full sums.
+        T1 = rng.integers(1, 6, (40, full + 1)).astype(float)
+        T2 = rng.integers(1, 6, (40, full + 1)).astype(float)
+        T1[:, 0] = T2[:, 0] = 0.0
+        if K > 1:
+            # Rows 0-4: the best split within TIE_TOL below the best full sum.
+            T2[:5, -1] = 10.0
+            T1[:5, -1] = (T1[:5, 1:-1] + T2[:5, -2:0:-1]).min(axis=1) + 0.5 * TIE_TOL
+            # Rows 5-9: every mixed subset ties, below both full sums.
+            T1[5:10, 1:-1] = T2[5:10, 1:-1] = 1.0
+            T1[5:10, -1] = T2[5:10, -1] = 10.0
+        layouts = [
+            (np.ascontiguousarray(T1), np.ascontiguousarray(T2)),
+            (np.asfortranarray(T1), np.asfortranarray(T2)),
+            (np.ascontiguousarray(T1.T).T, np.ascontiguousarray(T2.T).T),
+        ]
+        results = [intersection_rows(*pair) for pair in layouts]
+        for result in results[1:]:
+            for got, expect in zip(result, results[0]):
+                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), K
+        value, argmin, active = results[0]
+        if K > 1:
+            assert active[:5].all()
+            # The first mixed subset of the tie: argmin keeps the first occurrence.
+            assert not active[5:10].any() and np.all(argmin[5:10] == 1)
+            assert np.all(value[5:10] == 2.0)
