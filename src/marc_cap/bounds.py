@@ -9,6 +9,12 @@ subset bitmask. family_tables, the one evaluator, checks the rows and gives
 a family's (dest, relay) pair; bound_functions is its one-row view, the
 SubsetFunction pair of one parameter choice for the polymatroid engine. The
 parameter objects check their domain with the same row checks.
+
+The tables are evaluated subset-major: once checked, the rows are
+transposed to one contiguous length-n vector per source, the formulas build
+one contiguous length-n vector per subset, a (2^K, n) array, and
+family_tables returns its (n, 2^K) view, so every numpy pass over a batch is
+one long loop. The layout does not change a bit of any entry.
 """
 
 import math
@@ -139,12 +145,17 @@ def _split_rows(alpha, beta, K):
     return np.clip(A, 0.0, 1.0), np.maximum(B, 0.0)
 
 
+def _columns(X):
+    """Checked parameter rows (n, K) as K contiguous length-n vectors."""
+    return np.ascontiguousarray(X.T)
+
+
 def _subset_sums(X):
     """Sums of the K parameter vectors of X (K, n) over all 2^K subsets, as a
     (2^K, n) array indexed by subset bitmask. A subset's sum is the sum of
     the subset without its highest member plus that member, so members are
-    added one at a time in index order and a row gives the same bits alone
-    as inside a batch."""
+    added one at a time in index order and a parameter row gives the same
+    bits alone as inside a batch."""
     sums = np.zeros((1 << len(X), X.shape[1]))
     for k in range(len(X)):
         np.add(sums[: 1 << k], X[k], out=sums[1 << k : 2 << k])
@@ -252,11 +263,6 @@ def family_tables(config, family, rows, beta=None):
         A, B = map(_columns, _split_rows(rows, beta_star(config, rows) if beta is None else beta, config.K))
         return _dest_df(config, A, B).T, _relay_df(config, A, B).T
     raise DomainError(f"unknown family {family!r}")
-
-
-def _columns(X):
-    """Checked parameter rows (n, K) as K contiguous length-n vectors."""
-    return np.ascontiguousarray(X.T)
 
 
 def bound_functions(config, params):
