@@ -1,6 +1,34 @@
 """Sum-capacity bounds, rate regions, and achievability classification for
 K-user degraded Gaussian multiaccess relay channels."""
 
+import ctypes as _ctypes
+
+# glibc's default malloc maps arrays above a dynamic threshold with mmap and
+# returns freed heap above 128 KiB to the OS, so every repeated call faults
+# its (2^K, n) bound tables in again. A 32 MiB mmap threshold (the top of
+# glibc's own dynamic range on 64-bit) serves every table, at most 2.5 MiB,
+# from the heap; a 64 MiB trim threshold keeps a region operation's ~18 MB
+# working set resident between calls. Setting either one stops glibc from
+# moving the other, so set both.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _keep_freed_memory():
+    """Set the two malloc tunables for this process, on glibc only."""
+    try:
+        libc = _ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return
+    if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (_ctypes.c_int, _ctypes.c_int)
+        libc.mallopt.restype = _ctypes.c_int
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
+
 from .bounds import (
     CorrelationVector,
     DfPowerSplit,

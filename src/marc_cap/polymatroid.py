@@ -135,10 +135,11 @@ def intersection_rows(T1, T2):
     if full == 1:
         return totals.min(axis=1), arg_full, np.ones(len(totals), dtype=bool)
     best_full = np.minimum(totals[:, 0], totals[:, full])
-    arg_mixed = 1 + np.argmin(totals[:, 1:full], axis=1)
-    best_mixed = totals[:, 1:full].min(axis=1)
-    active = best_mixed >= best_full - TIE_TOL
-    return totals.min(axis=1), np.where(active, arg_full, arg_mixed), active
+    active = totals[:, 1:full].min(axis=1) >= best_full - TIE_TOL
+    # Only Inactive rows take a mixed subset, so only they pay the argmin.
+    inactive = np.flatnonzero(~active)
+    arg_full[inactive] = 1 + np.argmin(totals[inactive, 1:full], axis=1)
+    return totals.min(axis=1), arg_full, active
 
 
 def intersection_max_sum(f1, f2):

@@ -317,3 +317,55 @@ def test_intersection_rows_do_not_depend_on_the_layout():
             # The first mixed subset of the tie: argmin keeps the first occurrence.
             assert not active[5:10].any() and np.all(argmin[5:10] == 1)
             assert np.all(value[5:10] == 2.0)
+
+
+def _full_argmin_rows(T1, T2):
+    """intersection_rows with one argmin per row, Active rows included."""
+    totals = T1 + T2[:, ::-1]
+    full = totals.shape[1] - 1
+    arg_full = np.where(totals[:, 0] <= totals[:, full], 0, full)
+    if full == 1:
+        return totals.min(axis=1), arg_full, np.ones(len(totals), dtype=bool)
+    best_full = np.minimum(totals[:, 0], totals[:, full])
+    arg_mixed = 1 + np.argmin(totals[:, 1:full], axis=1)
+    active = totals[:, 1:full].min(axis=1) >= best_full - TIE_TOL
+    return totals.min(axis=1), np.where(active, arg_full, arg_mixed), active
+
+
+def test_intersection_rows_match_a_full_argmin_reference():
+    rng = np.random.default_rng(47)
+    for K in range(1, 7):
+        # Small integers: exact ties between mixed subsets and between the
+        # two full sums.
+        T1 = rng.integers(1, 4, (60, 1 << K)).astype(float)
+        T2 = rng.integers(1, 4, (60, 1 << K)).astype(float)
+        T1[:, 0] = T2[:, 0] = 0.0
+        T1[:, -1] = rng.integers(1, 9, 60)
+        T2[:, -1] = rng.integers(1, 9, 60)
+        # Full sums of 1 lie below every mixed total (at least 2); full sums
+        # of 20 lie above every one (at most 6).
+        low1, low2, high1, high2 = T1.copy(), T2.copy(), T1.copy(), T2.copy()
+        low1[:, -1] = low2[:, -1] = 1.0
+        high1[:, -1] = high2[:, -1] = 20.0
+        batches = {
+            "mixed": (T1, T2),
+            "all Active": (low1, low2),
+            "all Inactive": (high1, high2),
+            "zero rows": (T1[:0], T2[:0]),
+        }
+        for name, (A, B) in batches.items():
+            got = intersection_rows(A, B)
+            for g, e in zip(got, _full_argmin_rows(A, B)):
+                assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), (K, name)
+            active = got[2]
+            if name == "all Active" or K == 1:
+                assert active.all(), (K, name)
+            elif name == "all Inactive":
+                assert not active.any(), K
+                # Rows whose smallest mixed total is attained more than once
+                # pin argmin's first-occurrence tie-break.
+                mixed = (A + B[:, ::-1])[:, 1:-1]
+                ties = (mixed == mixed.min(axis=1, keepdims=True)).sum(axis=1) > 1
+                assert ties.any(), K
+            elif name == "mixed":
+                assert 0 < active.sum() < len(active), K
