@@ -47,11 +47,9 @@ from .polymatroid import (
     SubsetFunction,
     certify,
     intersection_max_sum,
-    vertex_enumeration,
 )
 from .region import (
     RegionPolytope,
-    TimeSharingMixture,
     build_df_region,
     build_intersection,
     build_outer_region,
@@ -97,7 +95,6 @@ __all__ = [
     "RegionPolytope",
     "RuleSetScan",
     "SubsetFunction",
-    "TimeSharingMixture",
     "ValidationError",
     "awgn_capacity",
     "beta_star",
@@ -122,5 +119,4 @@ __all__ = [
     "sum_capacity",
     "symmetric",
     "validate",
-    "vertex_enumeration",
 ]

@@ -124,12 +124,13 @@ def _config_from_snr(data):
         raise InputError(f"snr_relay has {len(snr_r)} entries, snr_dest has {len(snr_d)}")
     if not snr_r:
         raise InputError("snr_relay is empty")
-    if min(snr_r + snr_d) <= 0 or snr_rd <= 0:
+    # Both tests are written so that a NaN fails them.
+    if not all(x > 0 for x in (*snr_r, *snr_d, snr_rd)):
         raise InputError("SNR values must be positive")
     n_d = snr_r[0] / snr_d[0]
     for k in range(1, len(snr_r)):
         other = snr_r[k] / snr_d[k]
-        if abs(other - n_d) > 1e-9 * max(1.0, n_d):
+        if not abs(other - n_d) <= 1e-9 * max(1.0, n_d):
             raise InputError(f"inconsistent N_d: source 1 implies {n_d!r}, source {k + 1} implies {other!r}")
     if n_d < 1.0 - 1e-12:
         raise InputError(f"snr_dest exceeds snr_relay (N_d={n_d!r} < N_r=1); channel is not degraded")

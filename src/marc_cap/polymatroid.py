@@ -1,7 +1,6 @@
 """Polymatroid engine for set functions on small ground sets: certification
-(normalized, monotone, submodular), greedy vertex enumeration on the dominant
-sum-rate face, and two-polymatroid intersection with active/inactive
-classification of the max sum-rate."""
+(normalized, monotone, submodular) and two-polymatroid intersection with
+active/inactive classification of the max sum-rate."""
 
 from dataclasses import dataclass
 
@@ -35,14 +34,6 @@ class SubsetFunction:
             raise ValueError(f"empty-set value must be 0, got {vals[0]!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_dict(cls, K, mapping):
-        """Build from {mask: value}; missing masks other than 0 are an error."""
-        vals = np.zeros(1 << K)
-        for mask in range(1, 1 << K):
-            vals[mask] = mapping[mask]
-        return cls(K, vals)
 
     def __call__(self, mask):
         if not 0 <= mask < len(self.values):
@@ -96,27 +87,6 @@ def certify(f):
                     submodular = False
                     witness = witness or (S, k1, k2)
     return CertifyResult(submodular, monotone, witness)
-
-
-def vertex_enumeration(f, perm):
-    """Greedy vertex of the polymatroid for a visit order.
-
-    perm is a permutation of 1..K; source perm[i] receives the marginal gain
-    of joining the first i sources. The result lies on the dominant face:
-    it meets every subset constraint and sums to f(K).
-    """
-    if sorted(perm) != list(range(1, f.K + 1)):
-        raise ValueError(f"perm {perm!r} is not a permutation of 1..{f.K}")
-    cert = certify(f)
-    if not (cert.submodular and cert.monotone):
-        raise ValueError(f"not a polymatroid rank function, witness {cert.witness}")
-    rates = np.zeros(f.K)
-    mask = 0
-    for label in perm:
-        k = label - 1
-        rates[k] = f.values[mask | 1 << k] - f.values[mask]
-        mask |= 1 << k
-    return rates
 
 
 def intersection_rows(T1, T2):

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import compositions
-from .bounds import (
-    CorrelationVector,
-    DomainError,
-    bound_functions,
-    family_tables,
-)
+from .bounds import DomainError, bound_functions, family_tables
 
 # Relative orientation epsilon for the planar hull. A chain point a between
 # neighbours o and b is dropped as collinear when the cross product
@@ -35,34 +30,9 @@ MAX_REGION_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
-class TimeSharingMixture:
-    """Convex combination of at most K+1 correlation operating points."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple((vec if isinstance(vec, CorrelationVector) else CorrelationVector(tuple(vec)), float(w))
-                    for vec, w in self.points)
-        if not pts:
-            raise DomainError("a mixture needs at least one point")
-        K = len(pts[0][0].gamma)
-        if len(pts) > K + 1:
-            raise DomainError(f"{len(pts)} mixture points exceed the cap of K+1={K + 1}")
-        # Written so that a NaN weight or total fails them.
-        for _, w in pts:
-            if not w >= -1e-12:
-                raise DomainError(f"negative mixture weight {w!r}")
-        total = sum(w for _, w in pts)
-        if not abs(total - 1.0) <= 1e-12:
-            raise DomainError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class RegionPolytope:
     K: int
     vertices: np.ndarray
-    facets: tuple | None = None
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
@@ -71,17 +41,6 @@ class RegionPolytope:
 
     def max_sum(self):
         return float(self.vertices.sum(axis=1).max())
-
-
-def _family_pair(config, params):
-    """Destination and relay bounds of one parameter choice over all subsets;
-    a mixture's are the weighted sums of its points'."""
-    if not isinstance(params, TimeSharingMixture):
-        return tuple(f.values for f in bound_functions(config, params))
-    vecs, weights = zip(*params.points)
-    w = np.array(weights)[:, None]
-    dest, relay = family_tables(config, "outer", [vec.gamma for vec in vecs])
-    return (w * dest).sum(axis=0), (w * relay).sum(axis=0)
 
 
 def build_intersection(config, params):
@@ -94,11 +53,10 @@ def build_intersection(config, params):
     """
     if config.K != 2:
         raise DomainError(f"polytope vertices support K=2 only, got K={config.K}")
-    g = np.minimum(*_family_pair(config, params))
-    facets = tuple((mask, float(g[mask])) for mask in range(1, 1 << config.K))
+    g = np.minimum(*(f.values for f in bound_functions(config, params)))
     cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
     verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
-    return RegionPolytope(2, verts, facets)
+    return RegionPolytope(2, verts)
 
 
 def _df_pentagon_grid(config, n):

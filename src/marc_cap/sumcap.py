@@ -19,6 +19,7 @@ from .bounds import (
     DfPowerSplit,
     DOMAIN_TOL,
     DomainError,
+    _unit_rows,
     beta_star,
     dest_sum_snr,
     family_tables,
@@ -144,10 +145,11 @@ class EqualizingSet:
             raise DomainError(f"equalizer constraint violated, residual {residual:.3e}")
 
     def complete(self, prefix):
-        """The first K-1 coordinates of a rule and the last one, which takes
-        the load they leave. A solved correlation above 1 is left for
-        CorrelationVector to reject."""
+        """The first K-1 coordinates of a rule, each checked to lie in
+        [0, 1], and the last one, which takes the load they leave. A solved
+        correlation above 1 is left for CorrelationVector to reject."""
         K = len(self.lam)
+        _unit_rows([prefix], K - 1, self.name)
         left = self.total - sum(self.load(k, x) for k, x in enumerate(prefix))
         if self.family == "outer":
             if left < -1e-9:

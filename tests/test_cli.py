@@ -115,6 +115,8 @@ def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, da
     ({**EX1, "P_r": 10 ** 400}, "error: config field error: P_r is too large: int too large to convert to float\n"),
     ({**EX1_SNR, "snr_dest": [3.0, False]}, "error: config field error: snr_dest[2] must be a number, got False\n"),
     ({**EX1_SNR, "snr_relay_dest": "2"}, "error: config field error: snr_relay_dest must be a number, got '2'\n"),
+    # Python's json reads NaN, and an ordered comparison is false on it.
+    ({**EX1_SNR, "snr_dest": [3.0, float("nan")]}, "error: SNR values must be positive\n"),
 ])
 def test_config_errors(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)
@@ -242,7 +244,13 @@ K3 = {"P": [3.0, 1.5, 0.7], "P_r": 2.0, "N_r": 1.0, "N_delta": 1.5}
     (K3, "--gamma", "0.0,0.0", "gamma[3]=1.6024856472969013 outside [0, 1]"),
     (BOTTLENECK, "--alpha", "0.5", "cannot solve the last alpha: the Bottleneck regime has no equalizing constraint"),
     (BOTTLENECK, "--gamma", "0.5", "cannot solve the last gamma: the Bottleneck regime has no equalizing constraint"),
+    # The given prefix is checked before any load is computed from it: the
+    # square root of a negative gamma warns, and a NaN alpha would be blamed
+    # on the solved coordinate.
+    (EX1, "--gamma", "-0.1", "gamma[1]=-0.1 outside [0, 1]"),
+    (EX1, "--alpha", "nan", "alpha[1]=nan outside [0, 1]"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_classify_last_coordinate_errors(tmp_path, capsys, data, flag, values, message):
     code, out, err = run(capsys, "classify", write_config(tmp_path, data), flag, values)
     assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,5 @@
-"""Polymatroid engine: certification with forged counterexamples, greedy
-vertices against frozen values, and the max-sum intersection against two
-independent brute-force oracles."""
+"""Polymatroid engine: certification with forged counterexamples and the
+max-sum intersection against two independent brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -18,16 +17,10 @@ from marc_cap import (
     certify,
     intersection_max_sum,
     solve_equalizer,
-    vertex_enumeration,
 )
 from marc_cap.polymatroid import TIE_TOL, intersection_rows
 from marc_cap.sumcap import equalizing_set
 from conftest import grid_max_sum, linprog_max_sum, random_config, random_gamma, random_split
-
-# Frozen greedy vertices of the no-cooperation relay family of example 1:
-# marginals of C(6), C(4), C(10) in the two visit orders.
-PERM_FWD = (1.403677461028802, 0.32603834828984657)
-PERM_REV = (0.5687517618749676, 1.160964047443681)
 
 
 def square(values):
@@ -56,13 +49,6 @@ def test_subset_function_checks_its_mask():
     for mask in (-1, -4, 4):
         with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 4\\)"):
             f(mask)
-
-
-def test_subset_function_from_dict():
-    f = SubsetFunction.from_dict(2, {1: 1.0, 2: 2.0, 3: 2.5})
-    assert list(f.values) == [0.0, 1.0, 2.0, 2.5]
-    with pytest.raises(KeyError):
-        SubsetFunction.from_dict(2, {1: 1.0, 3: 2.5})
 
 
 def test_certify_accepts_provably_submodular_families():
@@ -120,34 +106,6 @@ def test_certify_flags_nonmonotone_with_witness():
 def test_certify_tolerance_absorbs_float_dust():
     result = certify(square([0.0, 1.0, 1.0, 2.0 + 1e-13]))
     assert result.submodular and result.monotone
-
-
-def test_vertex_enumeration_frozen(example1):
-    split = DfPowerSplit((1.0, 1.0), (0.0, 0.0))
-    f = bound_functions(example1, split)[1]
-    assert vertex_enumeration(f, [1, 2]) == pytest.approx(PERM_FWD, rel=1e-15)
-    assert vertex_enumeration(f, [2, 1]) == pytest.approx(PERM_REV, rel=1e-15)
-
-
-def test_vertex_enumeration_lies_on_dominant_face():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        config = random_config(rng)
-        f = bound_functions(config, CorrelationVector(random_gamma(rng, config.K)))[0]
-        perm = list(rng.permutation(config.K) + 1)
-        rates = vertex_enumeration(f, perm)
-        assert rates.sum() == pytest.approx(f.full(), rel=1e-12)
-        for mask in range(1, 1 << config.K):
-            total = sum(rates[k] for k in range(config.K) if mask >> k & 1)
-            assert total <= f(mask) + 1e-12
-
-
-def test_vertex_enumeration_rejects_bad_inputs():
-    f = square([0.0, 1.0, 1.0, 1.5])
-    with pytest.raises(ValueError, match="permutation"):
-        vertex_enumeration(f, [1, 1])
-    with pytest.raises(ValueError, match="witness"):
-        vertex_enumeration(square([0.0, 1.0, 1.0, 3.0]), [1, 2])
 
 
 def test_intersection_requires_matching_ground_sets():

@@ -1,4 +1,4 @@
-"""Rate-region polytopes: pentagon vertices, grid hulls, mixtures, geometry."""
+"""Rate-region polytopes: pentagon vertices, grid hulls, geometry."""
 
 import hashlib
 import itertools
@@ -10,7 +10,6 @@ from marc_cap import (
     ChannelConfig,
     DomainError,
     RegionPolytope,
-    TimeSharingMixture,
     build_df_region,
     build_intersection,
     build_outer_region,
@@ -20,7 +19,6 @@ from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
     beta_star,
-    bound_functions,
     df_to_correlation,
     family_tables,
 )
@@ -164,7 +162,6 @@ def test_df_bounds_at_zero_beta_favour_full_alpha():
 def test_build_intersection_example1_zero_correlation(example1):
     poly = build_intersection(example1, CorrelationVector((0.0, 0.0)))
     assert poly.K == 2
-    assert poly.facets == ((1, EX1_G[0]), (2, EX1_G[1]), (3, EX1_G[2]))
     np.testing.assert_allclose(poly.vertices, EX1_PENTAGON, rtol=0, atol=1e-15)
     assert poly.max_sum() == EX1_G[2]
     assert not poly.vertices.flags.writeable
@@ -174,8 +171,8 @@ def test_build_intersection_accepts_split(example1):
     rng = np.random.default_rng(5)
     split = DfPowerSplit(*random_split(rng, 2))
     poly = build_intersection(example1, split)
-    assert len(poly.facets) == 3
-    assert all(v >= 0.0 for _, v in poly.facets)
+    assert (poly.vertices >= 0.0).all()
+    assert (poly.vertices == 0.0).all(axis=1).any()
 
 
 def test_df_pentagon_inside_cutset_pentagon():
@@ -523,43 +520,6 @@ def test_hausdorff_knowns():
     assert hausdorff_distance(SQUARE, SQUARE) == 0.0
     assert hausdorff_distance(SQUARE, SQUARE + np.array([0.3, 0.0])) == pytest.approx(0.3, rel=1e-15)
     assert hausdorff_distance(SQUARE, 2.0 * SQUARE) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
-def test_mixture_validation():
-    v = (0.1, 0.2)
-    with pytest.raises(DomainError, match="at least one point"):
-        TimeSharingMixture(())
-    with pytest.raises(DomainError, match="exceed the cap"):
-        TimeSharingMixture(((v, 0.25),) * 4)
-    with pytest.raises(DomainError, match="sum to"):
-        TimeSharingMixture(((v, 0.5), (v, 0.4)))
-    with pytest.raises(DomainError, match="negative mixture weight"):
-        TimeSharingMixture(((v, 1.5), (v, -0.5)))
-    # Non-finite weights fail here rather than in the hull.
-    with pytest.raises(DomainError, match="negative mixture weight nan"):
-        TimeSharingMixture(((v, float("nan")), (v, 1.0)))
-    with pytest.raises(DomainError, match="sum to inf"):
-        TimeSharingMixture(((v, float("inf")), (v, 0.0)))
-    mix = TimeSharingMixture(((v, 0.5), ((0.0, 0.0), 0.5)))
-    assert all(isinstance(vec, CorrelationVector) for vec, _ in mix.points)
-
-
-def test_mixture_polytope_has_averaged_facets(example1):
-    ga, gb = CorrelationVector((0.1, 0.2)), CorrelationVector((0.3, 0.05))
-    mix = TimeSharingMixture(((ga, 0.5), (gb, 0.5)))
-    poly = build_intersection(example1, mix)
-    (dest_a, relay_a), (dest_b, relay_b) = bound_functions(example1, ga), bound_functions(example1, gb)
-    for mask, value in poly.facets:
-        dest = 0.5 * (dest_a(mask) + dest_b(mask))
-        relay = 0.5 * (relay_a(mask) + relay_b(mask))
-        assert value == pytest.approx(min(dest, relay), rel=1e-15)
-    # Time sharing: the average of any two pure operating points is in the
-    # mixed polytope (pure polytopes themselves need not be).
-    pa = build_intersection(example1, ga)
-    pb = build_intersection(example1, gb)
-    for va in pa.vertices:
-        for vb in pb.vertices:
-            assert polygon_contains(poly.vertices, 0.5 * (va + vb), tol=1e-9)
 
 
 def test_build_intersection_rejects_unknown_params(example1):
