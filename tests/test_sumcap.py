@@ -527,3 +527,76 @@ def test_sweep_verdict_bits_are_frozen(example1):
     for family, expect in FROZEN_SWEEP_DIGESTS.items():
         rows = equalizing_set(example1, solution, family).sweep(1e-5)
         assert sha256_of(rows, *intersection_rows(*family_tables(example1, family, rows))) == expect, family
+
+
+# Sampled-scan configs: example 3; the K=5 UpperBoundOnly config above; two
+# K=6 configs where the outer filter keeps 37 of 10,000 draws and where
+# about 1 in 3,000 inner draws is Active; perfbench's two scan-fault
+# configs; and four configs, from a seeded random search, whose first
+# Active draw comes after the first 64.
+SCAN_CONFIGS = {
+    "example3": ((6.0, 4.0, 2.0), 5.0, 1.5),
+    "k5_upper_bound_only": (
+        (0.2270536711210418, 0.043630259084022655, 0.022102891705732267, 0.012669700688172988, 0.01331918342024507),
+        2.338600283146414, 8.343551536260373,
+    ),
+    "k6_outer_filter": ((32.59, 47.76, 0.2162, 0.3431, 0.05502, 15.59), 0.2369, 8.805),
+    "k6_rare_active": ((0.04310, 0.1161, 0.1380, 0.04367, 0.1247, 0.1021), 3.884, 7.585),
+    "k4_scan_fault": ((37.91, 10.89, 0.01386, 0.2739), 0.3084, 9.918),
+    "k3_scan_fault": ((0.03082, 0.04818, 7.249), 19.83, 9.325),
+    "k3_late_active": ((0.1512015474988098, 0.012249467124824533, 0.044915837316085595),
+                       0.18072042106446862, 2.1112296776464436),
+    "k4_late_active": ((0.18540179382843314, 10.550014776334981, 0.2970194661965018, 7.971096720521383),
+                       0.10740866657553265, 9.969562704015056),
+    "k5_late_active": (
+        (0.12226405906509488, 0.43698532005029567, 0.09269437296524924, 0.014883699213052111, 0.011526225835187904),
+        0.3696359335917249, 5.27867670806082,
+    ),
+    "k6_late_active": (
+        (0.12595447617058553, 0.03228501683952108, 1.0269247784994728, 14.908970951692107, 0.027849259888680214,
+         0.058323152850000295),
+        0.17439022862899997, 9.431381100836159,
+    ),
+}
+
+# Per config, the (inner, outer) digests of each sampled scan's verdict,
+# kinds (Active as True) and the float64 fields of every sample.
+FROZEN_SCAN_DIGESTS = {
+    "example3": ("dbde30ba82838bd32c6225694692a15d93de06eff64499ff1b8360e8dd299666",
+                 "4c791b4626f50b39e451200b5216502879604cd4f17d0eca358ed8bcf8d85d2f"),
+    "k5_upper_bound_only": ("90c6ab596d26d17dc05fcce0bc979bb70321068eb3793643932686144ca914db",
+                            "3d6254529a62f07028e04dea5d4eb5b868941d1e1a951ce5390fe6aa738ea7c9"),
+    "k6_outer_filter": ("43b2d22f27899e26cc1609fc7e715291235d910df1f348405d8b799f44e2533b",
+                        "8991f5cc1c998f8389520ea956916ae948b806789e371af3f8ad92047042edbb"),
+    "k6_rare_active": ("2830ec6b71508d328f13777fce698b6c625c2202182bb3a314119caa99206258",
+                       "dae174cbd78a5cf554297390047f5b2c3523fb879d3c555604b559af41f00eb4"),
+    "k4_scan_fault": ("70601422b5da119431536a0831704298a39def918fc42f6eae41df7e523e5b64",
+                      "4cdef1391a6c9b9a18f0c3e7b4c13d1829db66a19b43cb919c7a5254cdbf21a8"),
+    "k3_scan_fault": ("11048f432e363a4aa3d9db4dc50172cfc1dd5b09a2fa79ca33f8ff68bb78db69",
+                      "9f733b73ecd39cee5347ea465d9ecb3d094a232967ccd9c3e52a475694203fe6"),
+    "k3_late_active": ("989238acb664514d00af6ccd46529f27e5aae4f128174e0f142a07c923053256",
+                       "95543ebef252362a6d471c8a28dcab9f799c693d3794bb6aca0259520fcd1a19"),
+    "k4_late_active": ("973f03448450c327ea94f68a89d0a21edca8df65cf18716c21fcb95602c2ac10",
+                       "a47190de49eaaa59121ea44691537c878f75fe1a3dda61eef5d8b37b618472c4"),
+    "k5_late_active": ("396409f80228d718b807d4a98a28b2c9d368e6a5474f00c3b93dce6e57b5d7d6",
+                       "039ce9cc6efa20cd05501f9918359764332a78b10b89a3e4d0269f53238ec068"),
+    "k6_late_active": ("90b133846ef48efdee2e9dd97c11ed3ec7114cd00f9b662b5a264179cadb21c9",
+                       "f501ee7796e8b9fbeca1d6462ed2b18f67f9ff28c2a51da931a13879ff532162"),
+}
+
+
+def scan_config(name):
+    P, P_r, N_delta = SCAN_CONFIGS[name]
+    return ChannelConfig(len(P), P, P_r, 1.0, N_delta)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCAN_DIGESTS))
+def test_sampled_scan_bits_are_frozen(name):
+    config = scan_config(name)
+    solution = solve_equalizer(config)
+    for family, expect in zip(("inner", "outer"), FROZEN_SCAN_DIGESTS[name]):
+        scan = scan_active_rules(config, solution, family=family)
+        kinds = np.array([kind == ACTIVE for _, kind in scan.samples])
+        fields = [(*rule.alpha, *rule.beta) if family == "inner" else rule.gamma for rule, _ in scan.samples]
+        verdict = np.frombuffer(scan.verdict.encode(), dtype=np.uint8)
+        assert sha256_of(verdict, kinds, np.array(fields, dtype=np.float64)) == expect, family
