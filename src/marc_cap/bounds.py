@@ -79,8 +79,7 @@ def prechecked(cls, **fields):
     family_tables has checked, built without its constructor's row checks:
     a scan builds thousands from one batch, and numpy checks them slowly."""
     params = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(params, name, value)
+    params.__dict__.update(fields)
     return params
 
 

@@ -27,6 +27,14 @@ def awgn_capacity(snr):
     return 0.5 * math.log2(1.0 + snr)
 
 
+def _check_field(name, value, in_range, want):
+    # The range test comes first and fails on NaN; +inf passes it.
+    if not in_range:
+        raise ValidationError(f"{name} must be {want}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """A degraded Gaussian multiaccess relay channel.
@@ -52,14 +60,10 @@ class ChannelConfig:
         if len(P) != self.K:
             raise ValidationError(f"P has {len(P)} entries, expected K={self.K}")
         for k, p in enumerate(P):
-            if not (p > 0.0 and math.isfinite(p)):
-                raise ValidationError(f"P[{k + 1}] must be positive, got {p!r}")
-        if not (self.P_r > 0.0 and math.isfinite(self.P_r)):
-            raise ValidationError(f"P_r must be positive, got {self.P_r!r}")
-        if not (self.N_r > 0.0 and math.isfinite(self.N_r)):
-            raise ValidationError(f"N_r must be positive, got {self.N_r!r}")
-        if not (self.N_delta >= 0.0 and math.isfinite(self.N_delta)):
-            raise ValidationError(f"N_delta must be nonnegative, got {self.N_delta!r}")
+            _check_field(f"P[{k + 1}]", p, p > 0.0, "positive")
+        _check_field("P_r", self.P_r, self.P_r > 0.0, "positive")
+        _check_field("N_r", self.N_r, self.N_r > 0.0, "positive")
+        _check_field("N_delta", self.N_delta, self.N_delta >= 0.0, "nonnegative")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "P_r", float(self.P_r))
         object.__setattr__(self, "N_r", float(self.N_r))

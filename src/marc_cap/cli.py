@@ -9,6 +9,7 @@ fixed inputs and every emitted file starts with a manifest digest comment.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def _config_from_snr(data):
     # Both tests are written so that a NaN fails them.
     if not all(x > 0 for x in (*snr_r, *snr_d, snr_rd)):
         raise InputError("SNR values must be positive")
+    if not all(math.isfinite(x) for x in (*snr_r, *snr_d, snr_rd)):
+        raise InputError("SNR values must be finite")
     n_d = snr_r[0] / snr_d[0]
     for k in range(1, len(snr_r)):
         other = snr_r[k] / snr_d[k]

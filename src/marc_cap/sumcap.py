@@ -45,6 +45,8 @@ MAX_SWEEP_POINTS = 1 << 21
 # The K>2 sampled scan draws this many loads from this seed before its lattice.
 SCAN_DRAWS = 10000
 SCAN_SEED = 0
+# It classifies them in batches that double from 64 rows up to this size.
+MAX_SCAN_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,10 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     is classified. For K>2 the rule set is sampled (seeded loads that meet
     the constraint by construction, then the lattice loads total * i / 8,
     i a composition of 8 into K parts, that stay within the caps) and only
-    the verdict is interval-free.
+    the verdict is interval-free. The samples are classified in batches of
+    64 rows, then 128, doubling up to 1,024; the scan stops after the first
+    batch with an Active sample and keeps the samples up to the first
+    Active one, at least 64.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -288,7 +293,10 @@ def _equalizing_loads(caps, total, n, rng):
         loads[:, j] = np.minimum(lo + rng.random(n) * (hi - lo), hi)
         left = left - loads[:, j]
     loads[:, -1] = np.clip(left, 0.0, caps[:, -1])
-    return np.take_along_axis(loads, np.argsort(order, axis=1), axis=1)
+    # Scatter each row's loads back to source order.
+    out = np.empty_like(loads)
+    out[np.arange(n)[:, None], order] = loads
+    return out
 
 
 def _load_chunks(rule_set, rng):
@@ -302,22 +310,40 @@ def _load_chunks(rule_set, rng):
         yield lattice[lo : lo + 64]
 
 
+def _row_batches(rule_set, rng):
+    """The parameter rows kept from the load chunks, in batches. A batch
+    closes at the chunk that brings it to its size: 64 rows for the first,
+    then twice the size before, up to MAX_SCAN_BATCH. The last batch holds
+    what is left."""
+    size, rows, kept = 64, [], 0
+    for loads in _load_chunks(rule_set, rng):
+        rows.append(rule_set.clip_rows(rule_set.param(slice(None), loads)))
+        kept += len(rows[-1])
+        if kept >= size:
+            yield np.vstack(rows)
+            size, rows, kept = min(2 * size, MAX_SCAN_BATCH), [], 0
+    if rows:
+        yield np.vstack(rows)
+
+
 def _scan_sampled(config, rule_set):
-    # Classify chunk by chunk; stop at the first Active sample, but keep at
-    # least 64.
+    """The K>2 scan: classify the seeded rows batch by batch (_row_batches),
+    stop after the first batch with an Active sample, and keep the samples
+    up to the first Active one, but at least 64. A row classifies to the
+    same bits alone as in any batch, and the rows do not depend on the
+    batches, so the samples are those of a scan row by row."""
     family = rule_set.family
-    chunks, verdicts, found = [], [], False
-    for loads in _load_chunks(rule_set, np.random.default_rng(SCAN_SEED)):
-        rows = rule_set.clip_rows(rule_set.param(slice(None), loads))
-        chunks.append(rows)
+    batches, verdicts = [], []
+    for rows in _row_batches(rule_set, np.random.default_rng(SCAN_SEED)):
+        batches.append(rows)
         verdicts.append(intersection_rows(*family_tables(config, family, rows))[2])
-        found = found or verdicts[-1].any()
-        if found and sum(map(len, chunks)) >= 64:
+        if verdicts[-1].any():
             break
     active = np.concatenate(verdicts)
+    found = bool(active.any())
     if found:
         active = active[: max(64, int(active.argmax()) + 1)]
-    rules = _rules(config, family, np.vstack(chunks)[: len(active)])
+    rules = _rules(config, family, np.vstack(batches)[: len(active)])
     kinds = np.where(active, ACTIVE, INACTIVE).tolist()
     return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, ACTIVE_CLASS if found else INACTIVE_CLASS)
 

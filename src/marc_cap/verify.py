@@ -218,16 +218,21 @@ def split_sampler(config, seed=0):
     `draw(n)` returns an (n, 2K) array of rows. Each row draws its alpha and
     then its beta, so rows are drawn one at a time: a Dirichlet draw takes a
     varying number of random words, and the interleaved stream cannot be
-    drawn in one batch."""
+    drawn in one batch. Beta is the stream of `rng.dirichlet(ones(K + 1))`
+    without its per-call argument checks: for all-ones weights that draws
+    K + 1 standard exponentials and multiplies them by the reciprocal of
+    their left-to-right sum, which `np.add.accumulate` keeps (Python's `sum`
+    and `ndarray.sum` round differently)."""
     rng = np.random.default_rng(seed)
     K = config.K
 
     def draw(n):
-        rows = np.empty((n, 2 * K))
-        for row in rows:
-            row[:K] = rng.random(K)
-            row[K:] = rng.dirichlet(np.ones(K + 1))[:K]
-        return rows
+        alpha, gamma = np.empty((n, K)), np.empty((n, K + 1))
+        for a, g in zip(alpha, gamma):
+            rng.random(out=a)
+            rng.standard_exponential(out=g)
+        total = np.add.accumulate(gamma, axis=1)[:, -1:]
+        return np.hstack([alpha, gamma[:, :K] * (1.0 / total)])
 
     return draw
 

@@ -117,6 +117,15 @@ def test_sumcap_rejects_resolutions_the_sweep_cannot_honour(tmp_path, capsys, da
     ({**EX1_SNR, "snr_relay_dest": "2"}, "error: config field error: snr_relay_dest must be a number, got '2'\n"),
     # Python's json reads NaN, and an ordered comparison is false on it.
     ({**EX1_SNR, "snr_dest": [3.0, float("nan")]}, "error: SNR values must be positive\n"),
+    # Python's json reads Infinity too; it passes every positivity test.
+    ({**EX1_SNR, "snr_relay": [float("inf"), float("inf")]}, "error: SNR values must be finite\n"),
+    ({**EX1_SNR, "snr_dest": [3.0, float("inf")]}, "error: SNR values must be finite\n"),
+    ({**EX1_SNR, "snr_relay_dest": float("inf")}, "error: SNR values must be finite\n"),
+    ({**EX1, "P": [6.0, float("inf")]}, "error: P[2] must be finite, got inf\n"),
+    ({**EX1, "P_r": float("inf")}, "error: P_r must be finite, got inf\n"),
+    ({**EX1, "N_r": float("inf")}, "error: N_r must be finite, got inf\n"),
+    ({**EX1, "N_delta": float("inf")}, "error: N_delta must be finite, got inf\n"),
+    ({**EX1, "P_r": float("-inf")}, "error: P_r must be positive, got -inf\n"),
 ])
 def test_config_errors(tmp_path, capsys, data, fragment):
     cfg = write_config(tmp_path, data)

@@ -14,7 +14,7 @@ from marc_cap import (
     solve_equalizer,
     sum_capacity,
 )
-from marc_cap import bounds
+from marc_cap import bounds, sumcap
 from marc_cap._kernels import compositions
 from marc_cap.polymatroid import INACTIVE, intersection_max_sum, intersection_rows
 from marc_cap.sumcap import (
@@ -600,3 +600,26 @@ def test_sampled_scan_bits_are_frozen(name):
         fields = [(*rule.alpha, *rule.beta) if family == "inner" else rule.gamma for rule, _ in scan.samples]
         verdict = np.frombuffer(scan.verdict.encode(), dtype=np.uint8)
         assert sha256_of(verdict, kinds, np.array(fields, dtype=np.float64)) == expect, family
+
+
+@pytest.mark.parametrize("name, family, expect", [
+    ("example3", "inner", 1),  # the first 64 draws hold an Active one
+    ("example3", "outer", 1),
+    ("k4_scan_fault", "outer", 1),  # 18 chunks to keep 64 rows, one batch
+    ("k5_upper_bound_only", "inner", 14),  # 10,495 rows: 64, 128, ..., 1,024 per batch
+])
+def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family, expect):
+    sizes = []
+
+    def counted(config, family, rows, *args):
+        sizes.append(len(rows))
+        return family_tables(config, family, rows, *args)
+
+    monkeypatch.setattr(sumcap, "family_tables", counted)
+    config = scan_config(name)
+    scan = scan_active_rules(config, solve_equalizer(config), family=family)
+    assert len(sizes) == expect
+    # A batch closes at the chunk that takes it to its size, so it holds
+    # fewer than 64 rows more.
+    assert sizes[0] >= 64 and max(sizes) < sumcap.MAX_SCAN_BATCH + 64
+    assert sum(sizes) >= len(scan.samples)

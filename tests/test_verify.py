@@ -352,6 +352,16 @@ def test_samplers_batch_equals_one_row_draws():
             assert make(cfg, seed=K)(0).shape == (0, batch.shape[1])
 
 
+@pytest.mark.parametrize("K", range(1, 9))
+def test_split_sampler_is_the_dirichlet_stream(K):
+    # Each row is rng.random(K) and then rng.dirichlet(ones(K + 1))[:K],
+    # byte for byte, on the same generator.
+    cfg = ChannelConfig(K, (1.0,) * K, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(K)
+    expect = np.array([np.concatenate([rng.random(K), rng.dirichlet(np.ones(K + 1))[:K]]) for _ in range(500)])
+    assert split_sampler(cfg, seed=K)(500).tobytes() == expect.tobytes()
+
+
 def test_chord_check_matches_sequential_reference(example1):
     # Batched endpoints and midpoints give the report and witness of a
     # chord-by-chord scan: the convex negative control, the relay cutset's
