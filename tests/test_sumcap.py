@@ -623,3 +623,70 @@ def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family,
     # fewer than 64 rows more.
     assert sizes[0] >= 64 and max(sizes) < sumcap.MAX_SCAN_BATCH + 64
     assert sum(sizes) >= len(scan.samples)
+
+
+def uniform_split(config, solution):
+    """The uniform power split alpha_k = 1 - c / sum(lambda) as one row."""
+    a = 1.0 - solution.constraint_value / config.lam_vector().sum()
+    return np.full((1, config.K), a)
+
+
+def test_uniform_split_tables_agree_and_classify_active():
+    # With the uniform split, beta_star gives beta_k = P_k / P(K) and both
+    # decode-and-forward tables become C(a P(S) / N_r): one concave function
+    # of a modular one, so the intersection is Active with max sum C*.
+    # Per entry the two agree to a relative 4e-10 on tiny subsets, and to
+    # 4.2e-13 of C* at worst on these draws.
+    rng = np.random.default_rng(5)
+    equalized = 0
+    for _ in range(3000):
+        K = int(rng.integers(2, 7))
+        P = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), K))
+        P_r, N_delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2))
+        cfg = ChannelConfig(K, tuple(P.tolist()), float(P_r), 1.0, float(N_delta))
+        if bottleneck_check(cfg):
+            continue
+        equalized += 1
+        sol = solve_equalizer(cfg)
+        dest, relay = family_tables(cfg, "inner", uniform_split(cfg, sol))
+        assert np.abs(dest - relay).max() <= 1e-12 * sol.sum_rate
+        assert intersection_rows(dest, relay)[2][0]
+    assert equalized == 2357
+
+
+@pytest.mark.parametrize("P", [(1.0, 1.0, 1e-12), (5.0, 3.0, 1e-300)])
+def test_uniform_split_with_a_vanishing_power_is_active(P):
+    # The witness's smallest mixed slack tends to 0 with one source's power;
+    # TIE_TOL absorbs the rounding, and the label still comes from the tables.
+    cfg = ChannelConfig(3, P, 4.0, 1.0, 3.0)
+    res = sum_capacity(cfg)
+    assert res["status"] == EXACT
+    row = uniform_split(cfg, res["solution"])
+    equalizing_set(cfg, res["solution"], "inner").check(row[0])
+    assert intersection_rows(*family_tables(cfg, "inner", row))[2].tolist() == [True]
+
+
+# Per sampled-scan config, the digest of the uniform-split witness's verdict,
+# kind (Active as True) and float64 fields (alpha, then beta_star), laid out
+# as test_sampled_scan_bits_are_frozen hashes a scan.
+FROZEN_WITNESS_DIGESTS = {
+    "example3": "415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
+    "k5_upper_bound_only": "278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
+    "k6_outer_filter": "4e4e18f1b7016e1f12d0938ca5a490c26ddedeab04db1f4cc485378e360451fa",
+    "k6_rare_active": "da741b9739f5b543b2297beae23fd37361123457f996b16db4fa5c24d536d74d",
+    "k4_scan_fault": "b5292de0179a9c291b1a19b6dfc2953d63a2e167924ddfd65401321de86601b4",
+    "k3_scan_fault": "0b9afe0033bd22a6975dc6c6ed3cb64644c177c67eeeb340c0409928d5924ba9",
+    "k3_late_active": "19cd4999086437f6ea5cb33ec23c5607b7a76307ac64f3089295cca93051e989",
+    "k4_late_active": "9067550e828740b2618a074b2ac7280455704ed67225578248250d6516cf50a1",
+    "k5_late_active": "409eab79f844166a5116188e4ae1a73dbb9ca849d16f830472b9384fc8fa66a3",
+    "k6_late_active": "48e791d4cd2e1177f3746380131b56c215e1a0a1c67e9fb825d4b8b00267242f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+def test_uniform_split_witness_bits_are_frozen(name):
+    config = scan_config(name)
+    row = uniform_split(config, solve_equalizer(config))
+    active = intersection_rows(*family_tables(config, "inner", row))[2]
+    verdict = np.frombuffer((ACTIVE_CLASS if active.all() else INACTIVE_CLASS).encode(), dtype=np.uint8)
+    assert sha256_of(verdict, active, np.hstack([row, beta_star(config, row)])) == FROZEN_WITNESS_DIGESTS[name]
