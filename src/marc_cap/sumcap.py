@@ -3,9 +3,16 @@
 The K-user sum bounds at the relay and destination depend on the correlation
 parameters only through one scalar statistic; the relay bound falls and the
 destination bound rises in it, so the max-min is either the uncorrelated
-relay bound (bottleneck) or the unique equalizing root of a quadratic. The
-scanner walks the set of equalizing rules and classifies each induced
-two-polymatroid intersection to decide whether the bound is attained.
+relay bound (bottleneck) or the unique equalizing root of a quadratic.
+
+Whether decode-and-forward attains the Equalized value is decided by one
+power split, the uniform split alpha_k = 1 - c / sum(lambda) with the
+destination-optimal relay split beta_star. Under it both DF tables are one
+concave function of a modular one, C(a P(S) / N_r), so its two-polymatroid
+intersection is Active with max sum C*; the code still classifies it from
+its tables. For K=2 the scanner also sweeps the equalizing rules and
+reports where they are active; for K>2 the correlation (outer) rules are
+sampled.
 """
 
 import math
@@ -42,7 +49,8 @@ CONSTRAINT_TOL = 1e-10
 # The K=2 sweep classifies at most this many grid points, about 161 B each
 # (tracemalloc peak of sum_capacity), so about 322 MiB at the cap.
 MAX_SWEEP_POINTS = 1 << 21
-# The K>2 sampled scan draws this many loads from this seed before its lattice.
+# The K>2 outer-family scan draws this many loads from this seed before its
+# lattice; the inner family takes the uniform split instead.
 SCAN_DRAWS = 10000
 SCAN_SEED = 0
 # It classifies them in batches that double from 64 rows up to this size.
@@ -235,7 +243,12 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     endpoints included) and the second takes the load the first leaves.
     Runs of Active grid points become the reported intervals, so the
     boundary localization error is at most the resolution; every grid point
-    is classified. For K>2 the rule set is sampled (seeded loads that meet
+    is classified. When an inner sweep finds no Active point, the uniform
+    split decides (_uniform_split): if Active, it is the one-point run
+    [a, a] of both coordinates and the last sample.
+
+    For K>2 the inner verdict is the uniform split's kind, and that split is
+    the one sample. The outer rule set is sampled (seeded loads that meet
     the constraint by construction, then the lattice loads total * i / 8,
     i a composition of 8 into K parts, that stay within the caps) and only
     the verdict is interval-free. The samples are classified in batches of
@@ -252,7 +265,19 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     rule_set = equalizing_set(config, solution, family)
     if config.K == 2:
         return _scan_two_user(config, rule_set, resolution)
+    if family == "inner":
+        rule, kind = _uniform_split(config, rule_set)
+        return RuleSetScan(family, 0.0, ((rule, kind),), None, None, ACTIVE_CLASS if kind == ACTIVE else INACTIVE_CLASS)
     return _scan_sampled(config, rule_set)
+
+
+def _uniform_split(config, rule_set):
+    """The inner witness, alpha_k = a = 1 - c / sum(lambda) for every k with
+    beta_star, checked on the rule set, and its kind from its tables."""
+    row = np.full((1, len(rule_set.lam)), 1.0 - rule_set.total / rule_set.lam.sum())
+    rule_set.check(row[0])
+    active = intersection_rows(*family_tables(config, "inner", row))[2][0]
+    return _rules(config, "inner", row)[0], ACTIVE if active else INACTIVE
 
 
 def _scan_two_user(config, rule_set, resolution):
@@ -263,7 +288,12 @@ def _scan_two_user(config, rule_set, resolution):
     runs = rows[runs].tolist()
     # Every point is classified; the samples are the rules at both ends of
     # each run of equal kind, which pin the reported intervals.
-    samples = zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist())
+    samples = list(zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist()))
+    if not runs and family == "inner":
+        samples.append(_uniform_split(config, rule_set))
+        rule, kind = samples[-1]
+        if kind == ACTIVE:
+            runs = [[rule.alpha, rule.alpha]]
     # The second coordinate decreases along the sweep, so its runs map reversed.
     names = (rule_set.name + "1", rule_set.name + "2")
     intervals = {names[0]: [(a[0], b[0]) for a, b in runs], names[1]: sorted((b[1], a[1]) for a, b in runs)}
@@ -287,10 +317,12 @@ def _equalizing_loads(caps, total, n, rng):
     room = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
     loads = np.empty((n, K))
     left = np.full(n, total)
+    # Row j holds the uniforms that the j-th of K-1 calls rng.random(n) would draw.
+    draws = rng.random((K - 1, n))
     for j in range(K - 1):
         lo = np.maximum(0.0, left - room[:, j + 1])
         hi = np.minimum(caps[:, j], left)
-        loads[:, j] = np.minimum(lo + rng.random(n) * (hi - lo), hi)
+        loads[:, j] = np.minimum(lo + draws[j] * (hi - lo), hi)
         left = left - loads[:, j]
     loads[:, -1] = np.clip(left, 0.0, caps[:, -1])
     # Scatter each row's loads back to source order.
@@ -327,7 +359,7 @@ def _row_batches(rule_set, rng):
 
 
 def _scan_sampled(config, rule_set):
-    """The K>2 scan: classify the seeded rows batch by batch (_row_batches),
+    """The K>2 outer scan: classify the seeded rows batch by batch (_row_batches),
     stop after the first batch with an Active sample, and keep the samples
     up to the first Active one, but at least 64. A row classifies to the
     same bits alone as in any batch, and the rows do not depend on the
@@ -353,7 +385,11 @@ def sum_capacity(config, resolution=1e-3):
 
     Bottleneck regime and the active class are met exactly by
     decode-and-forward; an inactive-class verdict leaves the equalizer value
-    as an upper bound only. The resolution is checked in either regime.
+    as an upper bound only. In the Equalized regime the evidence is the
+    inner scan: for K>2 the uniform split alone, for K=2 the sweep, with the
+    uniform split where the sweep finds no Active point. The split is Active
+    in this model, so the status is Exact unless rounding breaks its tie.
+    The resolution is checked in either regime.
     """
     _check_resolution(resolution)
     solution = solve_equalizer(config)

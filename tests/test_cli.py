@@ -515,3 +515,32 @@ def test_classify_gamma_high_power_dust_is_zero(tmp_path, capsys):
     code, out, err = run(capsys, "classify", cfg, "--gamma", "0.25,0.75")
     assert code == 0 and err == ""
     assert "subset {1,2}: f1=8.809379 f2=0.000000" in out
+
+
+K5_WITNESS = {
+    "P": [0.2270536711210418, 0.043630259084022655, 0.022102891705732267, 0.012669700688172988, 0.01331918342024507],
+    "P_r": 2.338600283146414, "N_r": 1.0, "N_delta": 8.343551536260373,
+}
+K2_WITNESS = {"P": [0.2140153465175589, 0.011944506523696795], "P_r": 0.18903472952110514, "N_r": 1.0,
+              "N_delta": 0.8390037741230447}
+
+
+@pytest.mark.parametrize("resolution", ["1e-3", "1e-5"])
+def test_sumcap_is_exact_by_the_uniform_split(tmp_path, capsys, resolution):
+    # Neither config has an Active rule that the sampler (K=5) or the sweep
+    # (K=2) finds; the uniform power split is Active. For K=2 it is printed
+    # as the one-point run of both coordinates.
+    code, out, err = run(capsys, "sumcap", write_config(tmp_path, K5_WITNESS), "--resolution", resolution)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [
+        "regime=Equalized root=0.175504 c=0.030802 R=0.195764 status=Exact",
+        "scan family=inner resolution=0.000000 verdict=ActiveClass",
+    ]
+    code, out, err = run(capsys, "sumcap", write_config(tmp_path, K2_WITNESS), "--resolution", resolution)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [
+        "regime=Equalized root=0.001357 c=0.000002 R=0.146956 status=Exact",
+        f"scan family=inner resolution={float(resolution):.6f} verdict=ActiveClass",
+        "active alpha1=[0.999998,0.999998]",
+        "active alpha2=[0.999998,0.999998]",
+    ]

@@ -272,7 +272,10 @@ def test_scan_three_user_sampled(example3):
     assert scan.active_intervals is None
     assert scan.feasible_box is None
     assert scan.resolution == 0.0
-    assert len(scan.samples) == 64
+    # The inner verdict is the uniform split's, the one sample.
+    ((split, kind),) = scan.samples
+    assert kind == ACTIVE
+    assert split.alpha == tuple(uniform_split(example3, sol)[0].tolist())
 
 
 def test_scan_requires_equalized(bottleneck):
@@ -378,35 +381,48 @@ def test_sum_capacity_bottleneck(bottleneck):
     assert res["evidence"] == BOTTLENECK
 
 
-def test_sum_capacity_upper_bound_only():
-    # Equalized config whose scanned rule set is wholly inactive at this
-    # resolution: the equalizer value is reported as an upper bound only.
+def test_sum_capacity_exact_where_the_sweep_misses_the_active_run():
+    # Equalized config whose Active rules lie between two grid points at
+    # this resolution: the sweep classifies every grid point Inactive, and
+    # the uniform split decides, as the one-point run [a, a] of both
+    # coordinates and the last sample.
     cfg = ChannelConfig(2, (0.13296300946643722, 0.665324700283616),
                         3.373340472290549, 1.0, 4.27015438111622)
     assert not bottleneck_check(cfg)
     res = sum_capacity(cfg, resolution=5e-3)
-    assert res["status"] == UPPER_BOUND_ONLY
-    assert res["evidence"].verdict == INACTIVE_CLASS
+    assert res["status"] == EXACT
     assert res["value"] == solve_equalizer(cfg).sum_rate
+    scan = res["evidence"]
+    assert scan.verdict == ACTIVE_CLASS
+    *swept, (split, kind) = scan.samples
+    assert [k for _, k in swept] == [INACTIVE, INACTIVE]
+    a = 0.9998863201736844
+    assert (split.alpha, kind) == ((a, a), ACTIVE)
+    assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
 
 
 def test_sampled_scan_classifies_its_lattice_after_the_draws():
-    # No draw is Active here, so the scan classifies all SCAN_DRAWS draws and
-    # then every lattice load total * i / 8 (the 495 compositions of 8 into
-    # five parts all stay within the caps).
+    # No sampled power split is Active here, so the sampled scan classifies
+    # all SCAN_DRAWS draws and then every lattice load total * i / 8 (the
+    # 495 compositions of 8 into five parts all stay within the caps). The
+    # sampler once gave sum_capacity's verdict, UpperBoundOnly; the uniform
+    # split is Active, so the status is Exact.
     cfg = ChannelConfig(
         5,
         (0.2270536711210418, 0.043630259084022655, 0.022102891705732267, 0.012669700688172988, 0.01331918342024507),
         2.338600283146414, 1.0, 8.343551536260373,
     )
     res = sum_capacity(cfg)
-    assert res["status"] == UPPER_BOUND_ONLY
+    assert res["status"] == EXACT
     assert res["value"] == 0.19576403012430424
-    scan = res["evidence"]
+    ((split, kind),) = res["evidence"].samples
+    assert (split.alpha, kind) == ((0.9780609484837861,) * 5, ACTIVE)
+    assert res["evidence"].verdict == ACTIVE_CLASS
+    rule_set = equalizing_set(cfg, res["solution"], "inner")
+    scan = sumcap._scan_sampled(cfg, rule_set)
     assert scan.verdict == INACTIVE_CLASS
     assert len(scan.samples) == SCAN_DRAWS + 495
     assert all(kind == INACTIVE for _, kind in scan.samples)
-    rule_set = equalizing_set(cfg, res["solution"], "inner")
     lattice = compositions(5, 8) / 8 * rule_set.total
     tail = np.array([split.alpha for split, _ in scan.samples[SCAN_DRAWS:]])
     np.testing.assert_array_equal(tail, rule_set.clip_rows(rule_set.param(slice(None), lattice)))
@@ -468,7 +484,7 @@ def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, f
     # One normalised power is below 0.01, so Dirichlet draws over the whole
     # simplex were almost all infeasible (the outer scan kept 3 of 10,045 on
     # the K=4 config); draws built on the constraint slice keep every split
-    # and find the Active rules.
+    # and find the Active rules. The inner verdict is the uniform split's.
     cfg = ChannelConfig(len(P), P, P_r, 1.0, N_delta)
     res = sum_capacity(cfg)
     lam = cfg.lam_vector()
@@ -477,9 +493,9 @@ def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, f
         assert scan.verdict == ACTIVE_CLASS
         assert res["status"] == EXACT
         c = res["solution"].constraint_value
-        for split, _ in scan.samples:
-            alpha = np.asarray(split.alpha)
-            assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
+        ((split, _),) = scan.samples
+        alpha = np.asarray(split.alpha)
+        assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
     else:
         root = res["solution"].root
         scan = scan_active_rules(cfg, res["solution"], family="outer")
@@ -487,17 +503,19 @@ def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, f
             gamma = np.asarray(vec.gamma)
             assert gamma.min() >= 0.0 and gamma.max() <= 1.0 and gamma.sum() <= 1.0 + 1e-12
             assert abs(float(np.sqrt(lam * gamma).sum()) - root) <= CONSTRAINT_TOL * max(1.0, root)
-    assert len(scan.samples) >= 64
+        assert len(scan.samples) >= 64
 
 
 def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
     sol = solve_equalizer(example3)
-    for family in ("inner", "outer"):
-        scan = scan_active_rules(example3, sol, family=family)
-        kinds = [kind for _, kind in scan.samples]
-        assert ACTIVE in kinds
-        assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
-        assert kinds == [intersection_max_sum(*bound_functions(example3, rule)).kind for rule, _ in scan.samples]
+    scan = scan_active_rules(example3, sol, family="outer")
+    kinds = [kind for _, kind in scan.samples]
+    assert ACTIVE in kinds
+    assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
+    assert kinds == [intersection_max_sum(*bound_functions(example3, rule)).kind for rule, _ in scan.samples]
+    # The inner scan takes the uniform split only, labelled as its own pair.
+    ((split, kind),) = scan_active_rules(example3, sol).samples
+    assert kind == intersection_max_sum(*bound_functions(example3, split)).kind == ACTIVE
 
 
 def test_scan_samples_equal_checked_objects(example1, example3):
@@ -559,28 +577,29 @@ SCAN_CONFIGS = {
     ),
 }
 
-# Per config, the (inner, outer) digests of each sampled scan's verdict,
-# kinds (Active as True) and the float64 fields of every sample.
+# Per config, the (inner, outer) digests of each scan's verdict, kinds
+# (Active as True) and the float64 fields of every sample. The inner scan is
+# the uniform split, so its digests are those of FROZEN_WITNESS_DIGESTS.
 FROZEN_SCAN_DIGESTS = {
-    "example3": ("dbde30ba82838bd32c6225694692a15d93de06eff64499ff1b8360e8dd299666",
+    "example3": ("415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
                  "4c791b4626f50b39e451200b5216502879604cd4f17d0eca358ed8bcf8d85d2f"),
-    "k5_upper_bound_only": ("90c6ab596d26d17dc05fcce0bc979bb70321068eb3793643932686144ca914db",
+    "k5_upper_bound_only": ("278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
                             "3d6254529a62f07028e04dea5d4eb5b868941d1e1a951ce5390fe6aa738ea7c9"),
-    "k6_outer_filter": ("43b2d22f27899e26cc1609fc7e715291235d910df1f348405d8b799f44e2533b",
+    "k6_outer_filter": ("4e4e18f1b7016e1f12d0938ca5a490c26ddedeab04db1f4cc485378e360451fa",
                         "8991f5cc1c998f8389520ea956916ae948b806789e371af3f8ad92047042edbb"),
-    "k6_rare_active": ("2830ec6b71508d328f13777fce698b6c625c2202182bb3a314119caa99206258",
+    "k6_rare_active": ("da741b9739f5b543b2297beae23fd37361123457f996b16db4fa5c24d536d74d",
                        "dae174cbd78a5cf554297390047f5b2c3523fb879d3c555604b559af41f00eb4"),
-    "k4_scan_fault": ("70601422b5da119431536a0831704298a39def918fc42f6eae41df7e523e5b64",
+    "k4_scan_fault": ("b5292de0179a9c291b1a19b6dfc2953d63a2e167924ddfd65401321de86601b4",
                       "4cdef1391a6c9b9a18f0c3e7b4c13d1829db66a19b43cb919c7a5254cdbf21a8"),
-    "k3_scan_fault": ("11048f432e363a4aa3d9db4dc50172cfc1dd5b09a2fa79ca33f8ff68bb78db69",
+    "k3_scan_fault": ("0b9afe0033bd22a6975dc6c6ed3cb64644c177c67eeeb340c0409928d5924ba9",
                       "9f733b73ecd39cee5347ea465d9ecb3d094a232967ccd9c3e52a475694203fe6"),
-    "k3_late_active": ("989238acb664514d00af6ccd46529f27e5aae4f128174e0f142a07c923053256",
+    "k3_late_active": ("19cd4999086437f6ea5cb33ec23c5607b7a76307ac64f3089295cca93051e989",
                        "95543ebef252362a6d471c8a28dcab9f799c693d3794bb6aca0259520fcd1a19"),
-    "k4_late_active": ("973f03448450c327ea94f68a89d0a21edca8df65cf18716c21fcb95602c2ac10",
+    "k4_late_active": ("9067550e828740b2618a074b2ac7280455704ed67225578248250d6516cf50a1",
                        "a47190de49eaaa59121ea44691537c878f75fe1a3dda61eef5d8b37b618472c4"),
-    "k5_late_active": ("396409f80228d718b807d4a98a28b2c9d368e6a5474f00c3b93dce6e57b5d7d6",
+    "k5_late_active": ("409eab79f844166a5116188e4ae1a73dbb9ca849d16f830472b9384fc8fa66a3",
                        "039ce9cc6efa20cd05501f9918359764332a78b10b89a3e4d0269f53238ec068"),
-    "k6_late_active": ("90b133846ef48efdee2e9dd97c11ed3ec7114cd00f9b662b5a264179cadb21c9",
+    "k6_late_active": ("48e791d4cd2e1177f3746380131b56c215e1a0a1c67e9fb825d4b8b00267242f",
                        "f501ee7796e8b9fbeca1d6462ed2b18f67f9ff28c2a51da931a13879ff532162"),
 }
 
@@ -603,10 +622,10 @@ def test_sampled_scan_bits_are_frozen(name):
 
 
 @pytest.mark.parametrize("name, family, expect", [
-    ("example3", "inner", 1),  # the first 64 draws hold an Active one
-    ("example3", "outer", 1),
+    ("example3", "inner", 1),  # the uniform split, one row
+    ("example3", "outer", 1),  # the first 64 draws hold an Active one
     ("k4_scan_fault", "outer", 1),  # 18 chunks to keep 64 rows, one batch
-    ("k5_upper_bound_only", "inner", 14),  # 10,495 rows: 64, 128, ..., 1,024 per batch
+    ("k5_upper_bound_only", "inner", 1),  # the sampler classified 10,495 rows here, in 14 batches
 ])
 def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family, expect):
     sizes = []
@@ -619,6 +638,9 @@ def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family,
     config = scan_config(name)
     scan = scan_active_rules(config, solve_equalizer(config), family=family)
     assert len(sizes) == expect
+    if family == "inner":
+        assert sizes == [1] and len(scan.samples) == 1
+        return
     # A batch closes at the chunk that takes it to its size, so it holds
     # fewer than 64 rows more.
     assert sizes[0] >= 64 and max(sizes) < sumcap.MAX_SCAN_BATCH + 64
@@ -651,6 +673,10 @@ def test_uniform_split_tables_agree_and_classify_active():
         dest, relay = family_tables(cfg, "inner", uniform_split(cfg, sol))
         assert np.abs(dest - relay).max() <= 1e-12 * sol.sum_rate
         assert intersection_rows(dest, relay)[2][0]
+        if K > 2:
+            # The inner scan returns this split, Active, as its one sample.
+            ((split, kind),) = scan_active_rules(cfg, sol).samples
+            assert (split.alpha, kind) == (tuple(uniform_split(cfg, sol)[0].tolist()), ACTIVE)
     assert equalized == 2357
 
 
@@ -664,6 +690,8 @@ def test_uniform_split_with_a_vanishing_power_is_active(P):
     row = uniform_split(cfg, res["solution"])
     equalizing_set(cfg, res["solution"], "inner").check(row[0])
     assert intersection_rows(*family_tables(cfg, "inner", row))[2].tolist() == [True]
+    ((split, kind),) = res["evidence"].samples
+    assert (split.alpha, kind) == (tuple(row[0].tolist()), ACTIVE)
 
 
 # Per sampled-scan config, the digest of the uniform-split witness's verdict,
@@ -690,3 +718,23 @@ def test_uniform_split_witness_bits_are_frozen(name):
     active = intersection_rows(*family_tables(config, "inner", row))[2]
     verdict = np.frombuffer((ACTIVE_CLASS if active.all() else INACTIVE_CLASS).encode(), dtype=np.uint8)
     assert sha256_of(verdict, active, np.hstack([row, beta_star(config, row)])) == FROZEN_WITNESS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("resolution", [1e-3, 1e-5])
+def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resolution):
+    # The feasible alpha1 interval is 1.8e-6 wide, so at either resolution
+    # the sweep classifies its two ends only, both Inactive, and the uniform
+    # split inside it decides, as the one-point run [a, a].
+    cfg = ChannelConfig(2, (0.2140153465175589, 0.011944506523696795), 0.18903472952110514, 1.0,
+                        0.8390037741230447)
+    res = sum_capacity(cfg, resolution=resolution)
+    assert res["status"] == EXACT
+    scan = res["evidence"]
+    assert scan.verdict == ACTIVE_CLASS
+    *swept, (split, kind) = scan.samples
+    assert swept and all(k == INACTIVE for _, k in swept)
+    a = 0.9999982569895003
+    assert (split.alpha, kind) == ((a, a), ACTIVE)
+    assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
+    lo, hi = scan.feasible_box["alpha1"]
+    assert lo < a < hi
