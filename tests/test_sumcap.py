@@ -26,7 +26,6 @@ from marc_cap.sumcap import (
     INACTIVE_CLASS,
     MAX_SWEEP_POINTS,
     SCAN_DRAWS,
-    UPPER_BOUND_ONLY,
     _runs,
     _sweep_grid,
     bottleneck_check,
