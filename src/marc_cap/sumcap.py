@@ -290,8 +290,8 @@ def _scan_two_user(config, rule_set, resolution):
     # each run of equal kind, which pin the reported intervals.
     samples = list(zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist()))
     if not runs and family == "inner":
-        samples.append(_uniform_split(config, rule_set))
-        rule, kind = samples[-1]
+        rule, kind = _uniform_split(config, rule_set)
+        samples.append((rule, kind))
         if kind == ACTIVE:
             runs = [[rule.alpha, rule.alpha]]
     # The second coordinate decreases along the sweep, so its runs map reversed.
