@@ -243,6 +243,7 @@ def test_classify_solves_last_gamma(tmp_path, capsys):
 
 EX2 = {"K": 2, "P": [6.0, 0.4], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
 K3 = {"P": [3.0, 1.5, 0.7], "P_r": 2.0, "N_r": 1.0, "N_delta": 1.5}
+K1 = {"P": [5.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 3.0}
 
 
 @pytest.mark.parametrize("data, flag, values, message", [
@@ -433,6 +434,11 @@ regime=Equalized root=0.197282 c=0.038920 R=1.420632 status=Exact
 scan family=inner resolution=0.000010 verdict=ActiveClass
 active alpha1=[0.961080,0.979540]
 active alpha2=[0.723098,1.000000]
+"""),
+    "sumcap-k1": (K1, ["sumcap"], """\
+config K=1 P=5.000000 P_r=4.000000 N_r=1.000000 N_delta=3.000000
+regime=Equalized root=0.550990 c=0.303590 R=1.082080 status=Exact
+scan family=inner resolution=0.000000 verdict=ActiveClass
 """),
     "classify-k3-alpha": (K3, ["classify", "--alpha", "0.9,0.95,0.97"], K3_LINE + """\
 params alpha=0.900000,0.950000,0.970000 beta=0.757576,0.189394,0.053030

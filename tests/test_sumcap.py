@@ -16,7 +16,7 @@ from marc_cap import (
 )
 from marc_cap import bounds, sumcap
 from marc_cap._kernels import compositions
-from marc_cap.polymatroid import INACTIVE, intersection_max_sum, intersection_rows
+from marc_cap.polymatroid import INACTIVE, SubsetFunction, certify, intersection_max_sum, intersection_rows
 from marc_cap.sumcap import (
     ACTIVE,
     ACTIVE_CLASS,
@@ -652,31 +652,77 @@ def uniform_split(config, solution):
     return np.full((1, config.K), a)
 
 
+def witness_draws():
+    """The seeded draws of the witness property tests (K=2..6, powers over
+    eight decades), each Equalized one with its solution."""
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        K = int(rng.integers(2, 7))
+        P = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), K))
+        P_r, N_delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2))
+        cfg = ChannelConfig(K, tuple(P.tolist()), float(P_r), 1.0, float(N_delta))
+        if not bottleneck_check(cfg):
+            yield cfg, solve_equalizer(cfg)
+
+
 def test_uniform_split_tables_agree_and_classify_active():
     # With the uniform split, beta_star gives beta_k = P_k / P(K) and both
     # decode-and-forward tables become C(a P(S) / N_r): one concave function
     # of a modular one, so the intersection is Active with max sum C*.
     # Per entry the two agree to a relative 4e-10 on tiny subsets, and to
     # 4.2e-13 of C* at worst on these draws.
-    rng = np.random.default_rng(5)
-    equalized = 0
-    for _ in range(3000):
-        K = int(rng.integers(2, 7))
-        P = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), K))
-        P_r, N_delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 2))
-        cfg = ChannelConfig(K, tuple(P.tolist()), float(P_r), 1.0, float(N_delta))
-        if bottleneck_check(cfg):
-            continue
-        equalized += 1
-        sol = solve_equalizer(cfg)
+    draws = list(witness_draws())
+    assert len(draws) == 2357
+    for cfg, sol in draws:
         dest, relay = family_tables(cfg, "inner", uniform_split(cfg, sol))
         assert np.abs(dest - relay).max() <= 1e-12 * sol.sum_rate
         assert intersection_rows(dest, relay)[2][0]
-        if K > 2:
+        if cfg.K > 2:
             # The inner scan returns this split, Active, as its one sample.
             ((split, kind),) = scan_active_rules(cfg, sol).samples
             assert (split.alpha, kind) == (tuple(uniform_split(cfg, sol)[0].tolist()), ACTIVE)
-    assert equalized == 2357
+
+
+def correlation_witness(config, solution):
+    """The correlations gamma_k = (root / sum(lambda))^2 lambda_k as one row."""
+    lam = config.lam_vector()
+    share = solution.root / lam.sum()
+    return (share**2 * lam)[None]
+
+
+def test_correlation_witness_certifies_and_classifies_active():
+    # The witness's loads sqrt(lambda_k gamma_k) are root * lambda_k /
+    # sum(lambda), in proportion to lambda as the uniform split's are. Both
+    # cutset tables are then concave functions of P(S), so both certify;
+    # each entry is at least the uniform split's matching DF entry, and both
+    # full sums are C*, so the pair is Active with max sum C*. Worst on
+    # these draws: 4.4e-13 of C* for the value, 4.3e-13 for the dominance.
+    draws = list(witness_draws())
+    assert len(draws) == 2357
+    for cfg, sol in draws:
+        row = correlation_witness(cfg, sol)
+        equalizing_set(cfg, sol, "outer").check(row[0])
+        dest, relay = family_tables(cfg, "outer", row)
+        for table in (dest, relay):
+            cert = certify(SubsetFunction(cfg.K, table[0]))
+            assert cert.submodular and cert.monotone, cert.witness
+        value, _, active = intersection_rows(dest, relay)
+        assert active[0]
+        assert abs(value[0] - sol.sum_rate) <= 1e-12 * sol.sum_rate
+        df_dest, df_relay = family_tables(cfg, "inner", uniform_split(cfg, sol))
+        assert (df_dest - dest).max() <= 1e-12 * sol.sum_rate
+        assert (df_relay - relay).max() <= 1e-12 * sol.sum_rate
+
+
+@pytest.mark.parametrize("P", [(1.0, 1.0, 1e-12), (5.0, 3.0, 1e-300)])
+def test_correlation_witness_with_a_vanishing_power_is_active(P):
+    cfg = ChannelConfig(3, P, 4.0, 1.0, 3.0)
+    sol = solve_equalizer(cfg)
+    row = correlation_witness(cfg, sol)
+    equalizing_set(cfg, sol, "outer").check(row[0])
+    value, _, active = intersection_rows(*family_tables(cfg, "outer", row))
+    assert active.tolist() == [True]
+    assert abs(value[0] - sol.sum_rate) <= 1e-12 * sol.sum_rate
 
 
 @pytest.mark.parametrize("P", [(1.0, 1.0, 1e-12), (5.0, 3.0, 1e-300)])
@@ -737,3 +783,29 @@ def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resoluti
     assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
     lo, hi = scan.feasible_box["alpha1"]
     assert lo < a < hi
+
+
+# Per sampled-scan config, the digest of the correlation witness's verdict,
+# kind (Active as True) and float64 gamma, laid out as
+# test_sampled_scan_bits_are_frozen hashes a scan.
+FROZEN_CORRELATION_WITNESS_DIGESTS = {
+    "example3": "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee",
+    "k5_upper_bound_only": "6b24168ee179fb321a124fd6486d060d839110f9eaad100093fd93595ec830fa",
+    "k6_outer_filter": "7d4b34598c2b010c47028a13c988e95e99da5a03a597e1ce42e36506eff5ea8d",
+    "k6_rare_active": "af77fd29c4fffae0b39888cd5fe887585ea50000d70dab42e912bfae7144f36e",
+    "k4_scan_fault": "68d5ea4337c053f0e8d24175f4634a12806e3ce7065a541aaf9240f6e360bd58",
+    "k3_scan_fault": "e2deca298b12bcef7fc6f916508a6dae02e55c3aa3cb41b33a389e5eecdce5df",
+    "k3_late_active": "c89898ec1e4daa10b26aa5d935e9c1c36394ee94158fcce23ff4ceec838b7037",
+    "k4_late_active": "d4a815a85a3fe695be02a9a195b15f32f034ddf0798872ac3c5988b89a4a9a43",
+    "k5_late_active": "ca7d18e5c57a9b051140c309013cfef1c5f3809989300f18318b29c1f53fe420",
+    "k6_late_active": "27e2a639c50e73d6308164b4b8cb479dbf790d9aadbf23ce11d475bf2df9b0e7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
+def test_correlation_witness_bits_are_frozen(name):
+    config = scan_config(name)
+    row = correlation_witness(config, solve_equalizer(config))
+    active = intersection_rows(*family_tables(config, "outer", row))[2]
+    verdict = np.frombuffer((ACTIVE_CLASS if active.all() else INACTIVE_CLASS).encode(), dtype=np.uint8)
+    assert sha256_of(verdict, active, row) == FROZEN_CORRELATION_WITNESS_DIGESTS[name]
