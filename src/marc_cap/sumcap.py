@@ -5,14 +5,14 @@ parameters only through one scalar statistic; the relay bound falls and the
 destination bound rises in it, so the max-min is either the uncorrelated
 relay bound (bottleneck) or the unique equalizing root of a quadratic.
 
-Whether decode-and-forward attains the Equalized value is decided by one
-power split, the uniform split alpha_k = 1 - c / sum(lambda) with the
-destination-optimal relay split beta_star. Under it both DF tables are one
-concave function of a modular one, C(a P(S) / N_r), so its two-polymatroid
-intersection is Active with max sum C*; the code still classifies it from
-its tables. For K=2 the scanner also sweeps the equalizing rules and
-reports where they are active; for K>2 the correlation (outer) rules are
-sampled.
+Each family's verdict is decided by one witness rule, whose loads are in
+proportion to lambda: the uniform power split alpha_k = 1 - c / sum(lambda)
+with the destination-optimal relay split beta_star (inner), and the
+correlations gamma_k = (root / sum(lambda))^2 lambda_k (outer). Under either,
+both tables are concave functions of P(S) whose full sums are C*, so the
+two-polymatroid intersection is Active with max sum C*; the code still
+classifies the witness from its tables. For K=2 the scanner also sweeps the
+equalizing rules and reports where they are active.
 """
 
 import math
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import compositions
 from .bounds import (
     CorrelationVector,
     DfPowerSplit,
@@ -49,12 +48,6 @@ CONSTRAINT_TOL = 1e-10
 # The K=2 sweep classifies at most this many grid points, about 161 B each
 # (tracemalloc peak of sum_capacity), so about 322 MiB at the cap.
 MAX_SWEEP_POINTS = 1 << 21
-# The K>2 outer-family scan draws this many loads from this seed before its
-# lattice; the inner family takes the uniform split instead.
-SCAN_DRAWS = 10000
-SCAN_SEED = 0
-# It classifies them in batches that double from 64 rows up to this size.
-MAX_SCAN_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,18 @@ def solve_equalizer(config):
     is where the relay bound meets the destination bound, the positive root
     of K_0 x^2 + 2 K_1 x + K_2 - K_3; root^2 parameterizes the rule sets.
     """
-    if bottleneck_check(config):
-        return MaxMinSolution(BOTTLENECK, 0.0, awgn_capacity(relay_sum_snr(config, 0.0)), 0.0)
-    k0, k1, k2, k3 = k_coefficients(config)
-    root = (-k1 + math.sqrt(k1 * k1 + (k3 - k2) * k0)) / k0
+    regime, root = BOTTLENECK, 0.0
+    if not bottleneck_check(config):
+        k0, k1, k2, k3 = k_coefficients(config)
+        regime, root = EQUALIZED, (-k1 + math.sqrt(k1 * k1 + (k3 - k2) * k0)) / k0
+    # Powers many decades apart can overflow the coefficients' products.
+    if not math.isfinite(root):
+        raise DomainError(f"equalizing root {root!r} is not finite")
     sum_rate = awgn_capacity(relay_sum_snr(config, root))
+    if not math.isfinite(sum_rate):
+        raise DomainError(f"sum rate {sum_rate!r} is not finite")
+    if regime == BOTTLENECK:
+        return MaxMinSolution(BOTTLENECK, 0.0, sum_rate, 0.0)
     gap = awgn_capacity(dest_sum_snr(config, root)) - sum_rate
     if abs(gap) > 1e-8:
         raise RuntimeError(f"equalizer gap {gap!r} at root {root!r}")
@@ -243,18 +243,12 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     endpoints included) and the second takes the load the first leaves.
     Runs of Active grid points become the reported intervals, so the
     boundary localization error is at most the resolution; every grid point
-    is classified. When an inner sweep finds no Active point, the uniform
-    split decides (_uniform_split): if Active, it is the one-point run
-    [a, a] of both coordinates and the last sample.
+    is classified. When the sweep finds no Active point, the family's
+    witness decides (_witness): if Active, it is the one-point run of both
+    coordinates and the last sample.
 
-    For K>2 the inner verdict is the uniform split's kind, and that split is
-    the one sample. The outer rule set is sampled (seeded loads that meet
-    the constraint by construction, then the lattice loads total * i / 8,
-    i a composition of 8 into K parts, that stay within the caps) and only
-    the verdict is interval-free. The samples are classified in batches of
-    64 rows, then 128, doubling up to 1,024; the scan stops after the first
-    batch with an Active sample and keeps the samples up to the first
-    Active one, at least 64.
+    For any other K the verdict is the witness's kind, and the witness is
+    the one sample.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -265,19 +259,21 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     rule_set = equalizing_set(config, solution, family)
     if config.K == 2:
         return _scan_two_user(config, rule_set, resolution)
-    if family == "inner":
-        rule, kind = _uniform_split(config, rule_set)
-        return RuleSetScan(family, 0.0, ((rule, kind),), None, None, ACTIVE_CLASS if kind == ACTIVE else INACTIVE_CLASS)
-    return _scan_sampled(config, rule_set)
+    rule, kind = _witness(config, rule_set)
+    return RuleSetScan(family, 0.0, ((rule, kind),), None, None, ACTIVE_CLASS if kind == ACTIVE else INACTIVE_CLASS)
 
 
-def _uniform_split(config, rule_set):
-    """The inner witness, alpha_k = a = 1 - c / sum(lambda) for every k with
-    beta_star, checked on the rule set, and its kind from its tables."""
-    row = np.full((1, len(rule_set.lam)), 1.0 - rule_set.total / rule_set.lam.sum())
+def _witness(config, rule_set):
+    """The rule whose loads are total * lambda / sum(lambda), checked on the
+    rule set, with its kind from its tables. With share = total / sum(lambda)
+    it is the uniform split alpha_k = 1 - share with beta_star (inner), or
+    gamma_k = share^2 lambda_k (outer)."""
+    lam = rule_set.lam
+    share = rule_set.total / lam.sum()
+    row = np.full((1, len(lam)), 1.0 - share) if rule_set.family == "inner" else share**2 * lam[None]
     rule_set.check(row[0])
-    active = intersection_rows(*family_tables(config, "inner", row))[2][0]
-    return _rules(config, "inner", row)[0], ACTIVE if active else INACTIVE
+    active = intersection_rows(*family_tables(config, rule_set.family, row))[2][0]
+    return _rules(config, rule_set.family, row)[0], ACTIVE if active else INACTIVE
 
 
 def _scan_two_user(config, rule_set, resolution):
@@ -289,11 +285,12 @@ def _scan_two_user(config, rule_set, resolution):
     # Every point is classified; the samples are the rules at both ends of
     # each run of equal kind, which pin the reported intervals.
     samples = list(zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist()))
-    if not runs and family == "inner":
-        rule, kind = _uniform_split(config, rule_set)
+    if not runs:
+        rule, kind = _witness(config, rule_set)
         samples.append((rule, kind))
         if kind == ACTIVE:
-            runs = [[rule.alpha, rule.alpha]]
+            point = rule.alpha if family == "inner" else rule.gamma
+            runs = [[point, point]]
     # The second coordinate decreases along the sweep, so its runs map reversed.
     names = (rule_set.name + "1", rule_set.name + "2")
     intervals = {names[0]: [(a[0], b[0]) for a, b in runs], names[1]: sorted((b[1], a[1]) for a, b in runs)}
@@ -305,90 +302,16 @@ def _scan_two_user(config, rule_set, resolution):
     return RuleSetScan(family, resolution, tuple(samples), intervals, box, verdict)
 
 
-def _equalizing_loads(caps, total, n, rng):
-    """n draws of u with 0 <= u_k <= caps_k and sum(u) = total, feasible by
-    construction: the coordinates are visited in a random order, each is
-    drawn uniformly from the interval that keeps the rest feasible, and the
-    last takes the remainder."""
-    K = len(caps)
-    order = rng.permuted(np.tile(np.arange(K), (n, 1)), axis=1)
-    caps = caps[order]
-    # room[:, j]: the most that coordinates j.. of the visit order can take.
-    room = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
-    loads = np.empty((n, K))
-    left = np.full(n, total)
-    # Row j holds the uniforms that the j-th of K-1 calls rng.random(n) would draw.
-    draws = rng.random((K - 1, n))
-    for j in range(K - 1):
-        lo = np.maximum(0.0, left - room[:, j + 1])
-        hi = np.minimum(caps[:, j], left)
-        loads[:, j] = np.minimum(lo + draws[j] * (hi - lo), hi)
-        left = left - loads[:, j]
-    loads[:, -1] = np.clip(left, 0.0, caps[:, -1])
-    # Scatter each row's loads back to source order.
-    out = np.empty_like(loads)
-    out[np.arange(n)[:, None], order] = loads
-    return out
-
-
-def _load_chunks(rule_set, rng):
-    """Loads on the rule set, 64 rows at a time: SCAN_DRAWS seeded draws,
-    then the points of a simplex lattice that stay within the caps."""
-    for lo in range(0, SCAN_DRAWS, 64):
-        yield _equalizing_loads(rule_set.caps, rule_set.total, min(64, SCAN_DRAWS - lo), rng)
-    lattice = compositions(len(rule_set.caps), 8) / 8 * rule_set.total
-    lattice = lattice[np.all(lattice <= rule_set.caps, axis=1)]
-    for lo in range(0, len(lattice), 64):
-        yield lattice[lo : lo + 64]
-
-
-def _row_batches(rule_set, rng):
-    """The parameter rows kept from the load chunks, in batches. A batch
-    closes at the chunk that brings it to its size: 64 rows for the first,
-    then twice the size before, up to MAX_SCAN_BATCH. The last batch holds
-    what is left."""
-    size, rows, kept = 64, [], 0
-    for loads in _load_chunks(rule_set, rng):
-        rows.append(rule_set.clip_rows(rule_set.param(slice(None), loads)))
-        kept += len(rows[-1])
-        if kept >= size:
-            yield np.vstack(rows)
-            size, rows, kept = min(2 * size, MAX_SCAN_BATCH), [], 0
-    if rows:
-        yield np.vstack(rows)
-
-
-def _scan_sampled(config, rule_set):
-    """The K>2 outer scan: classify the seeded rows batch by batch (_row_batches),
-    stop after the first batch with an Active sample, and keep the samples
-    up to the first Active one, but at least 64. A row classifies to the
-    same bits alone as in any batch, and the rows do not depend on the
-    batches, so the samples are those of a scan row by row."""
-    family = rule_set.family
-    batches, verdicts = [], []
-    for rows in _row_batches(rule_set, np.random.default_rng(SCAN_SEED)):
-        batches.append(rows)
-        verdicts.append(intersection_rows(*family_tables(config, family, rows))[2])
-        if verdicts[-1].any():
-            break
-    active = np.concatenate(verdicts)
-    found = bool(active.any())
-    if found:
-        active = active[: max(64, int(active.argmax()) + 1)]
-    rules = _rules(config, family, np.vstack(batches)[: len(active)])
-    kinds = np.where(active, ACTIVE, INACTIVE).tolist()
-    return RuleSetScan(family, 0.0, tuple(zip(rules, kinds)), None, None, ACTIVE_CLASS if found else INACTIVE_CLASS)
-
-
 def sum_capacity(config, resolution=1e-3):
     """Sum-capacity value with its achievability status.
 
     Bottleneck regime and the active class are met exactly by
     decode-and-forward; an inactive-class verdict leaves the equalizer value
     as an upper bound only. In the Equalized regime the evidence is the
-    inner scan: for K>2 the uniform split alone, for K=2 the sweep, with the
-    uniform split where the sweep finds no Active point. The split is Active
-    in this model, so the status is Exact unless rounding breaks its tie.
+    inner scan: the uniform split alone for K other than 2, the sweep for
+    K=2, with the split where the sweep finds no Active point. The split is
+    Active in this model, so the status is Exact unless rounding breaks its
+    tie.
     The resolution is checked in either regime.
     """
     _check_resolution(resolution)

@@ -168,7 +168,7 @@ def grid_maxmin(config, step=0.01):
     config = validate(config)
     if config.K > 3:
         raise ValueError("dense grid search supports K <= 3")
-    if step <= 0 or step > 1:
+    if not 0 < step <= 1:
         raise ValueError(f"step must be in (0, 1], got {step!r}")
     n = max(1, round(1.0 / step))
     P = config.powers()

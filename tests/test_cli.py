@@ -550,3 +550,15 @@ def test_sumcap_is_exact_by_the_uniform_split(tmp_path, capsys, resolution):
         "active alpha1=[0.999998,0.999998]",
         "active alpha2=[0.999998,0.999998]",
     ]
+
+
+OVERFLOW = {"P": [1e-300, 1e300], "P_r": 4.0, "N_r": 1.0, "N_delta": 3.0}
+
+
+@pytest.mark.parametrize("argv", [["sumcap"], ["classify", "--alpha", "0.5"]])
+def test_equalizer_overflow_exits_2(tmp_path, capsys, argv):
+    # The equalizer's coefficient products overflow, so its root is inf.
+    command, *flags = argv
+    code, out, err = run(capsys, command, write_config(tmp_path, OVERFLOW), *flags)
+    assert code == 2 and out == ""
+    assert err == "error: equalizing root inf is not finite\n"

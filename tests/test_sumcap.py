@@ -15,7 +15,6 @@ from marc_cap import (
     sum_capacity,
 )
 from marc_cap import bounds, sumcap
-from marc_cap._kernels import compositions
 from marc_cap.polymatroid import INACTIVE, SubsetFunction, certify, intersection_max_sum, intersection_rows
 from marc_cap.sumcap import (
     ACTIVE,
@@ -25,7 +24,6 @@ from marc_cap.sumcap import (
     EXACT,
     INACTIVE_CLASS,
     MAX_SWEEP_POINTS,
-    SCAN_DRAWS,
     _runs,
     _sweep_grid,
     bottleneck_check,
@@ -400,12 +398,10 @@ def test_sum_capacity_exact_where_the_sweep_misses_the_active_run():
     assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
 
 
-def test_sampled_scan_classifies_its_lattice_after_the_draws():
-    # No sampled power split is Active here, so the sampled scan classifies
-    # all SCAN_DRAWS draws and then every lattice load total * i / 8 (the
-    # 495 compositions of 8 into five parts all stay within the caps). The
-    # sampler once gave sum_capacity's verdict, UpperBoundOnly; the uniform
-    # split is Active, so the status is Exact.
+def test_k5_sampler_miss_is_exact_by_the_uniform_split():
+    # No sampled power split was Active here, so the sampler that once gave
+    # sum_capacity's verdict reported UpperBoundOnly; the uniform split is
+    # Active, so the status is Exact.
     cfg = ChannelConfig(
         5,
         (0.2270536711210418, 0.043630259084022655, 0.022102891705732267, 0.012669700688172988, 0.01331918342024507),
@@ -417,14 +413,6 @@ def test_sampled_scan_classifies_its_lattice_after_the_draws():
     ((split, kind),) = res["evidence"].samples
     assert (split.alpha, kind) == ((0.9780609484837861,) * 5, ACTIVE)
     assert res["evidence"].verdict == ACTIVE_CLASS
-    rule_set = equalizing_set(cfg, res["solution"], "inner")
-    scan = sumcap._scan_sampled(cfg, rule_set)
-    assert scan.verdict == INACTIVE_CLASS
-    assert len(scan.samples) == SCAN_DRAWS + 495
-    assert all(kind == INACTIVE for _, kind in scan.samples)
-    lattice = compositions(5, 8) / 8 * rule_set.total
-    tail = np.array([split.alpha for split, _ in scan.samples[SCAN_DRAWS:]])
-    np.testing.assert_array_equal(tail, rule_set.clip_rows(rule_set.param(slice(None), lattice)))
 
 
 def test_k_coefficients_live_in_bounds(example1):
@@ -481,40 +469,47 @@ def test_partner_alpha_stays_in_the_unit_interval():
 ])
 def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, family):
     # One normalised power is below 0.01, so Dirichlet draws over the whole
-    # simplex were almost all infeasible (the outer scan kept 3 of 10,045 on
-    # the K=4 config); draws built on the constraint slice keep every split
-    # and find the Active rules. The inner verdict is the uniform split's.
+    # simplex were almost all infeasible (the outer scan once kept 3 of
+    # 10,045 on the K=4 config). Either family's verdict is now its witness,
+    # one feasible Active rule on the constraint.
     cfg = ChannelConfig(len(P), P, P_r, 1.0, N_delta)
     res = sum_capacity(cfg)
+    assert res["status"] == EXACT
     lam = cfg.lam_vector()
+    scan = res["evidence"] if family == "inner" else scan_active_rules(cfg, res["solution"], family="outer")
+    assert scan.verdict == ACTIVE_CLASS
+    ((rule, kind),) = scan.samples
+    assert kind == ACTIVE
     if family == "inner":
-        scan = res["evidence"]
-        assert scan.verdict == ACTIVE_CLASS
-        assert res["status"] == EXACT
-        c = res["solution"].constraint_value
-        ((split, _),) = scan.samples
-        alpha = np.asarray(split.alpha)
-        assert abs(float((lam * (1.0 - alpha)).sum()) - c) <= CONSTRAINT_TOL
+        alpha = np.asarray(rule.alpha)
+        assert abs(float((lam * (1.0 - alpha)).sum()) - res["solution"].constraint_value) <= CONSTRAINT_TOL
     else:
         root = res["solution"].root
-        scan = scan_active_rules(cfg, res["solution"], family="outer")
-        for vec, _ in scan.samples:
-            gamma = np.asarray(vec.gamma)
-            assert gamma.min() >= 0.0 and gamma.max() <= 1.0 and gamma.sum() <= 1.0 + 1e-12
-            assert abs(float(np.sqrt(lam * gamma).sum()) - root) <= CONSTRAINT_TOL * max(1.0, root)
-        assert len(scan.samples) >= 64
+        gamma = np.asarray(rule.gamma)
+        assert gamma.min() >= 0.0 and gamma.max() <= 1.0 and gamma.sum() <= 1.0 + 1e-12
+        assert abs(float(np.sqrt(lam * gamma).sum()) - root) <= CONSTRAINT_TOL * max(1.0, root)
 
 
-def test_sampled_scan_stops_at_the_first_active_sample_after_64(example3):
+def test_k_many_scan_returns_its_witness_labelled_as_its_own_pair(example3):
+    # Each family's K>2 scan takes its witness only: the uniform split, or
+    # the correlations in proportion to lambda.
     sol = solve_equalizer(example3)
-    scan = scan_active_rules(example3, sol, family="outer")
-    kinds = [kind for _, kind in scan.samples]
-    assert ACTIVE in kinds
-    assert len(kinds) == max(64, kinds.index(ACTIVE) + 1)
-    assert kinds == [intersection_max_sum(*bound_functions(example3, rule)).kind for rule, _ in scan.samples]
-    # The inner scan takes the uniform split only, labelled as its own pair.
-    ((split, kind),) = scan_active_rules(example3, sol).samples
-    assert kind == intersection_max_sum(*bound_functions(example3, split)).kind == ACTIVE
+    witnesses = {"inner": uniform_split(example3, sol), "outer": correlation_witness(example3, sol)}
+    for family, row in witnesses.items():
+        ((rule, kind),) = scan_active_rules(example3, sol, family=family).samples
+        assert (rule.alpha if family == "inner" else rule.gamma) == tuple(row[0].tolist())
+        assert kind == intersection_max_sum(*bound_functions(example3, rule)).kind == ACTIVE
+
+
+def test_one_user_scans_return_one_active_witness():
+    cfg = ChannelConfig(1, (5.0,), 4.0, 1.0, 3.0)
+    sol = solve_equalizer(cfg)
+    assert sol.regime == EQUALIZED
+    for family in ("inner", "outer"):
+        scan = scan_active_rules(cfg, sol, family=family)
+        assert scan.verdict == ACTIVE_CLASS
+        ((_, kind),) = scan.samples
+        assert kind == ACTIVE
 
 
 def test_scan_samples_equal_checked_objects(example1, example3):
@@ -546,11 +541,11 @@ def test_sweep_verdict_bits_are_frozen(example1):
         assert sha256_of(rows, *intersection_rows(*family_tables(example1, family, rows))) == expect, family
 
 
-# Sampled-scan configs: example 3; the K=5 UpperBoundOnly config above; two
-# K=6 configs where the outer filter keeps 37 of 10,000 draws and where
-# about 1 in 3,000 inner draws is Active; perfbench's two scan-fault
-# configs; and four configs, from a seeded random search, whose first
-# Active draw comes after the first 64.
+# Configs that defeated the retired sampled scans: example 3; the K=5
+# UpperBoundOnly config above; two K=6 configs where the outer filter kept
+# 37 of 10,000 draws and where about 1 in 3,000 inner draws is Active;
+# perfbench's two scan-fault configs; and four configs, from a seeded
+# random search, whose first Active draw came after the first 64.
 SCAN_CONFIGS = {
     "example3": ((6.0, 4.0, 2.0), 5.0, 1.5),
     "k5_upper_bound_only": (
@@ -577,29 +572,30 @@ SCAN_CONFIGS = {
 }
 
 # Per config, the (inner, outer) digests of each scan's verdict, kinds
-# (Active as True) and the float64 fields of every sample. The inner scan is
-# the uniform split, so its digests are those of FROZEN_WITNESS_DIGESTS.
+# (Active as True) and the float64 fields of every sample. Each scan is its
+# family's witness, so the digests are those of FROZEN_WITNESS_DIGESTS and
+# FROZEN_CORRELATION_WITNESS_DIGESTS.
 FROZEN_SCAN_DIGESTS = {
     "example3": ("415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
-                 "4c791b4626f50b39e451200b5216502879604cd4f17d0eca358ed8bcf8d85d2f"),
+                 "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee"),
     "k5_upper_bound_only": ("278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
-                            "3d6254529a62f07028e04dea5d4eb5b868941d1e1a951ce5390fe6aa738ea7c9"),
+                            "6b24168ee179fb321a124fd6486d060d839110f9eaad100093fd93595ec830fa"),
     "k6_outer_filter": ("4e4e18f1b7016e1f12d0938ca5a490c26ddedeab04db1f4cc485378e360451fa",
-                        "8991f5cc1c998f8389520ea956916ae948b806789e371af3f8ad92047042edbb"),
+                        "7d4b34598c2b010c47028a13c988e95e99da5a03a597e1ce42e36506eff5ea8d"),
     "k6_rare_active": ("da741b9739f5b543b2297beae23fd37361123457f996b16db4fa5c24d536d74d",
-                       "dae174cbd78a5cf554297390047f5b2c3523fb879d3c555604b559af41f00eb4"),
+                       "af77fd29c4fffae0b39888cd5fe887585ea50000d70dab42e912bfae7144f36e"),
     "k4_scan_fault": ("b5292de0179a9c291b1a19b6dfc2953d63a2e167924ddfd65401321de86601b4",
-                      "4cdef1391a6c9b9a18f0c3e7b4c13d1829db66a19b43cb919c7a5254cdbf21a8"),
+                      "68d5ea4337c053f0e8d24175f4634a12806e3ce7065a541aaf9240f6e360bd58"),
     "k3_scan_fault": ("0b9afe0033bd22a6975dc6c6ed3cb64644c177c67eeeb340c0409928d5924ba9",
-                      "9f733b73ecd39cee5347ea465d9ecb3d094a232967ccd9c3e52a475694203fe6"),
+                      "e2deca298b12bcef7fc6f916508a6dae02e55c3aa3cb41b33a389e5eecdce5df"),
     "k3_late_active": ("19cd4999086437f6ea5cb33ec23c5607b7a76307ac64f3089295cca93051e989",
-                       "95543ebef252362a6d471c8a28dcab9f799c693d3794bb6aca0259520fcd1a19"),
+                       "c89898ec1e4daa10b26aa5d935e9c1c36394ee94158fcce23ff4ceec838b7037"),
     "k4_late_active": ("9067550e828740b2618a074b2ac7280455704ed67225578248250d6516cf50a1",
-                       "a47190de49eaaa59121ea44691537c878f75fe1a3dda61eef5d8b37b618472c4"),
+                       "d4a815a85a3fe695be02a9a195b15f32f034ddf0798872ac3c5988b89a4a9a43"),
     "k5_late_active": ("409eab79f844166a5116188e4ae1a73dbb9ca849d16f830472b9384fc8fa66a3",
-                       "039ce9cc6efa20cd05501f9918359764332a78b10b89a3e4d0269f53238ec068"),
+                       "ca7d18e5c57a9b051140c309013cfef1c5f3809989300f18318b29c1f53fe420"),
     "k6_late_active": ("48e791d4cd2e1177f3746380131b56c215e1a0a1c67e9fb825d4b8b00267242f",
-                       "f501ee7796e8b9fbeca1d6462ed2b18f67f9ff28c2a51da931a13879ff532162"),
+                       "27e2a639c50e73d6308164b4b8cb479dbf790d9aadbf23ce11d475bf2df9b0e7"),
 }
 
 
@@ -622,11 +618,12 @@ def test_sampled_scan_bits_are_frozen(name):
 
 @pytest.mark.parametrize("name, family, expect", [
     ("example3", "inner", 1),  # the uniform split, one row
-    ("example3", "outer", 1),  # the first 64 draws hold an Active one
-    ("k4_scan_fault", "outer", 1),  # 18 chunks to keep 64 rows, one batch
+    ("example3", "outer", 1),  # the sampler classified 64 rows here
+    ("k4_scan_fault", "outer", 1),  # the sampler drew 18 chunks to keep 64 rows
     ("k5_upper_bound_only", "inner", 1),  # the sampler classified 10,495 rows here, in 14 batches
 ])
 def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family, expect):
+    # The batches are gone: each scan classifies its witness, one row.
     sizes = []
 
     def counted(config, family, rows, *args):
@@ -636,14 +633,7 @@ def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family,
     monkeypatch.setattr(sumcap, "family_tables", counted)
     config = scan_config(name)
     scan = scan_active_rules(config, solve_equalizer(config), family=family)
-    assert len(sizes) == expect
-    if family == "inner":
-        assert sizes == [1] and len(scan.samples) == 1
-        return
-    # A batch closes at the chunk that takes it to its size, so it holds
-    # fewer than 64 rows more.
-    assert sizes[0] >= 64 and max(sizes) < sumcap.MAX_SCAN_BATCH + 64
-    assert sum(sizes) >= len(scan.samples)
+    assert sizes == [1] * expect and len(scan.samples) == 1
 
 
 def uniform_split(config, solution):
@@ -723,6 +713,8 @@ def test_correlation_witness_with_a_vanishing_power_is_active(P):
     value, _, active = intersection_rows(*family_tables(cfg, "outer", row))
     assert active.tolist() == [True]
     assert abs(value[0] - sol.sum_rate) <= 1e-12 * sol.sum_rate
+    ((vec, kind),) = scan_active_rules(cfg, sol, family="outer").samples
+    assert (vec.gamma, kind) == (tuple(row[0].tolist()), ACTIVE)
 
 
 @pytest.mark.parametrize("P", [(1.0, 1.0, 1e-12), (5.0, 3.0, 1e-300)])
@@ -809,3 +801,33 @@ def test_correlation_witness_bits_are_frozen(name):
     active = intersection_rows(*family_tables(config, "outer", row))[2]
     verdict = np.frombuffer((ACTIVE_CLASS if active.all() else INACTIVE_CLASS).encode(), dtype=np.uint8)
     assert sha256_of(verdict, active, row) == FROZEN_CORRELATION_WITNESS_DIGESTS[name]
+
+
+def test_two_user_outer_sweep_without_an_active_point_takes_the_correlation_witness():
+    # At 1e-3 the sweep's points all miss the Active run [9e-05, 0.00042]
+    # of gamma1, so the witness inside it decides, as the one-point run.
+    cfg = ChannelConfig(2, (0.011432602965413334, 54.06243478223962), 0.022044647785174485, 1.0,
+                        23.9721621086347)
+    sol = solve_equalizer(cfg)
+    g1, g2 = 0.0002026210543035322, 0.9581534115137799
+    scan = scan_active_rules(cfg, sol, resolution=1e-3, family="outer")
+    assert scan.verdict == ACTIVE_CLASS
+    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [
+        ((0.0, 0.9585586964707359), INACTIVE), ((0.047, 0.9523953972955843), INACTIVE), ((g1, g2), ACTIVE),
+    ]
+    assert scan.active_intervals == {"gamma1": [(g1, g1)], "gamma2": [(g2, g2)]}
+    assert (g1, g2) == tuple(correlation_witness(cfg, sol)[0].tolist())
+    # At 1e-5 the sweep finds the run, which contains the witness, and
+    # reports it bit for bit as before.
+    scan = scan_active_rules(cfg, sol, resolution=1e-5, family="outer")
+    assert scan.verdict == ACTIVE_CLASS
+    assert scan.active_intervals == {"gamma1": [(9e-05, 0.00042)], "gamma2": [(0.9579752209328806, 0.9582885776981943)]}
+    assert 9e-05 < g1 < 0.00042
+    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [
+        ((0.0, 0.9585586964707359), INACTIVE),
+        ((8e-05, 0.9583040250234564), INACTIVE),
+        ((9e-05, 0.9582885776981943), ACTIVE),
+        ((0.00042, 0.9579752209328806), ACTIVE),
+        ((0.00043000000000000004, 0.9579683167201423), INACTIVE),
+        ((0.04764, 0.9523536441948856), INACTIVE),
+    ]

@@ -2,6 +2,7 @@
 dense grid search, concavity chords, and bound dominance."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,8 @@ def test_grid_maxmin_bottleneck(bottleneck):
 def test_grid_maxmin_validation(example1):
     with pytest.raises(ValueError, match="step must be in"):
         grid_maxmin(example1, step=0.0)
+    with pytest.raises(ValueError, match="step must be in"):
+        grid_maxmin(example1, step=math.nan)
     with pytest.raises(ValueError, match="K <= 3"):
         grid_maxmin(ChannelConfig(4, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0, 1.0))
 
