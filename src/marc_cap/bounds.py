@@ -77,7 +77,8 @@ class DfPowerSplit:
 def prechecked(cls, **fields):
     """A CorrelationVector or DfPowerSplit of fields (tuples of floats) that
     family_tables has checked, built without its constructor's row checks:
-    a scan builds thousands from one batch, and numpy checks them slowly."""
+    the scans build their samples from rows checked as a batch, and numpy
+    checks one object slowly."""
     params = object.__new__(cls)
     params.__dict__.update(fields)
     return params

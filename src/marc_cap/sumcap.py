@@ -8,10 +8,10 @@ relay bound (bottleneck) or the unique equalizing root of a quadratic.
 Each family's verdict is decided by one witness rule, whose loads are in
 proportion to lambda: the uniform power split alpha_k = 1 - c / sum(lambda)
 with the destination-optimal relay split beta_star (inner), and the
-correlations gamma_k = (root / sum(lambda))^2 lambda_k (outer). Under either,
-both tables are concave functions of P(S) whose full sums are C*, so the
-two-polymatroid intersection is Active with max sum C*; the code still
-classifies the witness from its tables. For K=2 the scanner also sweeps the
+correlations gamma_k = (root / sum(lambda))^2 lambda_k (outer), the one the
+split induces. Under either, both tables certify and the two-polymatroid
+intersection is Active with max sum C*; the code still classifies the
+witness from its tables. For K=2 the scanner also sweeps the
 equalizing rules and reports where they are active.
 """
 

@@ -555,10 +555,16 @@ def test_sumcap_is_exact_by_the_uniform_split(tmp_path, capsys, resolution):
 OVERFLOW = {"P": [1e-300, 1e300], "P_r": 4.0, "N_r": 1.0, "N_delta": 3.0}
 
 
-@pytest.mark.parametrize("argv", [["sumcap"], ["classify", "--alpha", "0.5"]])
-def test_equalizer_overflow_exits_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("data, argv, message", [
     # The equalizer's coefficient products overflow, so its root is inf.
+    (OVERFLOW, ["sumcap"], "equalizing root inf is not finite"),
+    (OVERFLOW, ["classify", "--alpha", "0.5"], "equalizing root inf is not finite"),
+    # A Bottleneck config whose relay sum SNR, 2e308, overflows: this
+    # printed R=inf status=Exact.
+    ({"P": [1e308, 1e308], "P_r": 1.0, "N_r": 1.0, "N_delta": 1e-300}, ["sumcap"], "sum rate inf is not finite"),
+])
+def test_equalizer_overflow_exits_2(tmp_path, capsys, data, argv, message):
     command, *flags = argv
-    code, out, err = run(capsys, command, write_config(tmp_path, OVERFLOW), *flags)
+    code, out, err = run(capsys, command, write_config(tmp_path, data), *flags)
     assert code == 2 and out == ""
-    assert err == "error: equalizing root inf is not finite\n"
+    assert err == f"error: {message}\n"
