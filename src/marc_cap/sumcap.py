@@ -11,8 +11,9 @@ with the destination-optimal relay split beta_star (inner), and the
 correlations gamma_k = (root / sum(lambda))^2 lambda_k (outer), the one the
 split induces. Under either, both tables certify and the two-polymatroid
 intersection is Active with max sum C*; the code still classifies the
-witness from its tables. For K=2 the scanner also sweeps the
-equalizing rules and reports where they are active.
+witness from its tables, and it is every scan's one sample. For K=2 the
+scanner also sweeps the equalizing rules, in the witness's batch, and
+reports where they are active.
 """
 
 import math
@@ -197,12 +198,12 @@ def gamma_rule_outer(config, solution, gamma):
     return vec
 
 
-def _rules(config, family, rows):
-    # family_tables has checked the rows and their beta_star.
+def _rule(config, family, row):
+    """The parameter object of one (1, K) row that family_tables has
+    checked, with its beta_star for the inner family."""
     if family == "inner":
-        pairs = zip(rows.tolist(), beta_star(config, rows).tolist())
-        return [prechecked(DfPowerSplit, alpha=tuple(a), beta=tuple(b)) for a, b in pairs]
-    return [prechecked(CorrelationVector, gamma=tuple(g)) for g in rows.tolist()]
+        return prechecked(DfPowerSplit, alpha=tuple(row[0].tolist()), beta=tuple(beta_star(config, row)[0].tolist()))
+    return prechecked(CorrelationVector, gamma=tuple(row[0].tolist()))
 
 
 def _check_resolution(resolution):
@@ -225,30 +226,25 @@ def _sweep_grid(lo, hi, resolution):
 
 def _runs(active):
     """The (first, last) index pairs of the Active runs of a boolean verdict
-    array, and the indices at both ends of every run of equal kind; zero
-    rows have none."""
+    array; zero rows have none."""
     # Entry b of `edge` marks a change of kind just before row b; the padding
     # differs from both kinds, so the first and the last row start and end a run.
     edge = np.diff(np.concatenate([[-1], active, [-1]])) != 0
-    starts, stops = edge[:-1], edge[1:]
-    runs = np.column_stack([np.flatnonzero(starts & active), np.flatnonzero(stops & active)])
-    return runs, np.flatnonzero(starts | stops)
+    return np.column_stack([np.flatnonzero(edge[:-1] & active), np.flatnonzero(edge[1:] & active)])
 
 
 def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     """Classify the equalizing rule set and report where it is active.
 
-    For K=2 the rule set is one-dimensional: the first coordinate sweeps the
-    grid of resolution multiples inside its feasible interval (exact
-    endpoints included) and the second takes the load the first leaves.
-    Runs of Active grid points become the reported intervals, so the
-    boundary localization error is at most the resolution; every grid point
-    is classified. When the sweep finds no Active point, the family's
-    witness decides (_witness): if Active, it is the one-point run of both
-    coordinates and the last sample.
-
-    For any other K the verdict is the witness's kind, and the witness is
-    the one sample.
+    Every scan classifies its family's witness (see the module docstring),
+    checked on the rule set; it is the scan's one sample. For K=2 the first
+    coordinate also sweeps the grid of resolution multiples inside its
+    feasible interval (exact endpoints included), the second taking the
+    load the first leaves, in the witness's batch. Runs of Active grid
+    points become the reported intervals, so the boundary localization
+    error is at most the resolution. When the sweep finds no Active point,
+    an Active witness is the one-point run of both coordinates. The verdict
+    is ActiveClass when some classified rule is Active.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -257,40 +253,21 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
         raise DomainError("rule-set scan applies to the Equalized regime only")
     _check_resolution(resolution)
     rule_set = equalizing_set(config, solution, family)
-    if config.K == 2:
-        return _scan_two_user(config, rule_set, resolution)
-    rule, kind = _witness(config, rule_set)
-    return RuleSetScan(family, 0.0, ((rule, kind),), None, None, ACTIVE_CLASS if kind == ACTIVE else INACTIVE_CLASS)
-
-
-def _witness(config, rule_set):
-    """The rule whose loads are total * lambda / sum(lambda), checked on the
-    rule set, with its kind from its tables. With share = total / sum(lambda)
-    it is the uniform split alpha_k = 1 - share with beta_star (inner), or
-    gamma_k = share^2 lambda_k (outer)."""
     lam = rule_set.lam
     share = rule_set.total / lam.sum()
-    row = np.full((1, len(lam)), 1.0 - share) if rule_set.family == "inner" else share**2 * lam[None]
-    rule_set.check(row[0])
-    active = intersection_rows(*family_tables(config, rule_set.family, row))[2][0]
-    return _rules(config, rule_set.family, row)[0], ACTIVE if active else INACTIVE
-
-
-def _scan_two_user(config, rule_set, resolution):
-    family = rule_set.family
-    rows = rule_set.sweep(resolution)
-    active = intersection_rows(*family_tables(config, family, rows))[2]
-    runs, ends = _runs(active)
-    runs = rows[runs].tolist()
-    # Every point is classified; the samples are the rules at both ends of
-    # each run of equal kind, which pin the reported intervals.
-    samples = list(zip(_rules(config, family, rows[ends]), np.where(active[ends], ACTIVE, INACTIVE).tolist()))
-    if not runs:
-        rule, kind = _witness(config, rule_set)
-        samples.append((rule, kind))
-        if kind == ACTIVE:
-            point = rule.alpha if family == "inner" else rule.gamma
-            runs = [[point, point]]
+    witness = np.full((1, len(lam)), 1.0 - share) if family == "inner" else share**2 * lam[None]
+    rule_set.check(witness[0])
+    # The sweep rows are a view of the batch, so they are not copied twice.
+    batch = np.concatenate([rule_set.sweep(resolution), witness]) if config.K == 2 else witness
+    active = intersection_rows(*family_tables(config, family, batch))[2]
+    sample = (_rule(config, family, witness), ACTIVE if active[-1] else INACTIVE)
+    verdict = ACTIVE_CLASS if active.any() else INACTIVE_CLASS
+    if config.K != 2:
+        return RuleSetScan(family, 0.0, (sample,), None, None, verdict)
+    rows = batch[:-1]
+    runs = rows[_runs(active[:-1])].tolist()
+    if not runs and active[-1]:
+        runs = [witness.tolist() * 2]
     # The second coordinate decreases along the sweep, so its runs map reversed.
     names = (rule_set.name + "1", rule_set.name + "2")
     intervals = {names[0]: [(a[0], b[0]) for a, b in runs], names[1]: sorted((b[1], a[1]) for a, b in runs)}
@@ -298,8 +275,7 @@ def _scan_two_user(config, rule_set, resolution):
     if len(rows):
         (lo, first), (hi, last) = rows[[0, -1]].tolist()
         box = {names[0]: (lo, hi), names[1]: (last, first)}
-    verdict = ACTIVE_CLASS if runs else INACTIVE_CLASS
-    return RuleSetScan(family, resolution, tuple(samples), intervals, box, verdict)
+    return RuleSetScan(family, resolution, (sample,), intervals, box, verdict)
 
 
 def sum_capacity(config, resolution=1e-3):

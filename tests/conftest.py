@@ -24,7 +24,7 @@ def example2():
 
 @pytest.fixture
 def example3():
-    """Three-user equalized channel; scans fall back to sampled verdicts."""
+    """Three-user equalized channel; its scans take the witness verdicts."""
     return ChannelConfig(3, (6.0, 4.0, 2.0), 5.0, 1.0, 1.5)
 
 

@@ -261,7 +261,7 @@ def test_scan_example2_frozen_runs(example2):
     assert box["alpha2"] == pytest.approx((0.4161984870956629, 1.0000000000000007), abs=1e-12)
 
 
-def test_scan_three_user_sampled(example3):
+def test_scan_three_user_takes_the_uniform_split(example3):
     sol = solve_equalizer(example3)
     assert sol.regime == EQUALIZED
     scan = scan_active_rules(example3, sol)
@@ -337,17 +337,10 @@ def _active_runs(points, kinds):
     return runs
 
 
-def _run_ends(kinds):
-    """Reference: the indices at both ends of every run of equal kind."""
-    return [i for i, k in enumerate(kinds) if i in (0, len(kinds) - 1) or k != kinds[i - 1] or k != kinds[i + 1]]
-
-
 def test_active_runs_merges_consecutive_points():
-    runs, ends = _runs(np.array([True, True, False, True, True]))
-    assert runs.tolist() == [[0, 1], [3, 4]]
-    assert ends.tolist() == [0, 1, 2, 3, 4]
-    assert _runs(np.array([False, False]))[0].tolist() == []
-    assert _runs(np.array([True, True]))[0].tolist() == [[0, 1]]
+    assert _runs(np.array([True, True, False, True, True])).tolist() == [[0, 1], [3, 4]]
+    assert _runs(np.array([False, False])).tolist() == []
+    assert _runs(np.array([True, True])).tolist() == [[0, 1]]
 
 
 def test_runs_match_the_point_by_point_reference():
@@ -357,9 +350,7 @@ def test_runs_match_the_point_by_point_reference():
         for bits in range(1 << n):
             active = np.array([bool(bits >> i & 1) for i in range(n)], dtype=bool)
             kinds = [ACTIVE if a else INACTIVE for a in active]
-            runs, ends = _runs(active)
-            assert [tuple(r) for r in runs.tolist()] == _active_runs(range(n), kinds)
-            assert ends.tolist() == _run_ends(kinds)
+            assert [tuple(r) for r in _runs(active).tolist()] == _active_runs(range(n), kinds)
 
 
 def test_sum_capacity_equalized(example1):
@@ -381,18 +372,17 @@ def test_sum_capacity_bottleneck(bottleneck):
 def test_sum_capacity_exact_where_the_sweep_misses_the_active_run():
     # Equalized config whose Active rules lie between two grid points at
     # this resolution: the sweep classifies every grid point Inactive, and
-    # the uniform split decides, as the one-point run [a, a] of both
-    # coordinates and the last sample.
-    cfg = ChannelConfig(2, (0.13296300946643722, 0.665324700283616),
-                        3.373340472290549, 1.0, 4.27015438111622)
+    # the uniform split, the one sample, decides as the one-point run [a, a]
+    # of both coordinates.
+    cfg = two_user_config("inner_run_between_points")
     assert not bottleneck_check(cfg)
     res = sum_capacity(cfg, resolution=5e-3)
     assert res["status"] == EXACT
     assert res["value"] == solve_equalizer(cfg).sum_rate
+    assert sweep_kinds(cfg, res["solution"], "inner", 5e-3) == [INACTIVE, INACTIVE]
     scan = res["evidence"]
     assert scan.verdict == ACTIVE_CLASS
-    *swept, (split, kind) = scan.samples
-    assert [k for _, k in swept] == [INACTIVE, INACTIVE]
+    ((split, kind),) = scan.samples
     a = 0.9998863201736844
     assert (split.alpha, kind) == ((a, a), ACTIVE)
     assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
@@ -423,6 +413,12 @@ def test_k_coefficients_live_in_bounds(example1):
     assert sol.sum_rate == awgn_capacity(bounds.relay_sum_snr(example1, sol.root))
 
 
+def sweep_kinds(config, solution, family, resolution):
+    """The kinds of a K=2 sweep's grid points, from their tables."""
+    rows = equalizing_set(config, solution, family).sweep(resolution)
+    return np.where(intersection_rows(*family_tables(config, family, rows))[2], ACTIVE, INACTIVE).tolist()
+
+
 def _reference_runs(config, sol, family, resolution):
     """Active runs from the intersection of each rule's bound_functions
     pair, one rule of the K=2 sweep at a time."""
@@ -433,8 +429,7 @@ def _reference_runs(config, sol, family, resolution):
         rules = [(p[0], CorrelationVector(tuple(p))) for p in rows]
     points = [p for p, _ in rules]
     kinds = [intersection_max_sum(*bound_functions(config, rule)).kind for _, rule in rules]
-    ends = [(points[i], kinds[i]) for i in _run_ends(kinds)]
-    return _active_runs(points, kinds), ends
+    return _active_runs(points, kinds)
 
 
 def test_dense_scan_matches_per_point_classification():
@@ -444,10 +439,9 @@ def test_dense_scan_matches_per_point_classification():
         sol = solve_equalizer(cfg)
         for family in ("inner", "outer"):
             scan = scan_active_rules(cfg, sol, resolution=1e-3, family=family)
-            runs, ends = _reference_runs(cfg, sol, family, 1e-3)
+            runs = _reference_runs(cfg, sol, family, 1e-3)
             assert scan.active_intervals["alpha1" if family == "inner" else "gamma1"] == runs
-            first = lambda rule: rule.alpha[0] if family == "inner" else rule.gamma[0]
-            assert [(first(rule), kind) for rule, kind in scan.samples] == ends
+            assert len(scan.samples) == 1
 
 
 def test_partner_alpha_stays_in_the_unit_interval():
@@ -571,44 +565,20 @@ SCAN_CONFIGS = {
     ),
 }
 
-# Per config, the (inner, outer) digests of each scan's verdict, kinds
-# (Active as True) and the float64 fields of every sample. Each scan is its
-# family's witness, so the digests are those of FROZEN_WITNESS_DIGESTS and
-# FROZEN_CORRELATION_WITNESS_DIGESTS.
-FROZEN_SCAN_DIGESTS = {
-    "example3": ("415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
-                 "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee"),
-    "k5_upper_bound_only": ("278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
-                            "6b24168ee179fb321a124fd6486d060d839110f9eaad100093fd93595ec830fa"),
-    "k6_outer_filter": ("4e4e18f1b7016e1f12d0938ca5a490c26ddedeab04db1f4cc485378e360451fa",
-                        "7d4b34598c2b010c47028a13c988e95e99da5a03a597e1ce42e36506eff5ea8d"),
-    "k6_rare_active": ("da741b9739f5b543b2297beae23fd37361123457f996b16db4fa5c24d536d74d",
-                       "af77fd29c4fffae0b39888cd5fe887585ea50000d70dab42e912bfae7144f36e"),
-    "k4_scan_fault": ("b5292de0179a9c291b1a19b6dfc2953d63a2e167924ddfd65401321de86601b4",
-                      "68d5ea4337c053f0e8d24175f4634a12806e3ce7065a541aaf9240f6e360bd58"),
-    "k3_scan_fault": ("0b9afe0033bd22a6975dc6c6ed3cb64644c177c67eeeb340c0409928d5924ba9",
-                      "e2deca298b12bcef7fc6f916508a6dae02e55c3aa3cb41b33a389e5eecdce5df"),
-    "k3_late_active": ("19cd4999086437f6ea5cb33ec23c5607b7a76307ac64f3089295cca93051e989",
-                       "c89898ec1e4daa10b26aa5d935e9c1c36394ee94158fcce23ff4ceec838b7037"),
-    "k4_late_active": ("9067550e828740b2618a074b2ac7280455704ed67225578248250d6516cf50a1",
-                       "d4a815a85a3fe695be02a9a195b15f32f034ddf0798872ac3c5988b89a4a9a43"),
-    "k5_late_active": ("409eab79f844166a5116188e4ae1a73dbb9ca849d16f830472b9384fc8fa66a3",
-                       "ca7d18e5c57a9b051140c309013cfef1c5f3809989300f18318b29c1f53fe420"),
-    "k6_late_active": ("48e791d4cd2e1177f3746380131b56c215e1a0a1c67e9fb825d4b8b00267242f",
-                       "27e2a639c50e73d6308164b4b8cb479dbf790d9aadbf23ce11d475bf2df9b0e7"),
-}
-
-
 def scan_config(name):
     P, P_r, N_delta = SCAN_CONFIGS[name]
     return ChannelConfig(len(P), P, P_r, 1.0, N_delta)
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN_SCAN_DIGESTS))
+@pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
 def test_sampled_scan_bits_are_frozen(name):
+    # Per config, the digest of each scan's verdict, kinds (Active as True)
+    # and the float64 fields of every sample. Each scan is its family's
+    # witness, so the digests are those of the witness tables below.
     config = scan_config(name)
     solution = solve_equalizer(config)
-    for family, expect in zip(("inner", "outer"), FROZEN_SCAN_DIGESTS[name]):
+    expected = (FROZEN_WITNESS_DIGESTS[name], FROZEN_CORRELATION_WITNESS_DIGESTS[name])
+    for family, expect in zip(("inner", "outer"), expected):
         scan = scan_active_rules(config, solution, family=family)
         kinds = np.array([kind == ACTIVE for _, kind in scan.samples])
         fields = [(*rule.alpha, *rule.beta) if family == "inner" else rule.gamma for rule, _ in scan.samples]
@@ -731,9 +701,9 @@ def test_uniform_split_with_a_vanishing_power_is_active(P):
     assert (split.alpha, kind) == (tuple(row[0].tolist()), ACTIVE)
 
 
-# Per sampled-scan config, the digest of the uniform-split witness's verdict,
-# kind (Active as True) and float64 fields (alpha, then beta_star), laid out
-# as test_sampled_scan_bits_are_frozen hashes a scan.
+# Per scan config, the digest of the uniform-split witness's verdict, kind
+# (Active as True) and float64 fields (alpha, then beta_star), laid out as
+# test_sampled_scan_bits_are_frozen hashes a scan.
 FROZEN_WITNESS_DIGESTS = {
     "example3": "415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
     "k5_upper_bound_only": "278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
@@ -761,15 +731,14 @@ def test_uniform_split_witness_bits_are_frozen(name):
 def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resolution):
     # The feasible alpha1 interval is 1.8e-6 wide, so at either resolution
     # the sweep classifies its two ends only, both Inactive, and the uniform
-    # split inside it decides, as the one-point run [a, a].
-    cfg = ChannelConfig(2, (0.2140153465175589, 0.011944506523696795), 0.18903472952110514, 1.0,
-                        0.8390037741230447)
+    # split inside it, the one sample, decides as the one-point run [a, a].
+    cfg = two_user_config("inner_narrow_box")
     res = sum_capacity(cfg, resolution=resolution)
     assert res["status"] == EXACT
+    assert sweep_kinds(cfg, res["solution"], "inner", resolution) == [INACTIVE, INACTIVE]
     scan = res["evidence"]
     assert scan.verdict == ACTIVE_CLASS
-    *swept, (split, kind) = scan.samples
-    assert swept and all(k == INACTIVE for _, k in swept)
+    ((split, kind),) = scan.samples
     a = 0.9999982569895003
     assert (split.alpha, kind) == ((a, a), ACTIVE)
     assert scan.active_intervals == {"alpha1": [(a, a)], "alpha2": [(a, a)]}
@@ -777,8 +746,8 @@ def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resoluti
     assert lo < a < hi
 
 
-# Per sampled-scan config, the digest of the correlation witness's verdict,
-# kind (Active as True) and float64 gamma, laid out as
+# Per scan config, the digest of the correlation witness's verdict, kind
+# (Active as True) and float64 gamma, laid out as
 # test_sampled_scan_bits_are_frozen hashes a scan.
 FROZEN_CORRELATION_WITNESS_DIGESTS = {
     "example3": "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee",
@@ -806,31 +775,22 @@ def test_correlation_witness_bits_are_frozen(name):
 def test_two_user_outer_sweep_without_an_active_point_takes_the_correlation_witness():
     # At 1e-3 the sweep's points all miss the Active run [9e-05, 0.00042]
     # of gamma1, so the witness inside it decides, as the one-point run.
-    cfg = ChannelConfig(2, (0.011432602965413334, 54.06243478223962), 0.022044647785174485, 1.0,
-                        23.9721621086347)
+    cfg = two_user_config("outer_run_between_points")
     sol = solve_equalizer(cfg)
     g1, g2 = 0.0002026210543035322, 0.9581534115137799
+    assert sweep_kinds(cfg, sol, "outer", 1e-3) == [INACTIVE] * 48
     scan = scan_active_rules(cfg, sol, resolution=1e-3, family="outer")
     assert scan.verdict == ACTIVE_CLASS
-    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [
-        ((0.0, 0.9585586964707359), INACTIVE), ((0.047, 0.9523953972955843), INACTIVE), ((g1, g2), ACTIVE),
-    ]
+    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [((g1, g2), ACTIVE)]
     assert scan.active_intervals == {"gamma1": [(g1, g1)], "gamma2": [(g2, g2)]}
     assert (g1, g2) == tuple(correlation_witness(cfg, sol)[0].tolist())
     # At 1e-5 the sweep finds the run, which contains the witness, and
-    # reports it bit for bit as before.
+    # reports it bit for bit as before; the witness is still the one sample.
     scan = scan_active_rules(cfg, sol, resolution=1e-5, family="outer")
     assert scan.verdict == ACTIVE_CLASS
     assert scan.active_intervals == {"gamma1": [(9e-05, 0.00042)], "gamma2": [(0.9579752209328806, 0.9582885776981943)]}
     assert 9e-05 < g1 < 0.00042
-    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [
-        ((0.0, 0.9585586964707359), INACTIVE),
-        ((8e-05, 0.9583040250234564), INACTIVE),
-        ((9e-05, 0.9582885776981943), ACTIVE),
-        ((0.00042, 0.9579752209328806), ACTIVE),
-        ((0.00043000000000000004, 0.9579683167201423), INACTIVE),
-        ((0.04764, 0.9523536441948856), INACTIVE),
-    ]
+    assert [(vec.gamma, kind) for vec, kind in scan.samples] == [((g1, g2), ACTIVE)]
 
 
 # The K=2 configs whose scan reports are frozen: the two worked examples and
@@ -919,3 +879,20 @@ def test_two_user_scan_reports_are_frozen(name):
         for resolution in (1e-3, 5e-3, 1e-5)
     }
     assert got == FROZEN_TWO_USER_SCAN_DIGESTS[name]
+
+
+def test_every_scan_returns_its_witness_as_its_one_sample():
+    # K=1 to 6, both families; the K=2 sweeps either find runs or fall back.
+    configs = [ChannelConfig(1, (5.0,), 4.0, 1.0, 3.0)]
+    configs += [two_user_config(name) for name in TWO_USER_CONFIGS] + [scan_config(name) for name in SCAN_CONFIGS]
+    assert sorted({cfg.K for cfg in configs}) == [1, 2, 3, 4, 5, 6]
+    for cfg in configs:
+        sol = solve_equalizer(cfg)
+        alpha, gamma = uniform_split(cfg, sol), correlation_witness(cfg, sol)
+        expected = {"inner": (alpha, beta_star(cfg, alpha)), "outer": (gamma,)}
+        for family, rows in expected.items():
+            for resolution in (1e-3, 5e-3):
+                ((rule, kind),) = scan_active_rules(cfg, sol, resolution, family).samples
+                fields = (rule.alpha, rule.beta) if family == "inner" else (rule.gamma,)
+                assert [np.array(f).tobytes() for f in fields] == [row[0].tobytes() for row in rows]
+                assert kind == intersection_max_sum(*bound_functions(cfg, rule)).kind
