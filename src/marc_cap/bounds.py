@@ -199,10 +199,11 @@ def _relay_cutset(config, G):
     # reveals, coherent(S)^2 / (gamma(S) + slack). Given the complement, the
     # relay keeps the subset's correlations gamma(S) and its own share
     # slack = 1 - sum(gamma), floored at 0 for a mass rounded above 1. By
-    # Cauchy-Schwarz the penalty is at most the subset power, and it is 0
-    # where its denominator is 0 (the relay is then a function of the
-    # complement). Subnormal correlations count as 0: there the quotient
-    # keeps no precision and can exceed the subset power.
+    # Cauchy-Schwarz the penalty is at most the subset power, so it is capped
+    # there: rounding can put it an ulp above a subnormal power, where the
+    # dust bound of _rates underflows to 0. It is 0 where its denominator is
+    # 0 (the relay is then a function of the complement). Subnormal
+    # correlations count as 0: there the quotient keeps no precision.
     G = np.where(G < np.finfo(np.float64).tiny, 0.0, G)
     P = config.powers()[:, None]
     power = _subset_power(config.P)
@@ -210,6 +211,7 @@ def _relay_cutset(config, G):
     room = mass + np.maximum(0.0, 1.0 - mass[-1])
     coherent = _subset_sums(np.sqrt(G * P))
     penalty = np.divide(coherent * coherent, room, out=np.zeros_like(room), where=room > 0.0)
+    np.minimum(penalty, power, out=penalty)
     return _rates((power - penalty) / config.N_r, power, config.N_r)
 
 

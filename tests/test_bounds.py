@@ -395,6 +395,18 @@ def test_relay_cutset_clamps_dust_relative_to_power():
     assert bound_functions(config, gamma)[1](0b10) == 0.0
 
 
+@pytest.mark.parametrize("P1", [5e-324, 1e-320])
+def test_relay_cutset_caps_the_penalty_at_a_subnormal_power(P1):
+    # coherent^2 / room rounds an ulp above a subnormal P_1, and the dust
+    # bound DOMAIN_TOL * P_1 / N_r underflows to 0: on this lattice of
+    # correlations the table raised "negative SNR argument -5e-324".
+    config = ChannelConfig(2, (P1, 4.0), 4.0, 1.0, 1.0)
+    gamma = np.array([(i, j) for i in range(51) for j in range(51 - i)]) / 50
+    dest, relay = family_tables(config, "outer", gamma)
+    assert relay[:, 0b01].tolist() == [0.0] * len(gamma)
+    assert np.isfinite(dest).all() and np.isfinite(relay).all()
+
+
 def test_relay_cutset_is_zero_when_relay_and_complement_reveal_the_subset():
     # sum(gamma) = 1 and gamma_1 > 0: X_r and the complement's inputs reveal
     # X_1, so f({1}) = 0. The snap to the full subset power at complement

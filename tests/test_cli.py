@@ -568,3 +568,38 @@ def test_equalizer_overflow_exits_2(tmp_path, capsys, data, argv, message):
     code, out, err = run(capsys, command, write_config(tmp_path, data), *flags)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+SUBNORMAL = {"P": [5e-324, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
+HIGH_SNR = {"P": [1316549.961301616, 72627520.47426227], "P_r": 112876.48408104481, "N_r": 1.0,
+            "N_delta": 64225742.78875685}
+
+
+def test_subnormal_source_power_writes_regions_and_passes_chords(tmp_path, capsys):
+    # The relay cutset table raised ValueError here: no CSV, and a traceback.
+    cfg = write_config(tmp_path, SUBNORMAL)
+    out_path = tmp_path / "region.csv"
+    code, out, err = run(capsys, "region", cfg, "--out", str(out_path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [
+        f"wrote {tmp_path / 'region.inner.csv'} bound=inner vertices=2",
+        f"wrote {tmp_path / 'region.outer.csv'} bound=outer vertices=2",
+    ]
+    code, out, err = run(capsys, "verify", cfg, "--suite", "chords")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "verify result=PASS checks=4"
+
+
+def test_high_snr_config_solves_without_an_equalizer_alarm(tmp_path, capsys):
+    # These raised RuntimeError: equalizer gap -1.297e-08.
+    cfg = write_config(tmp_path, HIGH_SNR)
+    code, out, err = run(capsys, "sumcap", cfg)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "regime=Equalized root=1.009023 c=1.018127 R=0.582727 status=Exact"
+    code, out, err = run(capsys, "verify", cfg, "--suite", "grid")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "verify result=PASS checks=2"
+    # alpha_1 = 0.5 leaves alpha_2 the load 1.009 > lambda_2 = 1: a domain error.
+    code, out, err = run(capsys, "classify", cfg, "--alpha", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: solved alpha_2=-0.00906")
