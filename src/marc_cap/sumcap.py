@@ -89,13 +89,16 @@ def solve_equalizer(config):
     # Powers many decades apart can overflow the coefficients' products.
     if not math.isfinite(root):
         raise DomainError(f"equalizing root {root!r} is not finite")
-    sum_rate = awgn_capacity(relay_sum_snr(config, root))
+    snr = relay_sum_snr(config, root)
+    sum_rate = awgn_capacity(snr)
     if not math.isfinite(sum_rate):
         raise DomainError(f"sum rate {sum_rate!r} is not finite")
     if regime == BOTTLENECK:
         return MaxMinSolution(BOTTLENECK, 0.0, sum_rate, 0.0)
-    gap = awgn_capacity(dest_sum_snr(config, root)) - sum_rate
-    if abs(gap) > 1e-8:
+    # The SNR gap may be 1e-8 of 1 + snr (about 1.4e-8 bits) plus the
+    # rounding of K_3 - root^2 K_0, which can cancel to far below K_3.
+    gap = dest_sum_snr(config, root) - snr
+    if abs(gap) > 1e-8 * (1.0 + snr) + 8.0 * math.ulp(k3):
         raise RuntimeError(f"equalizer gap {gap!r} at root {root!r}")
     return MaxMinSolution(EQUALIZED, root, sum_rate, root * root)
 

@@ -117,6 +117,31 @@ def test_example2_equalizer_frozen(example2):
     assert sol.sum_rate == RATE_2
 
 
+# Valid and Equalized, but K_3 = 7.4e7 cancels to a relay sum SNR of 1.24 at
+# the root, and one ulp of K_3 is 1.5e-8: the equalizer's fixed 1e-8-bit gap
+# check raised on rounding.
+HIGH_SNR = ChannelConfig(2, (1316549.961301616, 72627520.47426227), 112876.48408104481, 1.0, 64225742.78875685)
+
+
+def test_equalizer_gap_allows_the_rounding_of_a_cancelled_sum_snr():
+    k3 = k_coefficients(HIGH_SNR)[3]
+    assert math.ulp(k3) > 1e-8
+    sol = solve_equalizer(HIGH_SNR)
+    assert sol.regime == EQUALIZED
+    assert abs(equalizer_gap(HIGH_SNR, sol.root)) <= 8.0 * math.ulp(k3)
+    res = sum_capacity(HIGH_SNR)
+    assert res["status"] == EXACT and res["value"] == sol.sum_rate
+
+
+@pytest.mark.parametrize("name", ["example1", "high_snr"])
+def test_equalizer_gap_beyond_rounding_raises(monkeypatch, example1, name):
+    # A relay sum SNR off by 1e-6 is a mismatch, not rounding, at either scale.
+    config = {"example1": example1, "high_snr": HIGH_SNR}[name]
+    monkeypatch.setattr(sumcap, "relay_sum_snr", lambda config, x: bounds.relay_sum_snr(config, x) + 1e-6)
+    with pytest.raises(RuntimeError, match="^equalizer gap -"):
+        solve_equalizer(config)
+
+
 def test_constraint_value_is_squared_root(example1, example2):
     for cfg in (example1, example2):
         sol = solve_equalizer(cfg)
