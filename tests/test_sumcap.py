@@ -137,7 +137,7 @@ def test_equalizer_gap_allows_the_rounding_of_a_cancelled_sum_snr():
 def test_equalizer_gap_beyond_rounding_raises(monkeypatch, example1, name):
     # A relay sum SNR off by 1e-6 is a mismatch, not rounding, at either scale.
     config = {"example1": example1, "high_snr": HIGH_SNR}[name]
-    monkeypatch.setattr(sumcap, "relay_sum_snr", lambda config, x: bounds.relay_sum_snr(config, x) + 1e-6)
+    monkeypatch.setattr(sumcap, "relay_sum_snr", lambda c, x: bounds.relay_sum_snr(c, x) + 1e-6)
     with pytest.raises(RuntimeError, match="^equalizer gap -"):
         solve_equalizer(config)
 
