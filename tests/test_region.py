@@ -31,7 +31,8 @@ from marc_cap.region import (
     polygon_area,
     polygon_contains,
 )
-from conftest import random_config, random_split
+from marc_cap.sumcap import bottleneck_check
+from conftest import random_config, random_split, sha256_of
 
 RATE_1 = 1.660964047443681
 SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -481,6 +482,45 @@ def test_region_vertices_frozen_at_step_0005(request, example, bound):
     build = build_df_region if bound == "inner" else build_outer_region
     vertices = build(request.getfixturevalue(example), 0.005).vertices
     assert (len(vertices), hashlib.sha256(vertices.tobytes()).hexdigest()) == REGION_DIGESTS_0005[example, bound]
+
+
+def bottleneck_draws():
+    """Twenty seeded K=2 Bottleneck configs, inputs log-uniform in [0.1, 10]."""
+    rng = np.random.default_rng(26)
+    draws = []
+    while len(draws) < 20:
+        config = random_config(rng, K=2)
+        if bottleneck_check(config):
+            draws.append(config)
+    return draws
+
+
+BOTTLENECK_REGION_CONFIGS = {
+    "bottleneck": lambda: [ChannelConfig(2, (1.0, 1.0), 100.0, 1.0, 1.0)],
+    "subnormal": lambda: [ChannelConfig(2, (5e-324, 4.0), 4.0, 1.0, 1.0)],
+    "n_delta_zero": lambda: [ChannelConfig(2, (3.0, 2.0), 0.5, 1.0, 0.0)],
+    "seeded_draws": bottleneck_draws,
+}
+
+# Per config set, the vertex count of each polygon and the SHA-256 of the
+# vertex bytes of all of them; both bounds at steps 0.02 and 0.005 give the
+# same bits: the relay multiaccess pentagon.
+BOTTLENECK_REGION_DIGESTS = {
+    "bottleneck": ((5,), "9b61de9ba7e12cd671905ce09fba0c3fd693bdb51212e896128e03d1aeff42a5"),
+    "subnormal": ((2,), "e6cd94f40bef3ff0bf3bd164a94499dff88422a7603b2e99e159023718a7c23d"),
+    "n_delta_zero": ((5,), "5f5ef79cbc3a53eb5c0e29ce79018b58f2f162f255d2f469c6c49c9bd5dcf81e"),
+    "seeded_draws": ((5,) * 20, "721c4a45d79f9529290137a2b08d8587b3ec2df8b32eed35f26b0e0be645d2ae"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTTLENECK_REGION_DIGESTS))
+def test_bottleneck_region_vertices_are_frozen(name):
+    configs = BOTTLENECK_REGION_CONFIGS[name]()
+    for build in (build_df_region, build_outer_region):
+        for step in (0.02, 0.005):
+            polygons = [build(config, step).vertices for config in configs]
+            got = tuple(len(v) for v in polygons), sha256_of(*polygons)
+            assert got == BOTTLENECK_REGION_DIGESTS[name], (build.__name__, step)
 
 
 def test_region_stages_keep_their_names():
