@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import compositions
-from .bounds import DomainError, bound_functions, family_tables
+from .bounds import CorrelationVector, DfPowerSplit, DomainError, bound_functions, family_tables
 
 # Relative orientation epsilon for the planar hull. A chain point a between
 # neighbours o and b is dropped as collinear when the cross product
@@ -53,10 +53,32 @@ def build_intersection(config, params):
     """
     if config.K != 2:
         raise DomainError(f"polytope vertices support K=2 only, got K={config.K}")
-    g = np.minimum(*(f.values for f in bound_functions(config, params)))
+    return _pentagon(np.minimum(*(f.values for f in bound_functions(config, params))))
+
+
+def _pentagon(g):
+    """The two-user polytope R >= 0, R_S <= g(S) of one subset table g."""
     cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
-    verts = convex_hull(np.vstack([np.zeros((1, 2)), cands]))
-    return RegionPolytope(2, verts)
+    return RegionPolytope(2, convex_hull(np.vstack([np.zeros((1, 2)), cands])))
+
+
+def _dominating_pentagon(config, corner):
+    """The pentagon of the corner parameters when it holds every lattice
+    pentagon of their family, else None.
+
+    The corner is the lattice row whose relay table bounds every other
+    row's entry by entry: relay decode-and-forward rises in every alpha_k
+    (corner alpha = 1, where beta_star is the zero split) and the relay
+    cutset falls in every gamma_k, its penalty being at least 0 (corner
+    gamma = 0). Both hold in floats too. Where the corner's destination
+    table is at least its relay table on every subset, the corner's
+    min(dest, relay) is that relay table, so it bounds every lattice row's
+    min, each lattice pentagon lies in the corner's, and the corner's
+    pentagon, one of them, is the hull of them all: the exact region, not an
+    approximation of it. On Bottleneck configs both families take it: the
+    relay multiaccess pentagon R(S) <= C(P(S)/N_r)."""
+    dest, relay = (f.values for f in bound_functions(config, corner))
+    return _pentagon(np.minimum(dest, relay)) if (dest >= relay).all() else None
 
 
 def _df_pentagon_grid(config, n):
@@ -109,19 +131,28 @@ def _outer_pentagon_grid(config, n):
 def build_df_region(config, grid_resolution=0.02):
     """Two-user decode-and-forward region: hull of the per-split
     intersections over a power-split lattice. The region is convex, so the
-    hull converges to it from inside as the lattice refines."""
+    hull converges to it from inside as the lattice refines. Where the
+    pentagon of alpha = (1, 1) with its zero relay split holds every other
+    (`_dominating_pentagon`; every Bottleneck config), that pentagon is
+    the region, and the lattice is not evaluated."""
     n = _lattice_steps(config, grid_resolution)
-    verts = convex_hull(_df_pentagon_grid(config, n))
-    return RegionPolytope(2, verts)
+    corner = _dominating_pentagon(config, DfPowerSplit((1.0, 1.0), (0.0, 0.0)))
+    if corner is not None:
+        return corner
+    return RegionPolytope(2, convex_hull(_df_pentagon_grid(config, n)))
 
 
 def build_outer_region(config, grid_resolution=0.02):
     """Two-user cutset outer region: hull over the correlation lattice. The
     hull realizes the time-sharing closure, which in the plane equals the
-    set of at-most-3-point mixtures."""
+    set of at-most-3-point mixtures. Where the pentagon of gamma = (0, 0)
+    holds every other (`_dominating_pentagon`; every Bottleneck config),
+    that pentagon is the region, and the lattice is not evaluated."""
     n = _lattice_steps(config, grid_resolution)
-    verts = convex_hull(_outer_pentagon_grid(config, n))
-    return RegionPolytope(2, verts)
+    corner = _dominating_pentagon(config, CorrelationVector((0.0, 0.0)))
+    if corner is not None:
+        return corner
+    return RegionPolytope(2, convex_hull(_outer_pentagon_grid(config, n)))
 
 
 def _lattice_steps(config, grid_resolution):

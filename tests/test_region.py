@@ -19,6 +19,7 @@ from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
     beta_star,
+    bound_functions,
     df_to_correlation,
     family_tables,
 )
@@ -191,17 +192,66 @@ def test_df_pentagon_inside_cutset_pentagon():
 
 def test_bottleneck_regions_coincide(bottleneck):
     # Weak sources, huge relay power: every parameter choice is dominated by
-    # zero correlation, so inner and outer hulls collapse onto one pentagon.
+    # zero correlation, so inner and outer polygons are one pentagon, bit
+    # for bit.
     pent = build_intersection(bottleneck, CorrelationVector((0.0, 0.0)))
     inner = build_df_region(bottleneck, 0.05)
     outer = build_outer_region(bottleneck, 0.05)
-    assert hausdorff_distance(inner.vertices, outer.vertices) < 1e-12
-    assert hausdorff_distance(outer.vertices, pent.vertices) < 1e-12
+    np.testing.assert_array_equal(inner.vertices, pent.vertices, strict=True)
+    np.testing.assert_array_equal(outer.vertices, pent.vertices, strict=True)
     np.testing.assert_allclose(
         pent.vertices,
         [(0.0, 0.0), (0.5, 0.0), (0.5, 0.2924812503605781),
          (0.2924812503605781, 0.5), (0.0, 0.5)],
         rtol=0, atol=1e-15)
+
+
+def _bottleneck_configs(rng, count, lo, hi):
+    """Seeded K=2 Bottleneck configs, every input log-uniform in [lo, hi]."""
+    configs = []
+    while len(configs) < count:
+        config = random_config(rng, K=2, lo=lo, hi=hi)
+        if bottleneck_check(config):
+            configs.append(config)
+    return configs
+
+
+def test_bottleneck_regions_equal_their_lattice_hulls():
+    # The builders skip the lattice on these configs; the pentagon they
+    # return is the hull of the lattice candidates at step 0.02, bit for bit.
+    for config in _bottleneck_configs(np.random.default_rng(926), 100, 1e-3, 1e3):
+        inner = build_df_region(config, 0.02).vertices
+        outer = build_outer_region(config, 0.02).vertices
+        np.testing.assert_array_equal(inner, convex_hull(region._df_pentagon_grid(config, 50)), strict=True)
+        np.testing.assert_array_equal(outer, convex_hull(region._outer_pentagon_grid(config, 50)), strict=True)
+
+
+def _count_grid_calls(monkeypatch):
+    calls = []
+    for name in ("_df_pentagon_grid", "_outer_pentagon_grid"):
+        grid = getattr(region, name)
+        monkeypatch.setattr(region, name, lambda config, n, grid=grid, name=name: calls.append(name) or grid(config, n))
+    return calls
+
+
+def test_only_a_dominating_corner_skips_the_lattice(monkeypatch, example1, example2, bottleneck):
+    # Where the corner row's destination table lies below its relay table on
+    # some subset, here the full set, both builders evaluate their lattice;
+    # on Bottleneck configs neither does.
+    calls = _count_grid_calls(monkeypatch)
+    hair = ChannelConfig(2, (1.0, 1.0), 2.0, 1.0, 1.0 + 2.0 ** -20)
+    for config in (example1, example2, hair):
+        for corner in (DfPowerSplit((1.0, 1.0), (0.0, 0.0)), CorrelationVector((0.0, 0.0))):
+            dest, relay = (f.values for f in bound_functions(config, corner))
+            assert dest[0b11] < relay[0b11]
+        build_df_region(config, 0.05)
+        build_outer_region(config, 0.05)
+        assert calls == ["_df_pentagon_grid", "_outer_pentagon_grid"]
+        calls.clear()
+    for config in (bottleneck, *_bottleneck_configs(np.random.default_rng(927), 10, 0.1, 10.0)):
+        build_df_region(config, 0.05)
+        build_outer_region(config, 0.05)
+    assert calls == []
 
 
 def test_region_max_sum_hits_closed_form(example1):
@@ -224,23 +274,29 @@ def test_region_refinement_grows_the_hull(example1):
         assert fine >= coarse - 1e-12
 
 
-def test_region_builder_validation(example1, example3):
-    with pytest.raises(DomainError, match="K=2 only"):
-        build_df_region(example3)
-    with pytest.raises(DomainError, match="grid resolution"):
-        build_outer_region(example1, 0.0)
-    with pytest.raises(DomainError, match="grid resolution"):
-        build_df_region(example1, 1.5)
-    with pytest.raises(DomainError, match="grid resolution"):
-        build_df_region(example1, float("nan"))
+def test_region_builder_validation(example1, example3, bottleneck):
+    # A Bottleneck config, whose region skips the lattice, is checked the
+    # same way: the step, the lattice cap and K come first.
+    for build in (build_df_region, build_outer_region):
+        for config in (example3, ChannelConfig(3, (1.0, 1.0, 1.0), 100.0, 1.0, 1.0)):
+            with pytest.raises(DomainError, match="K=2 only"):
+                build(config)
+    for config in (example1, bottleneck):
+        with pytest.raises(DomainError, match="grid resolution"):
+            build_outer_region(config, 0.0)
+        with pytest.raises(DomainError, match="grid resolution"):
+            build_df_region(config, 1.5)
+        with pytest.raises(DomainError, match="grid resolution"):
+            build_df_region(config, float("nan"))
     # The lattice is capped before it is allocated: (n + 1)^2 points at most,
     # so n = 1023 is the finest lattice (checked here without building it).
     assert region.MAX_REGION_POINTS == 1024 ** 2
     assert region._lattice_steps(example1, 1 / 1023) == 1023
-    for step in (1 / 1024, 1e-4, 5e-324):
-        for build in (build_df_region, build_outer_region):
-            with pytest.raises(DomainError, match=f"grid resolution {step!r} needs more than 1048576 lattice points"):
-                build(example1, step)
+    for config in (example1, bottleneck):
+        for step in (1 / 1024, 1e-4, 5e-324):
+            for build in (build_df_region, build_outer_region):
+                with pytest.raises(DomainError, match=f"grid resolution {step!r} needs more than 1048576 lattice points"):
+                    build(config, step)
 
 
 def test_convex_hull_knowns():

@@ -509,28 +509,6 @@ def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, f
         assert abs(float(np.sqrt(lam * gamma).sum()) - root) <= CONSTRAINT_TOL * max(1.0, root)
 
 
-def test_k_many_scan_returns_its_witness_labelled_as_its_own_pair(example3):
-    # Each family's K>2 scan takes its witness only: the uniform split, or
-    # the correlations in proportion to lambda.
-    sol = solve_equalizer(example3)
-    witnesses = {"inner": uniform_split(example3, sol), "outer": correlation_witness(example3, sol)}
-    for family, row in witnesses.items():
-        ((rule, kind),) = scan_active_rules(example3, sol, family=family).samples
-        assert (rule.alpha if family == "inner" else rule.gamma) == tuple(row[0].tolist())
-        assert kind == intersection_max_sum(*bound_functions(example3, rule)).kind == ACTIVE
-
-
-def test_one_user_scans_return_one_active_witness():
-    cfg = ChannelConfig(1, (5.0,), 4.0, 1.0, 3.0)
-    sol = solve_equalizer(cfg)
-    assert sol.regime == EQUALIZED
-    for family in ("inner", "outer"):
-        scan = scan_active_rules(cfg, sol, family=family)
-        assert scan.verdict == ACTIVE_CLASS
-        ((_, kind),) = scan.samples
-        assert kind == ACTIVE
-
-
 def test_scan_samples_equal_checked_objects(example1, example3):
     # The scans build their sample objects without the constructors' checks;
     # each equals the object its constructor builds from the same fields.
@@ -907,17 +885,23 @@ def test_two_user_scan_reports_are_frozen(name):
 
 
 def test_every_scan_returns_its_witness_as_its_one_sample():
-    # K=1 to 6, both families; the K=2 sweeps either find runs or fall back.
+    # K=1 to 6 (example 3 among the K>2 configs), both families; the K=2
+    # sweeps either find runs or fall back. Each scan's one sample is its
+    # witness, the uniform split or the correlations in proportion to
+    # lambda, labelled Active as its own pair classifies it.
     configs = [ChannelConfig(1, (5.0,), 4.0, 1.0, 3.0)]
     configs += [two_user_config(name) for name in TWO_USER_CONFIGS] + [scan_config(name) for name in SCAN_CONFIGS]
     assert sorted({cfg.K for cfg in configs}) == [1, 2, 3, 4, 5, 6]
     for cfg in configs:
         sol = solve_equalizer(cfg)
+        assert sol.regime == EQUALIZED
         alpha, gamma = uniform_split(cfg, sol), correlation_witness(cfg, sol)
         expected = {"inner": (alpha, beta_star(cfg, alpha)), "outer": (gamma,)}
         for family, rows in expected.items():
             for resolution in (1e-3, 5e-3):
-                ((rule, kind),) = scan_active_rules(cfg, sol, resolution, family).samples
+                scan = scan_active_rules(cfg, sol, resolution, family)
+                assert scan.verdict == ACTIVE_CLASS
+                ((rule, kind),) = scan.samples
                 fields = (rule.alpha, rule.beta) if family == "inner" else (rule.gamma,)
                 assert [np.array(f).tobytes() for f in fields] == [row[0].tobytes() for row in rows]
-                assert kind == intersection_max_sum(*bound_functions(cfg, rule)).kind
+                assert kind == intersection_max_sum(*bound_functions(cfg, rule)).kind == ACTIVE
