@@ -75,8 +75,11 @@ def _dominating_pentagon(config, corner):
     min(dest, relay) is that relay table, so it bounds every lattice row's
     min, each lattice pentagon lies in the corner's, and the corner's
     pentagon, one of them, is the hull of them all: the exact region, not an
-    approximation of it. On Bottleneck configs both families take it: the
-    relay multiaccess pentagon R(S) <= C(P(S)/N_r)."""
+    approximation of it. The test is the Bottleneck condition
+    P(S) N_delta <= P_r N_r per subset, read from the tables, so on
+    Bottleneck configs both families take it: the relay multiaccess pentagon
+    R(S) <= C(P(S)/N_r). Within rounding of the boundary the two tests can
+    disagree, which moves no polygon beyond rounding."""
     dest, relay = (f.values for f in bound_functions(config, corner))
     return _pentagon(np.minimum(dest, relay)) if (dest >= relay).all() else None
 
@@ -133,8 +136,8 @@ def build_df_region(config, grid_resolution=0.02):
     intersections over a power-split lattice. The region is convex, so the
     hull converges to it from inside as the lattice refines. Where the
     pentagon of alpha = (1, 1) with its zero relay split holds every other
-    (`_dominating_pentagon`; every Bottleneck config), that pentagon is
-    the region, and the lattice is not evaluated."""
+    (`_dominating_pentagon`, as on Bottleneck configs), that pentagon is the
+    region, and the lattice is not evaluated."""
     n = _lattice_steps(config, grid_resolution)
     corner = _dominating_pentagon(config, DfPowerSplit((1.0, 1.0), (0.0, 0.0)))
     if corner is not None:
@@ -146,7 +149,7 @@ def build_outer_region(config, grid_resolution=0.02):
     """Two-user cutset outer region: hull over the correlation lattice. The
     hull realizes the time-sharing closure, which in the plane equals the
     set of at-most-3-point mixtures. Where the pentagon of gamma = (0, 0)
-    holds every other (`_dominating_pentagon`; every Bottleneck config),
+    holds every other (`_dominating_pentagon`, as on Bottleneck configs),
     that pentagon is the region, and the lattice is not evaluated."""
     n = _lattice_steps(config, grid_resolution)
     corner = _dominating_pentagon(config, CorrelationVector((0.0, 0.0)))

@@ -540,22 +540,11 @@ def test_region_vertices_frozen_at_step_0005(request, example, bound):
     assert (len(vertices), hashlib.sha256(vertices.tobytes()).hexdigest()) == REGION_DIGESTS_0005[example, bound]
 
 
-def bottleneck_draws():
-    """Twenty seeded K=2 Bottleneck configs, inputs log-uniform in [0.1, 10]."""
-    rng = np.random.default_rng(26)
-    draws = []
-    while len(draws) < 20:
-        config = random_config(rng, K=2)
-        if bottleneck_check(config):
-            draws.append(config)
-    return draws
-
-
 BOTTLENECK_REGION_CONFIGS = {
     "bottleneck": lambda: [ChannelConfig(2, (1.0, 1.0), 100.0, 1.0, 1.0)],
     "subnormal": lambda: [ChannelConfig(2, (5e-324, 4.0), 4.0, 1.0, 1.0)],
     "n_delta_zero": lambda: [ChannelConfig(2, (3.0, 2.0), 0.5, 1.0, 0.0)],
-    "seeded_draws": bottleneck_draws,
+    "seeded_draws": lambda: _bottleneck_configs(np.random.default_rng(26), 20, 0.1, 10.0),
 }
 
 # Per config set, the vertex count of each polygon and the SHA-256 of the
