@@ -206,12 +206,13 @@ def test_bottleneck_regions_coincide(bottleneck):
         rtol=0, atol=1e-15)
 
 
-def _bottleneck_configs(rng, count, lo, hi):
-    """Seeded K=2 Bottleneck configs, every input log-uniform in [lo, hi]."""
+def _regime_configs(rng, count, lo, hi, bottleneck=True):
+    """Seeded K=2 configs of one regime, Bottleneck or Equalized, every input
+    log-uniform in [lo, hi]."""
     configs = []
     while len(configs) < count:
         config = random_config(rng, K=2, lo=lo, hi=hi)
-        if bottleneck_check(config):
+        if bottleneck_check(config) == bottleneck:
             configs.append(config)
     return configs
 
@@ -219,7 +220,7 @@ def _bottleneck_configs(rng, count, lo, hi):
 def test_bottleneck_regions_equal_their_lattice_hulls():
     # The builders skip the lattice on these configs; the pentagon they
     # return is the hull of the lattice candidates at step 0.02, bit for bit.
-    for config in _bottleneck_configs(np.random.default_rng(926), 100, 1e-3, 1e3):
+    for config in _regime_configs(np.random.default_rng(926), 100, 1e-3, 1e3):
         inner = build_df_region(config, 0.02).vertices
         outer = build_outer_region(config, 0.02).vertices
         np.testing.assert_array_equal(inner, convex_hull(region._df_pentagon_grid(config, 50)), strict=True)
@@ -248,7 +249,7 @@ def test_only_a_dominating_corner_skips_the_lattice(monkeypatch, example1, examp
         build_outer_region(config, 0.05)
         assert calls == ["_df_pentagon_grid", "_outer_pentagon_grid"]
         calls.clear()
-    for config in (bottleneck, *_bottleneck_configs(np.random.default_rng(927), 10, 0.1, 10.0)):
+    for config in (bottleneck, *_regime_configs(np.random.default_rng(927), 10, 0.1, 10.0)):
         build_df_region(config, 0.05)
         build_outer_region(config, 0.05)
     assert calls == []
@@ -544,7 +545,7 @@ BOTTLENECK_REGION_CONFIGS = {
     "bottleneck": lambda: [ChannelConfig(2, (1.0, 1.0), 100.0, 1.0, 1.0)],
     "subnormal": lambda: [ChannelConfig(2, (5e-324, 4.0), 4.0, 1.0, 1.0)],
     "n_delta_zero": lambda: [ChannelConfig(2, (3.0, 2.0), 0.5, 1.0, 0.0)],
-    "seeded_draws": lambda: _bottleneck_configs(np.random.default_rng(26), 20, 0.1, 10.0),
+    "seeded_draws": lambda: _regime_configs(np.random.default_rng(26), 20, 0.1, 10.0),
 }
 
 # Per config set, the vertex count of each polygon and the SHA-256 of the
@@ -566,6 +567,50 @@ def test_bottleneck_region_vertices_are_frozen(name):
             polygons = [build(config, step).vertices for config in configs]
             got = tuple(len(v) for v in polygons), sha256_of(*polygons)
             assert got == BOTTLENECK_REGION_DIGESTS[name], (build.__name__, step)
+
+
+EQUALIZED_REGION_CONFIGS = {
+    "narrow": lambda: _regime_configs(np.random.default_rng(27), 20, 0.1, 10.0, bottleneck=False),
+    "wide": lambda: _regime_configs(np.random.default_rng(28), 20, 1e-3, 1e3, bottleneck=False),
+}
+
+# Per config set, build and step, the vertex count of each polygon and the
+# SHA-256 of the vertex bytes of all of them: the lattice hulls of seeded
+# Equalized draws.
+EQUALIZED_REGION_DIGESTS = {
+    ("narrow", "inner", 0.1): (
+        (8, 8, 7, 10, 11, 8, 5, 9, 10, 11, 5, 5, 10, 10, 7, 8, 9, 8, 9, 10),
+        "d19699f807f603478779230b701a27746064d44b4f6812b6fb4bc4a986c0ed59"),
+    ("narrow", "inner", 0.02): (
+        (10, 9, 9, 15, 12, 13, 8, 13, 13, 13, 7, 7, 11, 12, 14, 14, 16, 9, 11, 13),
+        "73d767487d2dd030a02e66e25d81ab9595557d402992f7d39c26bce0fafdfa56"),
+    ("narrow", "outer", 0.1): (
+        (13, 13, 8, 11, 11, 7, 5, 14, 7, 10, 5, 7, 7, 12, 8, 6, 8, 7, 7, 10),
+        "b019374d6a332d1234d78075f06d378934f4066b2692cdc0902a52e2b18f745d"),
+    ("narrow", "outer", 0.02): (
+        (28, 28, 7, 19, 24, 13, 5, 29, 9, 24, 7, 9, 10, 38, 9, 9, 14, 9, 13, 22),
+        "2c3cabee2d61abb1ec2c75e4b751b60d99f1b47a4a51cfc7190cbe90df71b74a"),
+    ("wide", "inner", 0.1): (
+        (12, 13, 8, 8, 9, 5, 8, 10, 13, 7, 13, 8, 8, 16, 8, 6, 16, 5, 10, 8),
+        "23d3f27c93fb25dde9748420f91572abde5179e77608e3356dbdd93689477815"),
+    ("wide", "inner", 0.02): (
+        (11, 17, 8, 8, 11, 5, 8, 18, 26, 42, 37, 9, 8, 44, 9, 7, 54, 5, 9, 15),
+        "406f26824d38f997d79b2f6cdf7fb76cf0706da238fe59bc1c330508bbdc0a6b"),
+    ("wide", "outer", 0.1): (
+        (11, 5, 14, 9, 9, 6, 14, 10, 8, 5, 17, 14, 14, 17, 10, 7, 23, 5, 11, 7),
+        "ece6be8b3421b8451b1890247196bf3b38f0f4f4789f169537cc27b19064fb15"),
+    ("wide", "outer", 0.02): (
+        (21, 7, 54, 17, 10, 10, 54, 22, 13, 13, 67, 24, 54, 60, 26, 9, 17, 5, 18, 8),
+        "442ff17f177d93dc51e1365a6b4666b4ea3004712f164f08e6c2a616688a0934"),
+}
+
+
+@pytest.mark.parametrize("name, bound, step", sorted(EQUALIZED_REGION_DIGESTS))
+def test_equalized_region_vertices_are_frozen(name, bound, step):
+    build = build_df_region if bound == "inner" else build_outer_region
+    polygons = [build(config, step).vertices for config in EQUALIZED_REGION_CONFIGS[name]()]
+    got = tuple(len(v) for v in polygons), sha256_of(*polygons)
+    assert got == EQUALIZED_REGION_DIGESTS[name, bound, step]
 
 
 def test_region_stages_keep_their_names():
