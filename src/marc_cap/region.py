@@ -17,15 +17,14 @@ from .bounds import CorrelationVector, DfPowerSplit, DomainError, bound_function
 # the test keeps real extreme points of small-scale inputs.
 HULL_EPS = 1e-12
 
-# Above HULL_BIN_MIN_POINTS input points the hull first drops, in one pass
-# over HULL_BINS bins of x, points it can show to lie inside the hull; the
-# thousands of small hulls of a pentagon stay clear of the pass's cost.
-HULL_BINS = 256
-HULL_BIN_MIN_POINTS = 16 * HULL_BINS
+# Bins of x in the first pass of `_staircase`, which leaves the sort a few
+# thousand of a lattice's hundred thousand candidates.
+STAIRCASE_BINS = 256
 
 # A region lattice has at most this many points: (n + 1)^2 power splits,
-# about 223 B each while the decode-and-forward grid and hull run (a
-# tracemalloc peak of 53.5 MiB for n = 500), so about 223 MiB at the cap.
+# about 223 B each while the decode-and-forward grid and its polygon are
+# built (a tracemalloc peak of 53.5 MiB for n = 500, the candidate grid
+# being most of it), so about 223 MiB at the cap.
 MAX_REGION_POINTS = 1 << 20
 
 
@@ -53,13 +52,56 @@ def build_intersection(config, params):
     """
     if config.K != 2:
         raise DomainError(f"polytope vertices support K=2 only, got K={config.K}")
-    return _pentagon(np.minimum(*(f.values for f in bound_functions(config, params))))
+    g = np.minimum(*(f.values for f in bound_functions(config, params)))
+    return _polygon(_pentagon_candidates_batch(*g[1:, None]))
 
 
-def _pentagon(g):
-    """The two-user polytope R >= 0, R_S <= g(S) of one subset table g."""
-    cands = _pentagon_candidates_batch(g[None, 0b01], g[None, 0b10], g[None, 0b11])
-    return RegionPolytope(2, convex_hull(np.vstack([np.zeros((1, 2)), cands])))
+def _polygon(candidates):
+    """The convex hull of the candidates' downward closure in the quadrant
+    R >= 0, counterclockwise from the origin.
+
+    Every region here is a union of pentagons R >= 0, R_S <= g(S), each of
+    which holds the box under each of its points, so its hull is that of the
+    downward closure of its pentagons' candidate vertices. A candidate that
+    another dominates lies in the box under it, which the origin, (x_max, 0)
+    and (0, y_max) span with it, so the hull is that of those three points
+    and the `_staircase`. Raises ValueError on a NaN or infinite
+    coordinate."""
+    x_max, y_max = candidates.max(axis=0)
+    corners = np.array([(0.0, 0.0), (x_max, 0.0), (0.0, y_max)])
+    return RegionPolytope(2, convex_hull(np.vstack([corners, _staircase(candidates)])))
+
+
+def _staircase(pts):
+    """The points that no other point dominates (lies at least as far right
+    and at least as high), x ascending, one per distinct x.
+
+    A first pass over STAIRCASE_BINS equal bins of x drops each point no
+    higher than the highest point of some strictly higher bin. The bin
+    index is monotone in x, so that point lies strictly right of the dropped
+    one and dominates it. A span of zero, one too small to divide by or one
+    beyond the float range skips the pass. Then one sort on x gives the highest point of each distinct x,
+    and those strictly above every column to their right are kept."""
+    x, y = pts[:, 0], pts[:, 1]
+    lo = x.min()
+    span = float(x.max()) - float(lo)
+    if 0.0 < span < np.inf and STAIRCASE_BINS / span < np.inf:
+        bins = np.minimum(((x - lo) * (STAIRCASE_BINS / span)).astype(np.intp), STAIRCASE_BINS - 1)
+        top = np.full(STAIRCASE_BINS, -np.inf)
+        np.maximum.at(top, bins, y)
+        high = y > _right_max(top)[bins]
+        x, y = x[high], y[high]
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    top = np.maximum.reduceat(y, starts)
+    kept = top > _right_max(top)
+    return np.column_stack([x[starts][kept], top[kept]])
+
+
+def _right_max(v):
+    """For each entry of v, the greatest entry after it (-inf for the last)."""
+    return np.concatenate([np.maximum.accumulate(v[::-1])[::-1][1:], [-np.inf]])
 
 
 def _dominating_pentagon(config, corner):
@@ -81,7 +123,7 @@ def _dominating_pentagon(config, corner):
     R(S) <= C(P(S)/N_r). Within rounding of the boundary the two tests can
     disagree, which moves no polygon beyond rounding."""
     dest, relay = (f.values for f in bound_functions(config, corner))
-    return _pentagon(np.minimum(dest, relay)) if (dest >= relay).all() else None
+    return _polygon(_pentagon_candidates_batch(*relay[1:, None])) if (dest >= relay).all() else None
 
 
 def _df_pentagon_grid(config, n):
@@ -142,7 +184,7 @@ def build_df_region(config, grid_resolution=0.02):
     corner = _dominating_pentagon(config, DfPowerSplit((1.0, 1.0), (0.0, 0.0)))
     if corner is not None:
         return corner
-    return RegionPolytope(2, convex_hull(_df_pentagon_grid(config, n)))
+    return _polygon(_df_pentagon_grid(config, n))
 
 
 def build_outer_region(config, grid_resolution=0.02):
@@ -155,7 +197,7 @@ def build_outer_region(config, grid_resolution=0.02):
     corner = _dominating_pentagon(config, CorrelationVector((0.0, 0.0)))
     if corner is not None:
         return corner
-    return RegionPolytope(2, convex_hull(_outer_pentagon_grid(config, n)))
+    return _polygon(_outer_pentagon_grid(config, n))
 
 
 def _lattice_steps(config, grid_resolution):
@@ -172,30 +214,15 @@ def _lattice_steps(config, grid_resolution):
 
 
 def convex_hull(points):
-    """Andrew monotone-chain hull, counterclockwise from the
-    lexicographically smallest vertex; collinear points dropped.
-
-    Before the chain runs, points that cannot be hull vertices are dropped:
-    all but the lowest and the highest point of each distinct x, a highest
-    point that is not strictly above every highest point to its left or to
-    its right, and a lowest point that is not strictly below every lowest
-    point to its left or to its right. This is sound for any input: a
-    dropped highest point lies on or below a segment joining two other
-    highest points, and either above its own column's lowest point or, being
-    that point too, on or above a segment joining two other lowest points,
-    so it lies in the hull of the other points. The filter costs one stable
-    sort on x; a region grid of a hundred thousand candidates leaves a few
-    hundred for the chain. Above HULL_BIN_MIN_POINTS points, an O(n) pass
-    over x bins (`_binned_candidates`) first drops most of the points the
-    sort would. Every returned row is an input row, bit for bit. Raises
+    """Andrew monotone-chain hull of any finite point set, counterclockwise
+    from the lexicographically smallest vertex; collinear points dropped.
+    Every returned row is an input row, bit for bit. The chain runs in
+    Python over every distinct point, so the region builders pass it the
+    few hundred points of `_polygon`, not their candidate grids. Raises
     ValueError on a NaN or infinite coordinate."""
     pts = np.asarray(points, dtype=np.float64)
     if not np.isfinite(pts).all():
         raise ValueError("convex_hull needs finite coordinates")
-    if len(pts) > HULL_BIN_MIN_POINTS:
-        pts = _binned_candidates(pts)
-    if len(pts) > 2:
-        pts = _hull_candidates(pts)
     pts = _distinct_sorted(pts)
     if len(pts) <= 2:
         return pts
@@ -229,64 +256,6 @@ def convex_hull(points):
             upper.pop()
         upper.append(i)
     return pts[lower[:-1] + upper[:-1]]
-
-
-def _binned_candidates(pts):
-    """The points that survive one pass over HULL_BINS equal bins of x: a
-    point is dropped when points in strictly lower bins and points in
-    strictly higher bins reach at least its height, and points on both
-    sides reach at least as low. The bin index is monotone in x, so a
-    dropped point lies in the hull of four points of other x. The highest
-    point left of any bin survives (in the lowest bin holding that height),
-    and so does the lowest, so `_hull_candidates` keeps the same points
-    after this pass as without it. A zero span, or one whose reciprocal
-    overflows, skips the pass."""
-    x, y = pts[:, 0], pts[:, 1]
-    lo = x.min()
-    with np.errstate(over="ignore", divide="ignore"):
-        span = x.max() - lo
-        inv = 1.0 / span
-    if not (np.isfinite(span) and np.isfinite(inv)):
-        return pts
-    bins = np.minimum(((x - lo) * inv * HULL_BINS).astype(np.intp), HULL_BINS - 1)
-    top = np.full(HULL_BINS, -np.inf)
-    bottom = np.full(HULL_BINS, -np.inf)
-    np.maximum.at(top, bins, y)
-    np.maximum.at(bottom, bins, -y)
-    return pts[(y > _reach(top)[bins]) | (-y > _reach(bottom)[bins])]
-
-
-def _hull_candidates(pts):
-    """The lowest and highest points of each distinct x that the filter in
-    `convex_hull` keeps: one stable sort on x, then the least and greatest y
-    of each run of equal x."""
-    # The bits of x, read as integers and with the magnitude bits of
-    # negatives flipped, sort as x does but put -0.0 before 0.0. A run then
-    # holds one bit pattern of x, and each kept (x, y) is an input row; -0.0
-    # and 0.0 make two columns at one abscissa, for which the argument in
-    # `convex_hull` holds as well.
-    bits = pts[:, 0].view(np.int64)
-    key = bits ^ ((bits >> 63) & np.iinfo(np.int64).max)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    x = pts[order[starts], 0]
-    y = pts[order, 1]
-    low = np.minimum.reduceat(y, starts)
-    high = np.maximum.reduceat(y, starts)
-    low_kept = -low > _reach(-low)
-    high_kept = high > _reach(high)
-    return np.column_stack([np.concatenate([x[low_kept], x[high_kept]]),
-                            np.concatenate([low[low_kept], high[high_kept]])])
-
-
-def _reach(v):
-    """For each entry of v, the greatest entry before it or the greatest
-    after it, whichever is lower (-inf where a side is empty): an entry
-    above its reach is strictly greater than every entry on one side."""
-    before = np.concatenate([[-np.inf], np.maximum.accumulate(v)[:-1]])
-    after = np.concatenate([np.maximum.accumulate(v[::-1])[::-1][1:], [-np.inf]])
-    return np.minimum(before, after)
 
 
 def _distinct_sorted(pts):

@@ -84,11 +84,12 @@ def _nan_sentinel_candidates(g1, g2, g12):
 
 
 def test_pentagon_candidates_keep_the_hull():
-    # Dropping all but each axis's nearest and farthest point leaves the hull
-    # of a batch's pentagons, with the origin as `build_intersection` adds
-    # it, unchanged to the bit; every fourth batch is also checked without
-    # the origin, as the region grids use it. A quarter of the batches lie
-    # on g12 = g1 + g2, another quarter on g12 = g1 or g12 = g2; half of the
+    # Dropping all but each axis's nearest and farthest point leaves the
+    # polygon of a batch's pentagons unchanged to the bit: `_polygon` reads
+    # only the candidates' maxima and their staircase, and both stay the same.
+    # Every tenth polygon is also checked against the plain hull of the
+    # origin and every candidate. A quarter of the batches lie on
+    # g12 = g1 + g2, another quarter on g12 = g1 or g12 = g2; half of the
     # batches sit on a coarse grid, so rows tie and axis points repeat.
     rng = np.random.default_rng(909)
     for i in range(20000):
@@ -104,11 +105,67 @@ def test_pentagon_candidates_keep_the_hull():
             g12 = rng.uniform(0.0, 1.2, n) * (g1 + g2)
         new = _pentagon_candidates_batch(g1, g2, g12)
         old = _nan_sentinel_candidates(g1, g2, g12)
-        origins = [np.zeros((1, 2)), np.zeros((0, 2))] if i % 4 == 3 else [np.zeros((1, 2))]
-        for origin in origins:
-            hull = convex_hull(np.vstack([origin, new]))
-            reference = convex_hull(np.vstack([origin, old]))
-            assert hull.tobytes() == reference.tobytes() and hull.shape == reference.shape
+        assert region._staircase(new).tobytes() == region._staircase(old).tobytes()
+        assert new.max(axis=0).tobytes() == old.max(axis=0).tobytes()
+        if i % 10 == 0:
+            hull = convex_hull(np.vstack([np.zeros((1, 2)), old]))
+            np.testing.assert_array_equal(region._polygon(new).vertices, hull, strict=True)
+
+
+def _undominated(pts):
+    """Brute force, O(n^2): the distinct points that no other distinct point
+    lies at least as far right and at least as high as, sorted by x."""
+    p = np.unique(pts, axis=0)
+    dominators = ((p[:, None, 0] <= p[None, :, 0]) & (p[:, None, 1] <= p[None, :, 1])).sum(axis=1)
+    return p[dominators == 1]
+
+
+def _staircase_sets(rng):
+    # Pentagon candidates with their axis points, x ties, exact duplicates,
+    # single points, a quarter disc like the region grids, and x spans of
+    # zero, of a few subnormals, near the float range and beyond it, where
+    # the binned pass is skipped.
+    for _ in range(40):
+        n = rng.integers(1, 40)
+        g1, g2 = rng.uniform(0.0, 2.0, size=(2, n))
+        yield _pentagon_candidates_batch(g1, g2, rng.uniform(0.0, 1.2, n) * (g1 + g2))
+        yield rng.integers(0, 6, size=(rng.integers(1, 80), 2)).astype(float)
+        base = rng.uniform(size=(rng.integers(1, 6), 2))
+        yield base[rng.integers(0, len(base), size=rng.integers(1, 30))]
+        yield rng.uniform(size=(1, 2))
+    n = 3000
+    t, r = rng.uniform(0.0, np.pi / 2, n), np.sqrt(rng.uniform(size=n))
+    yield np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    yield rng.uniform(size=(n, 2))
+    yield np.stack([np.full(n, 0.7), rng.normal(size=n)], axis=1)
+    yield np.stack([np.zeros(n), rng.uniform(size=n)], axis=1)
+    yield np.stack([rng.integers(0, 2000, n) * 5e-324, rng.normal(size=n)], axis=1)
+    yield np.stack([rng.uniform(size=n) * 1.7e308, rng.normal(size=n)], axis=1)
+    yield np.stack([rng.uniform(-1.0, 1.0, n) * 1.7e308, rng.normal(size=n)], axis=1)
+
+
+def test_staircase_matches_a_domination_oracle():
+    for pts in _staircase_sets(np.random.default_rng(927)):
+        stair = region._staircase(pts)
+        expected = _undominated(pts)
+        assert stair.tobytes() == expected.tobytes() and stair.shape == expected.shape
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5])
+def test_polygons_start_at_the_exact_origin(step):
+    # On these Equalized configs the cutset lattice's rows at gamma = (1, 0)
+    # and (0, 1) give singleton bounds of rounding dust, such as 4.8e-16;
+    # its polygon used to have such dust vertices in place of the origin.
+    configs = [
+        ChannelConfig(2, (7.222453015528535, 4.772821226488525), 0.10051895732090366,
+                      1.2185084171135434, 0.36650709675910786),
+        ChannelConfig(2, (3.0, 1.5), 2.0, 1.0, 1.5),
+    ]
+    for config in configs:
+        for build in (build_df_region, build_outer_region):
+            vertices = build(config, step).vertices
+            assert vertices[0].tobytes() == bytes(16)
+            assert (np.hypot(*vertices[1:].T) > 1e-9).all()
 
 
 def _five_beta_df_grid(config, n):
@@ -125,16 +182,16 @@ def _five_beta_df_grid(config, n):
 
 @pytest.mark.parametrize("n", [20, 50])
 def test_pruned_df_grid_keeps_the_hull(n, example1, example2):
-    # The grid builds only the beta_star and (0.5, 0.5) pentagons; the hull
-    # of the candidates stays the same to the bit.
+    # The grid builds only the beta_star and (0.5, 0.5) pentagons; the
+    # polygon of the candidates stays the same to the bit.
     rng = np.random.default_rng(912)
     configs = [random_config(rng, K=2, lo=0.01, hi=100.0) for _ in range(20)]
     for config in [example1, example2, *configs]:
         pruned = region._df_pentagon_grid(config, n)
         full = _five_beta_df_grid(config, n)
         assert len(pruned) < len(full)
-        hull = convex_hull(pruned)
-        assert hull.tobytes() == convex_hull(full).tobytes() and len(hull) >= 3
+        polygon = region._polygon(pruned).vertices
+        assert polygon.tobytes() == region._polygon(full).vertices.tobytes() and len(polygon) >= 3
 
 
 def test_pruned_df_grid_size(example1):
@@ -219,12 +276,13 @@ def _regime_configs(rng, count, lo, hi, bottleneck=True):
 
 def test_bottleneck_regions_equal_their_lattice_hulls():
     # The builders skip the lattice on these configs; the pentagon they
-    # return is the hull of the lattice candidates at step 0.02, bit for bit.
+    # return is the polygon of the lattice candidates at step 0.02, bit for
+    # bit.
     for config in _regime_configs(np.random.default_rng(926), 100, 1e-3, 1e3):
         inner = build_df_region(config, 0.02).vertices
         outer = build_outer_region(config, 0.02).vertices
-        np.testing.assert_array_equal(inner, convex_hull(region._df_pentagon_grid(config, 50)), strict=True)
-        np.testing.assert_array_equal(outer, convex_hull(region._outer_pentagon_grid(config, 50)), strict=True)
+        np.testing.assert_array_equal(inner, region._polygon(region._df_pentagon_grid(config, 50)).vertices, strict=True)
+        np.testing.assert_array_equal(outer, region._polygon(region._outer_pentagon_grid(config, 50)).vertices, strict=True)
 
 
 def _count_grid_calls(monkeypatch):
@@ -350,13 +408,30 @@ def _point_sets(rng):
         yield rng.normal(size=(rng.integers(3, 40), 2)) * 10.0 ** rng.integers(-300, 2, size=2)
 
 
+def _tied_sets(rng):
+    # Repeated x columns, exact duplicates, and 0.0 mixed with -0.0.
+    for _ in range(40):
+        n = rng.integers(3, 60)
+        yield np.stack([rng.integers(-3, 4, size=n).astype(float), rng.normal(size=n)], axis=1)
+        base = rng.integers(-2, 3, size=(rng.integers(1, 8), 2)).astype(float)
+        yield base[rng.integers(0, len(base), size=rng.integers(3, 30))]
+        yield rng.choice([-1.0, -0.0, 0.0, 1.0], size=(rng.integers(3, 30), 2))
+    # Columns whose rows differ in the sign of zero of x: a hull that paired
+    # one row's x with another's y would return a row not in the set.
+    yield np.array([(-0.0, 1.0), (0.0, 2.0), (0.0, -1.0), (-0.0, -2.0), (1.0, 0.0), (-1.0, 0.0)])
+    yield np.array([(0.0, 2.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (1.0, 0.0)])
+
+
 def test_convex_hull_keeps_every_extreme_point():
-    # Oracle independent of the candidate filter: a point that maximizes p.d
-    # over the set by a clear margin, for some direction d, is a vertex.
+    # A point that maximizes p.d over the set by a clear margin, for some
+    # direction d, is a vertex; and every vertex is an input row, bit for
+    # bit, also where 0.0 and -0.0 share a column.
     rng = np.random.default_rng(606)
     checked = 0
-    for pts in _point_sets(rng):
+    for pts in itertools.chain(_point_sets(rng), _tied_sets(np.random.default_rng(607))):
         hull = convex_hull(pts)
+        rows = {row.tobytes() for row in pts}
+        assert all(row.tobytes() in rows for row in hull)
         distinct = np.unique(pts, axis=0)
         scale = np.abs(distinct).max()
         for d in rng.normal(size=(50, 2)):
@@ -367,77 +442,6 @@ def test_convex_hull_keeps_every_extreme_point():
             assert (hull == distinct[order[-1]]).all(axis=1).any()
             checked += 1
     assert checked > 5000
-
-
-def _filter_sets(rng):
-    # Repeated x columns, exact duplicates, and 0.0 mixed with -0.0.
-    for _ in range(40):
-        n = rng.integers(3, 60)
-        yield np.stack([rng.integers(-3, 4, size=n).astype(float), rng.normal(size=n)], axis=1)
-        base = rng.integers(-2, 3, size=(rng.integers(1, 8), 2)).astype(float)
-        yield base[rng.integers(0, len(base), size=rng.integers(3, 30))]
-        yield rng.choice([-1.0, -0.0, 0.0, 1.0], size=(rng.integers(3, 30), 2))
-    # A column's top and bottom come from rows whose x differ in the sign of
-    # zero; pairing one row's x with another's y makes a row not in the set.
-    yield np.array([(-0.0, 1.0), (0.0, 2.0), (0.0, -1.0), (-0.0, -2.0), (1.0, 0.0), (-1.0, 0.0)])
-    yield np.array([(0.0, 2.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -2.0), (-1.0, 0.0), (1.0, 0.0)])
-
-
-def test_hull_filter_matches_the_chain_alone(monkeypatch):
-    # The candidate filter drops only points that are no hull vertex: with it
-    # the hull equals the monotone chain run on every distinct point, and
-    # every vertex is an input row, bit for bit.
-    sets = [*_point_sets(np.random.default_rng(606)), *_filter_sets(np.random.default_rng(607))]
-    hulls = [convex_hull(pts) for pts in sets]
-    monkeypatch.setattr(region, "_hull_candidates", lambda pts: pts)
-    for pts, hull in zip(sets, hulls):
-        np.testing.assert_array_equal(hull, convex_hull(np.unique(pts, axis=0)), strict=True)
-        rows = {row.tobytes() for row in pts}
-        assert all(row.tobytes() in rows for row in hull)
-
-
-def _large_sets(rng):
-    # Sets above the threshold of the binned pass, each with whether the
-    # pass is skipped: x ties, 0.0 mixed with -0.0, a quarter disc like the
-    # region grids, and spans of zero, or whose reciprocal overflows.
-    n = region.HULL_BIN_MIN_POINTS + 1000
-    yield rng.normal(size=(n, 2)), False
-    yield rng.integers(-300, 301, size=(n, 2)).astype(float), False
-    yield rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(n, 2)) + [0.0, 1.0] * rng.normal(size=(n, 1)), False
-    t, r = rng.uniform(0.0, np.pi / 2, n), np.sqrt(rng.uniform(size=n))
-    yield np.stack([r * np.cos(t), r * np.sin(t)], axis=1), False
-    yield np.stack([rng.uniform(-1.0, 1.0, n) * 1e-300, rng.normal(size=n)], axis=1), False
-    yield rng.choice([-0.0, 0.0], size=(n, 2)) + [0.0, 1.0] * rng.normal(size=(n, 1)), True
-    yield rng.uniform(-1.0, 1.0, size=(n, 2)) * 1.7e308, True
-    yield np.stack([rng.integers(-2000, 2001, n) * 5e-324, rng.normal(size=n)], axis=1), True
-
-
-def test_binned_pass_matches_the_chain_alone(monkeypatch):
-    # The binned pass drops only points that `_hull_candidates` drops too,
-    # so the candidates, and the hull, are the same with it as without it:
-    # the monotone chain run on every distinct point.
-    sets, skipped = zip(*_large_sets(np.random.default_rng(608)))
-    hulls = [convex_hull(pts) for pts in sets]
-    for pts, skip in zip(sets, skipped):
-        binned = region._binned_candidates(pts)
-        assert len(binned) == len(pts) if skip else len(binned) < len(pts) / 2
-        same = region._hull_candidates(binned)
-        assert same.tobytes() == region._hull_candidates(pts).tobytes()
-    monkeypatch.setattr(region, "_binned_candidates", lambda pts: pts)
-    monkeypatch.setattr(region, "_hull_candidates", lambda pts: pts)
-    for pts, hull in zip(sets, hulls):
-        np.testing.assert_array_equal(hull, convex_hull(np.unique(pts, axis=0)), strict=True)
-
-
-def test_small_hulls_skip_the_binned_pass(monkeypatch):
-    # Hulls of at most HULL_BIN_MIN_POINTS points, like the many pentagon
-    # hulls, do not pay for the pass.
-    calls = []
-    monkeypatch.setattr(region, "_binned_candidates", lambda pts: calls.append(len(pts)) or pts)
-    convex_hull(np.random.default_rng(1).normal(size=(region.HULL_BIN_MIN_POINTS, 2)))
-    assert calls == []
-    convex_hull(np.random.default_rng(1).normal(size=(region.HULL_BIN_MIN_POINTS + 1, 2)))
-    assert calls == [region.HULL_BIN_MIN_POINTS + 1]
 
 
 @pytest.mark.parametrize("axis", [0, 1])
