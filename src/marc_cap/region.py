@@ -65,11 +65,14 @@ def _polygon(candidates):
     downward closure of its pentagons' candidate vertices. A candidate that
     another dominates lies in the box under it, which the origin, (x_max, 0)
     and (0, y_max) span with it, so the hull is that of those three points
-    and the `_staircase`. Raises ValueError on a NaN or infinite
+    and the `_staircase`, whose last point has the greatest x and whose
+    first the greatest y. Raises ValueError on a NaN or infinite
     coordinate."""
-    x_max, y_max = candidates.max(axis=0)
-    corners = np.array([(0.0, 0.0), (x_max, 0.0), (0.0, y_max)])
-    return RegionPolytope(2, convex_hull(np.vstack([corners, _staircase(candidates)])))
+    if not np.isfinite(candidates).all():
+        raise ValueError("region candidates must be finite")
+    stair = _staircase(candidates)
+    corners = np.array([(0.0, 0.0), (stair[-1, 0], 0.0), (0.0, stair[0, 1])])
+    return RegionPolytope(2, convex_hull(np.vstack([corners, stair])))
 
 
 def _staircase(pts):
