@@ -17,8 +17,8 @@ from .bounds import CorrelationVector, DfPowerSplit, DomainError, bound_function
 # the test keeps real extreme points of small-scale inputs.
 HULL_EPS = 1e-12
 
-# Bins of x in the first pass of `_staircase`, which leaves the sort a few
-# thousand of a lattice's hundred thousand candidates.
+# Bins of x in the first pass of `_staircase`, which leaves its sort a few
+# hundred of a lattice's hundred thousand candidates.
 STAIRCASE_BINS = 256
 
 # A region lattice has at most this many points: (n + 1)^2 power splits,
@@ -68,7 +68,7 @@ def _polygon(candidates):
     and the `_staircase`, whose last point has the greatest x and whose
     first the greatest y. Raises ValueError on a NaN or infinite
     coordinate."""
-    if not np.isfinite(candidates).all():
+    if not np.isfinite([candidates.min(), candidates.max()]).all():
         raise ValueError("region candidates must be finite")
     stair = _staircase(candidates)
     corners = np.array([(0.0, 0.0), (stair[-1, 0], 0.0), (0.0, stair[0, 1])])
@@ -83,8 +83,9 @@ def _staircase(pts):
     higher than the highest point of some strictly higher bin. The bin
     index is monotone in x, so that point lies strictly right of the dropped
     one and dominates it. A span of zero, one too small to divide by or one
-    beyond the float range skips the pass. Then one sort on x gives the highest point of each distinct x,
-    and those strictly above every column to their right are kept."""
+    beyond the float range skips the pass. Then one sort on x gives the
+    highest point of each distinct x, and those strictly above every column
+    to their right are kept."""
     x, y = pts[:, 0], pts[:, 1]
     lo = x.min()
     span = float(x.max()) - float(lo)

@@ -151,6 +151,15 @@ def test_staircase_matches_a_domination_oracle():
         assert stair.tobytes() == expected.tobytes() and stair.shape == expected.shape
 
 
+@pytest.mark.parametrize("bad", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (0.5, np.inf), (-np.inf, 0.0)])
+def test_polygon_rejects_non_finite_candidates(bad):
+    # (-inf, 0) is dominated by every other candidate, so the staircase alone
+    # would drop it without a word.
+    candidates = np.array([(1.0, 0.0), (0.0, 1.0), (0.75, 0.75), bad])
+    with pytest.raises(ValueError, match="finite"):
+        region._polygon(candidates)
+
+
 @pytest.mark.parametrize("step", [1.0, 0.5])
 def test_polygons_start_at_the_exact_origin(step):
     # On these Equalized configs the cutset lattice's rows at gamma = (1, 0)
