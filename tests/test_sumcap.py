@@ -824,50 +824,61 @@ def scan_report_digest(scan):
 
 
 # Per config, family and resolution, the scan_report_digest of the K=2 scan.
-# Seven of these sweeps find no Active point and report the witness's
+# Eight of these sweeps find no Active point and report the witness's
 # one-point run: the inner ones of the first two fallback configs at 1e-3
-# and 5e-3 (and the narrow box's at 1e-5), the outer one of the third at
-# 1e-3 and 5e-3.
+# and 5e-3 (and the narrow box's at 1e-5 and 1e-6), the outer one of the
+# third at 1e-3 and 5e-3. At 1e-6 example 2's 38,922-point sweeps hold both
+# Active and Inactive points in either family.
 FROZEN_TWO_USER_SCAN_DIGESTS = {
     "example1": {
         ("inner", 0.001): "12195f6f02d6bf688d51d1b05db3e63e7f10b66c62645febb4a78bf5836d4851",
         ("inner", 0.005): "1678a3e042f242db95879961bfb72ed26ce64ffd17924b003a482414cdc79f7d",
         ("inner", 1e-05): "785a843b9e6a92a0c90cf6e24fb9cba929a42fed9967c34ef0ab824f56e1e30f",
+        ("inner", 1e-06): "33aa9d021c105b645f7f98466d3167b9232eed9dc27ed53543bcbdcfb51027fb",
         ("outer", 0.001): "841b539790b61e9f534c302f58d472180e08b40c261ab79f4222a6af4fdf3e6c",
         ("outer", 0.005): "eca8c3f8de6b45caa1064b4607fe79ed1f54783f6bb05ee6a16e9495de62e9ed",
         ("outer", 1e-05): "da2b84873b856d9be8ec8933012238295c37f5d43a018a2e68f25333b6e832cf",
+        ("outer", 1e-06): "71219674b86d24c2124752987108c0b56a47e03ee32f2663735e9f0c5f432232",
     },
     "example2": {
         ("inner", 0.001): "35f62d44a40d4019797fcf8f268ee797a00dae1be2f5091687d004874ecbdb6f",
         ("inner", 0.005): "215e328cecc1adfc328ed21ef9e0360e82d78b58eee3ba4991b896ee4bf3a87e",
         ("inner", 1e-05): "d5792804d0b8c81f7b0a97d3b787dac7c2e6e99aa1e84fde92c7e19ffcbbae3c",
+        ("inner", 1e-06): "8562bb822801f98724ad5117b9ae0b48cf2f8b00f0a9fb142bed3bd564bf99b7",
         ("outer", 0.001): "5e101b2002973fe9b1fb898221b28ef2bae4591bcf45ed675f285dd05d35b0fa",
         ("outer", 0.005): "4279f52d45c0aee3797a741dcea138d3be9f44dfb4db374fab765b71acb2391e",
         ("outer", 1e-05): "c79169707340f4f6bc9ab93c4bc671fe17eb742dc87db24ac52f7bfb5e09c967",
+        ("outer", 1e-06): "a476c965404a1bc0b1bfb80d0188419da0f4e9fcc524490ef19b6cc79bdb88c6",
     },
     "inner_run_between_points": {
         ("inner", 0.001): "09433a1e2d30aeb9f96e29e80d48d651ebe3223e2c092a04fe8d2df9a4fef539",
         ("inner", 0.005): "ecdcf81b2343cdacc344a83e5233ea696aee77bd7f27a19041e8ce6af0a58a79",
         ("inner", 1e-05): "d0d11afa61b2d29ba7758ff8c1592f2c4e0eb67c7bbba8f7f8bd80a1af15b3c1",
+        ("inner", 1e-06): "575a6740bee6ec8a240030b85280faa8563be8dedc64cfa5a25e6ce81816d8a9",
         ("outer", 0.001): "8745cf21e975ffa74ac87e474ec611bc323a604dbee0aeee57307c8ed6a4ae94",
         ("outer", 0.005): "a024a861d6ce6107328364409749de9f3998d2ed8e63fae18a3744c8195acac1",
         ("outer", 1e-05): "13695af7ea45913dd6897ef768ffcf38c0787176ce6e78acd2c826ba6ba56083",
+        ("outer", 1e-06): "ed4a03325d10b54645be3f508615e62f86607aa25abd2eaa1180a12f1d7babce",
     },
     "inner_narrow_box": {
         ("inner", 0.001): "6e5bd39041f1f71b30c6b972eba1912eabab8d0ba6dbf2447a921bd6eb48e711",
         ("inner", 0.005): "c1a66352cb9c5ae9c7020e9e0d4e41223e299e73dbc57084cccdb9a45d1f760d",
         ("inner", 1e-05): "1be9decb521df91472514133b625bcaad645a54ef43a49fd263d1613a09f2315",
+        ("inner", 1e-06): "c0b1585da71ad00b800ae790afaa7a9a19091faed13fc4aba828ba369da5d32d",
         ("outer", 0.001): "a46885652a308f362ba0cd2dce8f5d782de080617ccd5522adf4c6412fc7efeb",
         ("outer", 0.005): "cd5a36a46e6beb61109b59d1dd0271d138033126a0bcc7d6208567d52867abb7",
         ("outer", 1e-05): "113699fb4467ded8792be4da537ea6ea38115d7187ebdcbcd19a8a5b95ac1462",
+        ("outer", 1e-06): "31138f4d281a06e1c79b265109bd943d49e487d5f503f92217b2a727022937b2",
     },
     "outer_run_between_points": {
         ("inner", 0.001): "08c8bf4be620407aa0b8c650783fd13cead448aee763bb807351fd552c358790",
         ("inner", 0.005): "71ec18b40d4e84acbd838f1123864b529827f1096d5a1a696fd1b6fc21831290",
         ("inner", 1e-05): "12e9ade855a3af63260e32f779710e1a2088954972239f007d2ad86008c7442f",
+        ("inner", 1e-06): "dec1aa1e9c55a9d7a92727d69a8e28ab69168ed2f16a49a9e818bc90e53669d9",
         ("outer", 0.001): "d702cbb52ca522e6ad392499ab4fe784aaf3dd2365486d865d55bc439b53b7ce",
         ("outer", 0.005): "be3227fd867e6c6f3f3799216c4130967a1ef14444bc13ac2a18c79b1b7a8690",
         ("outer", 1e-05): "78084083a7622a0447af28a90954881589491ad5ae1b63c4c563fade6ebcdc7b",
+        ("outer", 1e-06): "ee2affddb372ead3ab4821e02f0ba5c264be42dc1b2e40c958ca3555130b0ea4",
     },
 }
 
@@ -879,7 +890,7 @@ def test_two_user_scan_reports_are_frozen(name):
     got = {
         (family, resolution): scan_report_digest(scan_active_rules(config, solution, resolution, family))
         for family in ("inner", "outer")
-        for resolution in (1e-3, 5e-3, 1e-5)
+        for resolution in (1e-3, 5e-3, 1e-5, 1e-6)
     }
     assert got == FROZEN_TWO_USER_SCAN_DIGESTS[name]
 
