@@ -243,11 +243,18 @@ def convex_hull(points):
         # A near-collinear middle point a is dropped only when it lies between
         # o and b; when the chain doubles back on it, a is an extreme point.
         (ox, oy), (ax, ay), (bx, by) = scaled[o], scaled[a], scaled[b]
-        cross = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+        ux, uy, vx, vy = ax - ox, ay - oy, bx - ox, by - oy
+        cross = ux * vy - uy * vx
         if cross <= 0.0:
             return True
-        near = cross <= HULL_EPS * np.hypot(ax - ox, ay - oy) * np.hypot(bx - ox, by - oy)
-        return near and (ax - ox) * (bx - ax) + (ay - oy) * (by - ay) > 0.0
+        # hypot(x, y) <= |x| + |y|, so a cross product above this bound is
+        # above the one with hypot, and the two hypot calls are skipped. The
+        # factor 4 keeps the bound the larger one after rounding, subnormal
+        # products included, so no decision changes.
+        if cross > 4.0 * HULL_EPS * (abs(ux) + abs(uy)) * (abs(vx) + abs(vy)):
+            return False
+        near = cross <= HULL_EPS * np.hypot(ux, uy) * np.hypot(vx, vy)
+        return near and ux * (bx - ax) + uy * (by - ay) > 0.0
 
     lower = []
     for i in range(len(pts)):

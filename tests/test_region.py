@@ -453,6 +453,63 @@ def test_convex_hull_keeps_every_extreme_point():
     assert checked > 5000
 
 
+def _hypot_hull(points):
+    """convex_hull as it was before its chain skipped hypot: every cross
+    product above 0 is compared with HULL_EPS times the two hypot lengths."""
+    pts = region._distinct_sorted(np.asarray(points, dtype=np.float64))
+    if len(pts) <= 2:
+        return pts
+    _, exponent = np.frexp(np.abs(pts).max(axis=0))
+    scaled = np.ldexp(pts, -exponent).tolist()
+
+    def drop(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = scaled[o], scaled[a], scaled[b]
+        cross = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+        if cross <= 0.0:
+            return True
+        near = cross <= region.HULL_EPS * np.hypot(ax - ox, ay - oy) * np.hypot(bx - ox, by - oy)
+        return near and (ax - ox) * (bx - ax) + (ay - oy) * (by - ay) > 0.0
+
+    chains = []
+    for order in (range(len(pts)), reversed(range(len(pts)))):
+        chain = []
+        for i in order:
+            while len(chain) >= 2 and drop(chain[-2], chain[-1], i):
+                chain.pop()
+            chain.append(i)
+        chains.append(chain[:-1])
+    return pts[chains[0] + chains[1]]
+
+
+def _near_collinear_sets(rng):
+    # Points on a line, each moved off it by a relative 1e-16 to 1e-10, so
+    # cross products land on both sides of the HULL_EPS test; at scales
+    # down to 1e-300 and with the line's slope over 24 decades. Lines off
+    # the origin and parallel to an axis, where |x| + |y| is the chord's
+    # length, come in both orientations.
+    for _ in range(300):
+        t = np.sort(rng.uniform(-1.0, 1.0, size=rng.integers(3, 40)))
+        slope = 10.0 ** rng.uniform(-12.0, 12.0) * rng.choice([-1.0, 1.0])
+        y = slope * t + abs(slope) * 10.0 ** rng.uniform(-16.0, -10.0) * rng.normal(size=t.size)
+        yield np.stack([t, y], axis=1) * 10.0 ** rng.integers(-300, 3)
+        flat = np.stack([t, 0.5 + 10.0 ** rng.uniform(-13.0, -11.0) * rng.normal(size=t.size)], axis=1)
+        yield flat if rng.random() < 0.5 else flat[:, ::-1]
+
+
+def test_convex_hull_skips_hypot_without_changing_a_vertex(example1, example2):
+    # The chain's |x| + |y| bound decides no point that the hypot test would
+    # keep or drop otherwise: the hull is the same, bit for bit, on random,
+    # tied and near-collinear sets and on the region staircases.
+    rng = np.random.default_rng(2932)
+    sets = itertools.chain(
+        _point_sets(rng), _tied_sets(np.random.default_rng(2933)), _near_collinear_sets(rng),
+        (region._staircase(region._outer_pentagon_grid(cfg, n)) for cfg in (example1, example2) for n in (50, 200)),
+        (region._staircase(region._df_pentagon_grid(cfg, n)) for cfg in (example1, example2) for n in (50, 200)),
+    )
+    for pts in sets:
+        assert convex_hull(pts).tobytes() == _hypot_hull(pts).tobytes()
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_convex_hull_rejects_non_finite_points(axis, bad):
