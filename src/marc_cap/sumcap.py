@@ -12,8 +12,13 @@ correlations gamma_k = (root / sum(lambda))^2 lambda_k (outer), the one the
 split induces. Under either, both tables certify and the two-polymatroid
 intersection is Active with max sum C*; the code still classifies the
 witness from its tables, and it is every scan's one sample. For K=2 the
-scanner also sweeps the equalizing rules, in the witness's batch, and
-reports where they are active.
+scanner also sweeps the equalizing rules and reports where they are
+active. The outer sweep classifies every grid point, in the witness's
+batch. The inner sweep's verdicts are decided over index ranges, level by
+level, from the tables of each range's corner rows, since every compared
+total is monotone in each alpha; only the rows near a run's edges are
+classified one by one, in the witness's batch. Every grid point gets the
+verdict of its own tables either way.
 """
 
 import math
@@ -35,7 +40,7 @@ from .bounds import (
     relay_sum_snr,
 )
 from .channel import awgn_capacity
-from .polymatroid import ACTIVE, INACTIVE, intersection_rows
+from .polymatroid import ACTIVE, INACTIVE, TIE_TOL, intersection_rows
 
 BOTTLENECK = "Bottleneck"
 EQUALIZED = "Equalized"
@@ -46,8 +51,10 @@ UPPER_BOUND_ONLY = "UpperBoundOnly"
 
 CONSTRAINT_TOL = 1e-10
 
-# The K=2 sweep classifies at most this many grid points, about 161 B each
-# (tracemalloc peak of sum_capacity), so about 322 MiB at the cap.
+# The K=2 sweep holds at most this many grid points. The tracemalloc peak
+# of sum_capacity is about 40 B per point where the inner sweep's ranges
+# are decided (its rows and grid), and 169 B where every row is classified
+# one by one, so at most about 340 MiB at the cap.
 MAX_SWEEP_POINTS = 1 << 21
 
 
@@ -227,6 +234,88 @@ def _sweep_grid(lo, hi, resolution):
     return np.concatenate([[lo], grid[(lo < grid) & (grid < hi)], [hi] if hi > lo else []])
 
 
+# The K=2 inner sweep is decided over index ranges of rows: an undecided
+# range of more than SWEEP_LEAF rows is cut into SWEEP_BRANCH pieces, each
+# decided from its corner rows; shorter undecided ranges are classified row
+# by row. A family_tables call costs about as much as a thousand rows, so
+# one level of corners and one batch of leaves serve sweeps up to about
+# 65,000 rows.
+SWEEP_BRANCH = 64
+SWEEP_LEAF = 1024
+# A range is decided only when its corner bounds clear the tie test by
+# SWEEP_MARGIN * (1 + P_r / N_d + t), t the largest compared total. With
+# u = 2^-53, a relay SNR s carries a relative error of a few u, a
+# destination SNR an absolute one of about 10 u (s + P_r / N_d): 1 - beta
+# loses its digits when beta is near 1. As 0.5 log2(1 + s) moves by at
+# most 0.72 ds / (1 + s), and log2(fl(1 + s)) is off by about u even for s
+# near 0, each entry r is off by at most 8 u (1 + P_r / N_d + r), and a
+# total of two entries by 16 u (1 + P_r / N_d + t). A row's verdict and
+# its range's corner bounds differ by at most four such errors and the
+# rounding of the TIE_TOL subtractions, under 70 u (1 + P_r / N_d + t);
+# 2^-44 is 512 u. A wider margin only sends more rows to the leaves.
+SWEEP_MARGIN = 2.0**-44
+
+
+def _spans(lo, hi):
+    """The indices of the inclusive index ranges lo..hi, concatenated; a
+    range with hi < lo holds none."""
+    size = np.maximum(hi - lo + 1, 0)
+    return np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size)
+
+
+def _corner_verdicts(config, rows, lo, hi):
+    """(all Active, all Inactive) flags of the K=2 inner sweep ranges lo..hi.
+
+    Along the sweep alpha1 rises and alpha2 never rises, so rows i..j lie
+    in the box of rows i and j. With beta_star, every compared total is
+    monotone in each alpha: relay DF(S) rises in every alpha; dest DF{1}
+    falls in alpha1 and rises in alpha2, DF{2} is the mirror; dest DF{1,2}
+    = C((P + P_r + 2 sqrt(W P_r)) / N_d), W = sum (1 - alpha_k) P_k, falls
+    in both. So each total's extremes over the box are at its four corners,
+    the two end rows and the two off corners, all in [0, 1]^2.
+    """
+    first, last = rows[lo], rows[hi]
+    corners = [first, last, np.column_stack([first[:, 0], last[:, 1]]), np.column_stack([last[:, 0], first[:, 1]])]
+    dest, relay = family_tables(config, "inner", np.concatenate(corners))
+    # totals[:, S] = dest(S) + relay(S^c), as intersection_rows adds them.
+    totals = (dest + relay[:, ::-1]).reshape(4, len(lo), 4)
+    low, high = totals.min(axis=0), totals.max(axis=0)
+    margin = SWEEP_MARGIN * (1.0 + config.P_r / config.N_d + high.max(axis=1))
+    active = low[:, 1:3].min(axis=1) >= high[:, [0, 3]].min(axis=1) - TIE_TOL + margin
+    inactive = high[:, 1:3].min(axis=1) < low[:, [0, 3]].min(axis=1) - TIE_TOL - margin
+    return active, inactive
+
+
+def _inner_sweep_verdicts(config, rows, witness):
+    """The Active flags of the K=2 inner sweep rows and of the witness,
+    equal to intersection_rows of their tables row by row.
+
+    An undecided index range, at first the whole sweep, of more than
+    SWEEP_LEAF rows is cut into SWEEP_BRANCH pieces, and every piece of a
+    level is decided from its corner rows in one family_tables call (see
+    _corner_verdicts); the rows of the undecided ranges of at most
+    SWEEP_LEAF rows, those near a run's edges, are classified row by row,
+    in one batch with the witness."""
+    active = np.zeros(len(rows), dtype=bool)
+    leaves = [np.zeros(0, dtype=np.intp)]
+    lo, hi = np.array([0]), np.array([len(rows) - 1])
+    while len(lo):
+        leaf = hi - lo < SWEEP_LEAF
+        leaves.append(_spans(lo[leaf], hi[leaf]))
+        lo, hi = lo[~leaf], hi[~leaf]
+        cuts = lo[:, None] + (hi - lo + 1)[:, None] * np.arange(SWEEP_BRANCH + 1) // SWEEP_BRANCH
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1
+        if len(lo):
+            all_active, all_inactive = _corner_verdicts(config, rows, lo, hi)
+            active[_spans(lo[all_active], hi[all_active])] = True
+            undecided = ~(all_active | all_inactive)
+            lo, hi = lo[undecided], hi[undecided]
+    leaves = np.concatenate(leaves)
+    verdicts = intersection_rows(*family_tables(config, "inner", np.concatenate([rows[leaves], witness])))[2]
+    active[leaves] = verdicts[:-1]
+    return active, verdicts[-1]
+
+
 def _runs(active):
     """The (first, last) index pairs of the Active runs of a boolean verdict
     array; zero rows have none."""
@@ -243,11 +332,15 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     checked on the rule set; it is the scan's one sample. For K=2 the first
     coordinate also sweeps the grid of resolution multiples inside its
     feasible interval (exact endpoints included), the second taking the
-    load the first leaves, in the witness's batch. Runs of Active grid
-    points become the reported intervals, so the boundary localization
-    error is at most the resolution. When the sweep finds no Active point,
-    an Active witness is the one-point run of both coordinates. The verdict
-    is ActiveClass when some classified rule is Active.
+    load the first leaves. The outer family classifies every grid point in
+    the witness's batch; the inner family decides ranges of grid points
+    from their corner rows and classifies only the points near a run's
+    edges, in the witness's batch (_inner_sweep_verdicts), with the same
+    verdict for every point. Runs of Active grid points become the
+    reported intervals, so the boundary localization error is at most the
+    resolution. When the sweep finds no Active point, an Active witness is
+    the one-point run of both coordinates. The verdict is ActiveClass when
+    some classified rule is Active.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -260,16 +353,20 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     share = rule_set.total / lam.sum()
     witness = np.full((1, len(lam)), 1.0 - share) if family == "inner" else share**2 * lam[None]
     rule_set.check(witness[0])
-    # The sweep rows are a view of the batch, so they are not copied twice.
-    batch = np.concatenate([rule_set.sweep(resolution), witness]) if config.K == 2 else witness
-    active = intersection_rows(*family_tables(config, family, batch))[2]
-    sample = (_rule(config, family, witness), ACTIVE if active[-1] else INACTIVE)
-    verdict = ACTIVE_CLASS if active.any() else INACTIVE_CLASS
+    if config.K == 2 and family == "inner":
+        rows = rule_set.sweep(resolution)
+        active, witness_active = _inner_sweep_verdicts(config, rows, witness)
+    else:
+        # The sweep rows are a view of the batch, so they are not copied twice.
+        batch = np.concatenate([rule_set.sweep(resolution), witness]) if config.K == 2 else witness
+        verdicts = intersection_rows(*family_tables(config, family, batch))[2]
+        rows, active, witness_active = batch[:-1], verdicts[:-1], verdicts[-1]
+    sample = (_rule(config, family, witness), ACTIVE if witness_active else INACTIVE)
+    verdict = ACTIVE_CLASS if witness_active or active.any() else INACTIVE_CLASS
     if config.K != 2:
         return RuleSetScan(family, 0.0, (sample,), None, None, verdict)
-    rows = batch[:-1]
-    runs = rows[_runs(active[:-1])].tolist()
-    if not runs and active[-1]:
+    runs = rows[_runs(active)].tolist()
+    if not runs and witness_active:
         runs = [witness.tolist() * 2]
     # The second coordinate decreases along the sweep, so its runs map reversed.
     names = (rule_set.name + "1", rule_set.name + "2")

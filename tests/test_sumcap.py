@@ -34,7 +34,7 @@ from marc_cap.sumcap import (
 )
 from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions, family_tables
 from marc_cap.sumcap import CONSTRAINT_TOL
-from conftest import sha256_of
+from conftest import random_config, sha256_of
 
 ROOT_1 = 0.40824829046386296
 C_1 = 0.16666666666666663
@@ -916,3 +916,105 @@ def test_every_scan_returns_its_witness_as_its_one_sample():
                 fields = (rule.alpha, rule.beta) if family == "inner" else (rule.gamma,)
                 assert [np.array(f).tobytes() for f in fields] == [row[0].tobytes() for row in rows]
                 assert kind == intersection_max_sum(*bound_functions(cfg, rule)).kind == ACTIVE
+
+
+# A config whose relay sum SNR cancels to a few digits at the root, so its
+# printed sum rate loses them; with HIGH_SNR above, a sweep near rounding.
+CANCELLING_SUM_SNR = ChannelConfig(
+    2, (0.0014750435309353565, 97994.16643719237), 32.5464970706179, 2.1822142218135687e-06, 530374.4380172977
+)
+
+
+def two_user_draws(seed, count):
+    """Seeded Equalized K=2 configs, every input log-uniform over 24
+    decades; draws whose equalizer raises are passed over."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        cfg = random_config(rng, K=2, lo=1e-12, hi=1e12)
+        try:
+            if solve_equalizer(cfg).regime == EQUALIZED:
+                out.append(cfg)
+        except ValueError:
+            pass
+    return out
+
+
+def pointwise_sweep(config, resolution):
+    """The inner sweep rows, the uniform split and their verdicts from one
+    intersection_rows call, the witness's last."""
+    solution = solve_equalizer(config)
+    rows = equalizing_set(config, solution, "inner").sweep(resolution)
+    witness = uniform_split(config, solution)
+    return rows, witness, intersection_rows(*family_tables(config, "inner", np.concatenate([rows, witness])))[2]
+
+
+def test_inner_sweep_ranges_give_the_pointwise_verdicts(monkeypatch):
+    # Every sweep row gets the verdict its own tables give, while most rows
+    # are decided by ranges and never reach family_tables.
+    real, seen = sumcap.family_tables, []
+    monkeypatch.setattr(sumcap, "family_tables", lambda cfg, family, rows: seen.append(len(rows)) or real(cfg, family, rows))
+    configs = two_user_draws(2929, 60) + [HIGH_SNR, CANCELLING_SUM_SNR]
+    configs += [two_user_config(name) for name in TWO_USER_CONFIGS]
+    swept = 0
+    for cfg in configs:
+        for resolution in (1e-3, 1e-5):
+            rows, witness, expect = pointwise_sweep(cfg, resolution)
+            active, witness_active = sumcap._inner_sweep_verdicts(cfg, rows, witness)
+            assert active.tolist() == expect[:-1].tolist()
+            assert witness_active == expect[-1]
+            swept += len(rows)
+    assert sum(seen) < swept / 10
+
+
+@pytest.mark.parametrize("branch, leaf", [(2, 1), (3, 2), (5, 16)])
+def test_inner_sweep_ranges_give_the_pointwise_verdicts_at_any_depth(monkeypatch, branch, leaf):
+    # Small pieces and leaves take the ranges down many levels, to single rows.
+    monkeypatch.setattr(sumcap, "SWEEP_BRANCH", branch)
+    monkeypatch.setattr(sumcap, "SWEEP_LEAF", leaf)
+    configs = two_user_draws(2931, 12) + [HIGH_SNR] + [two_user_config(name) for name in TWO_USER_CONFIGS]
+    for cfg in configs:
+        rows, witness, expect = pointwise_sweep(cfg, 1e-3)
+        active, witness_active = sumcap._inner_sweep_verdicts(cfg, rows, witness)
+        assert active.tolist() == expect[:-1].tolist()
+        assert witness_active == expect[-1]
+
+
+# Per subset bitmask, the direction in which each inner table entry moves
+# as alpha1 and as alpha2 rise, with beta_star: relay DF(S) rises in the
+# alphas of S; dest DF{1} falls in alpha1 and rises in alpha2, DF{2} is the
+# mirror, DF{1,2} falls in both.
+INNER_DIRECTIONS = {
+    "dest": [(0, 0), (-1, 1), (1, -1), (-1, -1)],
+    "relay": [(0, 0), (1, 0), (0, 1), (1, 1)],
+}
+
+
+def test_inner_sweep_premises_hold_in_floats():
+    # The range decider's premises: the sweep's alpha1 strictly rises and
+    # its alpha2 never rises, so rows i..j lie in the box of rows i and j;
+    # each table entry moves in its direction between box corners, up to
+    # rounding of a few ulps of 1 + P_r / N_d + the entry.
+    rng = np.random.default_rng(2930)
+    for cfg in two_user_draws(2930, 40) + [HIGH_SNR, CANCELLING_SUM_SNR]:
+        rows = equalizing_set(cfg, solve_equalizer(cfg), "inner").sweep(1e-4)
+        assert (np.diff(rows[:, 0]) > 0.0).all() and (np.diff(rows[:, 1]) <= 0.0).all()
+        # Boxes of two sweep rows, then boxes anywhere in the unit square.
+        i, j = np.sort(rng.integers(0, len(rows), (2, 40)), axis=0)
+        unit = np.sort(rng.random((2, 2, 40)), axis=1)
+        x0, x1 = np.concatenate([rows[i, 0], unit[0, 0]]), np.concatenate([rows[j, 0], unit[0, 1]])
+        y0, y1 = np.concatenate([rows[j, 1], unit[1, 0]]), np.concatenate([rows[i, 1], unit[1, 1]])
+        corners = [family_tables(cfg, "inner", np.column_stack(c)) for c in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))]
+        for side, (name, directions) in enumerate(INNER_DIRECTIONS.items()):
+            t00, t10, t01, t11 = (tables[side] for tables in corners)
+            tol = 2.0**-48 * (1.0 + cfg.P_r / cfg.N_d + np.maximum.reduce([t00, t10, t01, t11]))
+            for S, (d1, d2) in enumerate(directions):
+                for start, end, d in ((t00, t10, d1), (t01, t11, d1), (t00, t01, d2), (t10, t11, d2)):
+                    change = end[:, S] - start[:, S]
+                    moved = np.abs(change) if d == 0 else -d * change
+                    assert (moved <= tol[:, S]).all(), (cfg, name, S)
+        # dest DF{1,2} = C((P + P_r + 2 sqrt(W P_r)) / N_d), W = sum (1 - alpha_k) P_k.
+        alpha = np.column_stack([x0, y1])
+        W = ((1.0 - alpha) * cfg.powers()).sum(axis=1)
+        closed = 0.5 * np.log2(1.0 + (sum(cfg.P) + cfg.P_r + 2.0 * np.sqrt(W * cfg.P_r)) / cfg.N_d)
+        np.testing.assert_allclose(family_tables(cfg, "inner", alpha)[0][:, 3], closed, rtol=1e-13, atol=1e-15)
