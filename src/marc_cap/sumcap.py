@@ -14,11 +14,12 @@ intersection is Active with max sum C*; the code still classifies the
 witness from its tables, and it is every scan's one sample. For K=2 the
 scanner also sweeps the equalizing rules and reports where they are
 active. The outer sweep classifies every grid point, in the witness's
-batch. The inner sweep's verdicts are decided over index ranges, level by
-level, from the tables of each range's corner rows, since every compared
-total is monotone in each alpha; only the rows near a run's edges are
-classified one by one, in the witness's batch. Every grid point gets the
-verdict of its own tables either way.
+batch, and so does an inner sweep of at most SWEEP_LEAF points. A longer
+inner sweep's verdicts are decided over index ranges, level by level, from
+the tables of each range's corner rows, since every compared total is
+monotone in each alpha; only the rows near a run's edges are classified
+one by one, in the witness's batch. Every grid point gets the verdict of
+its own tables either way.
 """
 
 import math
@@ -333,10 +334,11 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     coordinate also sweeps the grid of resolution multiples inside its
     feasible interval (exact endpoints included), the second taking the
     load the first leaves. The outer family classifies every grid point in
-    the witness's batch; the inner family decides ranges of grid points
-    from their corner rows and classifies only the points near a run's
-    edges, in the witness's batch (_inner_sweep_verdicts), with the same
-    verdict for every point. Runs of Active grid points become the
+    the witness's batch, and so does the inner family on at most
+    SWEEP_LEAF points; on more, it decides ranges of grid points from their
+    corner rows and classifies only the points near a run's edges, in the
+    witness's batch (_inner_sweep_verdicts), with the same verdict for
+    every point. Runs of Active grid points become the
     reported intervals, so the boundary localization error is at most the
     resolution. When the sweep finds no Active point, an Active witness is
     the one-point run of both coordinates. The verdict is ActiveClass when
@@ -353,14 +355,15 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     share = rule_set.total / lam.sum()
     witness = np.full((1, len(lam)), 1.0 - share) if family == "inner" else share**2 * lam[None]
     rule_set.check(witness[0])
-    if config.K == 2 and family == "inner":
-        rows = rule_set.sweep(resolution)
+    rows = rule_set.sweep(resolution) if config.K == 2 else witness[:0]
+    if family == "inner" and len(rows) > SWEEP_LEAF:
         active, witness_active = _inner_sweep_verdicts(config, rows, witness)
     else:
-        # The sweep rows are a view of the batch, so they are not copied twice.
-        batch = np.concatenate([rule_set.sweep(resolution), witness]) if config.K == 2 else witness
+        # The sweep rows become a view of the batch, so they are not held twice.
+        batch = np.concatenate([rows, witness])
+        rows = batch[:-1]
         verdicts = intersection_rows(*family_tables(config, family, batch))[2]
-        rows, active, witness_active = batch[:-1], verdicts[:-1], verdicts[-1]
+        active, witness_active = verdicts[:-1], verdicts[-1]
     sample = (_rule(config, family, witness), ACTIVE if witness_active else INACTIVE)
     verdict = ACTIVE_CLASS if witness_active or active.any() else INACTIVE_CLASS
     if config.K != 2:
