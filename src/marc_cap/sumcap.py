@@ -235,12 +235,10 @@ def _sweep_grid(lo, hi, resolution):
     return np.concatenate([[lo], grid[(lo < grid) & (grid < hi)], [hi] if hi > lo else []])
 
 
-# The K=2 inner sweep is decided over index ranges of rows: an undecided
-# range of more than SWEEP_LEAF rows is cut into SWEEP_BRANCH pieces, each
-# decided from its corner rows; shorter undecided ranges are classified row
-# by row. A family_tables call costs about as much as a thousand rows, so
-# one level of corners and one batch of leaves serve sweeps up to about
-# 65,000 rows.
+# An undecided range of more than SWEEP_LEAF inner sweep rows is cut into
+# SWEEP_BRANCH pieces (_inner_sweep_verdicts). A family_tables call costs
+# about as much as a thousand rows, so one level of corners and one batch
+# of leaves serve sweeps of up to 65,536 rows.
 SWEEP_BRANCH = 64
 SWEEP_LEAF = 1024
 # A range is decided only when its corner bounds clear the tie test by
@@ -298,7 +296,7 @@ def _inner_sweep_verdicts(config, rows, witness):
     SWEEP_LEAF rows, those near a run's edges, are classified row by row,
     in one batch with the witness."""
     active = np.zeros(len(rows), dtype=bool)
-    leaves = [np.zeros(0, dtype=np.intp)]
+    leaves = []
     lo, hi = np.array([0]), np.array([len(rows) - 1])
     while len(lo):
         leaf = hi - lo < SWEEP_LEAF
@@ -338,11 +336,11 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     SWEEP_LEAF points; on more, it decides ranges of grid points from their
     corner rows and classifies only the points near a run's edges, in the
     witness's batch (_inner_sweep_verdicts), with the same verdict for
-    every point. Runs of Active grid points become the
-    reported intervals, so the boundary localization error is at most the
-    resolution. When the sweep finds no Active point, an Active witness is
-    the one-point run of both coordinates. The verdict is ActiveClass when
-    some classified rule is Active.
+    every point. Runs of Active grid points become the reported intervals,
+    so the boundary localization error is at most the resolution. When the
+    sweep finds no Active point, an Active witness is the one-point run of
+    both coordinates. The verdict is ActiveClass when some classified rule
+    is Active.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
