@@ -14,12 +14,11 @@ intersection is Active with max sum C*; the code still classifies the
 witness from its tables, and it is every scan's one sample. For K=2 the
 scanner also sweeps the equalizing rules and reports where they are
 active. The outer sweep classifies every grid point, in the witness's
-batch, and so does an inner sweep of at most SWEEP_LEAF points. A longer
-inner sweep's verdicts are decided over index ranges, level by level, from
-the tables of each range's corner rows, since every compared total is
-monotone in each alpha; only the rows near a run's edges are classified
-one by one, in the witness's batch. Every grid point gets the verdict of
-its own tables either way.
+batch. The inner sweep is cut into pieces of SWEEP_PIECE rows, decided
+from the tables of each piece's corner rows, since every compared total
+is monotone in each alpha; only the rows of the pieces near a run's edges
+are classified one by one, in the witness's batch. Every grid point gets
+the verdict of its own tables either way.
 """
 
 import math
@@ -53,9 +52,9 @@ UPPER_BOUND_ONLY = "UpperBoundOnly"
 CONSTRAINT_TOL = 1e-10
 
 # The K=2 sweep holds at most this many grid points. The tracemalloc peak
-# of sum_capacity is about 40 B per point where the inner sweep's ranges
-# are decided (its rows and grid), and 169 B where every row is classified
-# one by one, so at most about 340 MiB at the cap.
+# of sum_capacity is about 40 B per point where the inner sweep's pieces
+# are decided (its rows and grid), and 164 B where every row is classified
+# one by one, so at most about 330 MiB at the cap.
 MAX_SWEEP_POINTS = 1 << 21
 
 
@@ -235,13 +234,13 @@ def _sweep_grid(lo, hi, resolution):
     return np.concatenate([[lo], grid[(lo < grid) & (grid < hi)], [hi] if hi > lo else []])
 
 
-# An undecided range of more than SWEEP_LEAF inner sweep rows is cut into
-# SWEEP_BRANCH pieces (_inner_sweep_verdicts). A family_tables call costs
-# about as much as a thousand rows, so one level of corners and one batch
-# of leaves serve sweeps of up to 65,536 rows.
-SWEEP_BRANCH = 64
-SWEEP_LEAF = 1024
-# A range is decided only when its corner bounds clear the tie test by
+# The K=2 inner sweep is cut into pieces of SWEEP_PIECE rows, all decided
+# from their corner rows in one family_tables call (_inner_sweep_verdicts).
+# A family_tables call costs about as much as a thousand rows; with pieces
+# of 256 a sweep of 16,384 points has 256 corner rows, and each run edge
+# sends the 256 rows of its piece to be classified one by one.
+SWEEP_PIECE = 256
+# A piece is decided only when its corner bounds clear the tie test by
 # SWEEP_MARGIN * (1 + P_r / N_d + t), t the largest compared total. With
 # u = 2^-53, a relay SNR s carries a relative error of a few u, a
 # destination SNR an absolute one of about 10 u (s + P_r / N_d): 1 - beta
@@ -249,69 +248,42 @@ SWEEP_LEAF = 1024
 # most 0.72 ds / (1 + s), and log2(fl(1 + s)) is off by about u even for s
 # near 0, each entry r is off by at most 8 u (1 + P_r / N_d + r), and a
 # total of two entries by 16 u (1 + P_r / N_d + t). A row's verdict and
-# its range's corner bounds differ by at most four such errors and the
+# its piece's corner bounds differ by at most four such errors and the
 # rounding of the TIE_TOL subtractions, under 70 u (1 + P_r / N_d + t);
-# 2^-44 is 512 u. A wider margin only sends more rows to the leaves.
+# 2^-44 is 512 u. A wider margin only classifies more rows one by one.
 SWEEP_MARGIN = 2.0**-44
-
-
-def _spans(lo, hi):
-    """The indices of the inclusive index ranges lo..hi, concatenated; a
-    range with hi < lo holds none."""
-    size = np.maximum(hi - lo + 1, 0)
-    return np.arange(size.sum()) + np.repeat(lo + size - np.cumsum(size), size)
-
-
-def _corner_verdicts(config, rows, lo, hi):
-    """(all Active, all Inactive) flags of the K=2 inner sweep ranges lo..hi.
-
-    Along the sweep alpha1 rises and alpha2 never rises, so rows i..j lie
-    in the box of rows i and j. With beta_star, every compared total is
-    monotone in each alpha: relay DF(S) rises in every alpha; dest DF{1}
-    falls in alpha1 and rises in alpha2, DF{2} is the mirror; dest DF{1,2}
-    = C((P + P_r + 2 sqrt(W P_r)) / N_d), W = sum (1 - alpha_k) P_k, falls
-    in both. So each total's extremes over the box are at its four corners,
-    the two end rows and the two off corners, all in [0, 1]^2.
-    """
-    first, last = rows[lo], rows[hi]
-    corners = [first, last, np.column_stack([first[:, 0], last[:, 1]]), np.column_stack([last[:, 0], first[:, 1]])]
-    dest, relay = family_tables(config, "inner", np.concatenate(corners))
-    # totals[:, S] = dest(S) + relay(S^c), as intersection_rows adds them.
-    totals = (dest + relay[:, ::-1]).reshape(4, len(lo), 4)
-    low, high = totals.min(axis=0), totals.max(axis=0)
-    margin = SWEEP_MARGIN * (1.0 + config.P_r / config.N_d + high.max(axis=1))
-    active = low[:, 1:3].min(axis=1) >= high[:, [0, 3]].min(axis=1) - TIE_TOL + margin
-    inactive = high[:, 1:3].min(axis=1) < low[:, [0, 3]].min(axis=1) - TIE_TOL - margin
-    return active, inactive
 
 
 def _inner_sweep_verdicts(config, rows, witness):
     """The Active flags of the K=2 inner sweep rows and of the witness,
     equal to intersection_rows of their tables row by row.
 
-    An undecided index range, at first the whole sweep, of more than
-    SWEEP_LEAF rows is cut into SWEEP_BRANCH pieces, and every piece of a
-    level is decided from its corner rows in one family_tables call (see
-    _corner_verdicts); the rows of the undecided ranges of at most
-    SWEEP_LEAF rows, those near a run's edges, are classified row by row,
-    in one batch with the witness."""
-    active = np.zeros(len(rows), dtype=bool)
-    leaves = []
-    lo, hi = np.array([0]), np.array([len(rows) - 1])
-    while len(lo):
-        leaf = hi - lo < SWEEP_LEAF
-        leaves.append(_spans(lo[leaf], hi[leaf]))
-        lo, hi = lo[~leaf], hi[~leaf]
-        cuts = lo[:, None] + (hi - lo + 1)[:, None] * np.arange(SWEEP_BRANCH + 1) // SWEEP_BRANCH
-        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1
-        if len(lo):
-            all_active, all_inactive = _corner_verdicts(config, rows, lo, hi)
-            active[_spans(lo[all_active], hi[all_active])] = True
-            undecided = ~(all_active | all_inactive)
-            lo, hi = lo[undecided], hi[undecided]
-    leaves = np.concatenate(leaves)
-    verdicts = intersection_rows(*family_tables(config, "inner", np.concatenate([rows[leaves], witness])))[2]
-    active[leaves] = verdicts[:-1]
+    Along the sweep alpha1 rises and alpha2 never rises, so the rows of a
+    piece lie in the box of its first and last row. With beta_star, every
+    compared total is monotone in each alpha: relay DF(S) rises in every
+    alpha; dest DF{1} falls in alpha1 and rises in alpha2, DF{2} is the
+    mirror; dest DF{1,2} = C((P + P_r + 2 sqrt(W P_r)) / N_d), W = sum
+    (1 - alpha_k) P_k, falls in both. So each total's extremes over the box
+    are at its four corners, the two end rows and the two off corners, all
+    in [0, 1]^2. A piece is all Active or all Inactive when those bounds
+    clear the tie test by the margin; the rows of the other pieces are
+    classified row by row, in one batch with the witness.
+    """
+    n = len(rows)
+    first = rows[::SWEEP_PIECE]
+    last = rows[np.minimum(np.arange(1, len(first) + 1) * SWEEP_PIECE, n) - 1]
+    corners = [first, last, np.column_stack([first[:, 0], last[:, 1]]), np.column_stack([last[:, 0], first[:, 1]])]
+    dest, relay = family_tables(config, "inner", np.concatenate(corners))
+    # totals[:, S] = dest(S) + relay(S^c), as intersection_rows adds them.
+    totals = (dest + relay[:, ::-1]).reshape(4, len(first), 4)
+    low, high = totals.min(axis=0), totals.max(axis=0)
+    margin = SWEEP_MARGIN * (1.0 + config.P_r / config.N_d + high.max(axis=1))
+    active = low[:, 1:3].min(axis=1) >= high[:, [0, 3]].min(axis=1) - TIE_TOL + margin
+    inactive = high[:, 1:3].min(axis=1) < low[:, [0, 3]].min(axis=1) - TIE_TOL - margin
+    undecided = np.repeat(~(active | inactive), SWEEP_PIECE)[:n]
+    active = np.repeat(active, SWEEP_PIECE)[:n]
+    verdicts = intersection_rows(*family_tables(config, "inner", np.concatenate([rows[undecided], witness])))[2]
+    active[undecided] = verdicts[:-1]
     return active, verdicts[-1]
 
 
@@ -332,15 +304,14 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     coordinate also sweeps the grid of resolution multiples inside its
     feasible interval (exact endpoints included), the second taking the
     load the first leaves. The outer family classifies every grid point in
-    the witness's batch, and so does the inner family on at most
-    SWEEP_LEAF points; on more, it decides ranges of grid points from their
-    corner rows and classifies only the points near a run's edges, in the
-    witness's batch (_inner_sweep_verdicts), with the same verdict for
-    every point. Runs of Active grid points become the reported intervals,
-    so the boundary localization error is at most the resolution. When the
-    sweep finds no Active point, an Active witness is the one-point run of
-    both coordinates. The verdict is ActiveClass when some classified rule
-    is Active.
+    the witness's batch; the inner family decides pieces of the sweep from
+    their corner rows and classifies only the points near a run's edges,
+    in the witness's batch (_inner_sweep_verdicts), with the same verdict
+    for every point. Runs of Active grid points become the reported
+    intervals, so the boundary localization error is at most the
+    resolution. When the sweep finds no Active point, an Active witness is
+    the one-point run of both coordinates. The verdict is ActiveClass when
+    some classified rule is Active.
 
     Args:
         family: 'inner' scans power splits, 'outer' scans correlations.
@@ -354,7 +325,7 @@ def scan_active_rules(config, solution, resolution=1e-3, family="inner"):
     witness = np.full((1, len(lam)), 1.0 - share) if family == "inner" else share**2 * lam[None]
     rule_set.check(witness[0])
     rows = rule_set.sweep(resolution) if config.K == 2 else witness[:0]
-    if family == "inner" and len(rows) > SWEEP_LEAF:
+    if family == "inner" and config.K == 2:
         active, witness_active = _inner_sweep_verdicts(config, rows, witness)
     else:
         # The sweep rows become a view of the batch, so they are not held twice.

@@ -951,7 +951,8 @@ def pointwise_sweep(config, resolution):
 
 def test_inner_sweep_ranges_give_the_pointwise_verdicts(monkeypatch):
     # Every sweep row gets the verdict its own tables give, while most rows
-    # are decided by ranges and never reach family_tables.
+    # are decided by pieces and never reach family_tables, which each sweep
+    # calls twice: once for the corner rows, once for the rest.
     real, seen = sumcap.family_tables, []
     monkeypatch.setattr(sumcap, "family_tables", lambda cfg, family, rows: seen.append(len(rows)) or real(cfg, family, rows))
     configs = two_user_draws(2929, 60) + [HIGH_SNR, CANCELLING_SUM_SNR]
@@ -960,18 +961,20 @@ def test_inner_sweep_ranges_give_the_pointwise_verdicts(monkeypatch):
     for cfg in configs:
         for resolution in (1e-3, 1e-5):
             rows, witness, expect = pointwise_sweep(cfg, resolution)
+            calls = len(seen)
             active, witness_active = sumcap._inner_sweep_verdicts(cfg, rows, witness)
+            assert len(seen) - calls == 2
             assert active.tolist() == expect[:-1].tolist()
             assert witness_active == expect[-1]
             swept += len(rows)
     assert sum(seen) < swept / 10
 
 
-@pytest.mark.parametrize("branch, leaf", [(2, 1), (3, 2), (5, 16)])
-def test_inner_sweep_ranges_give_the_pointwise_verdicts_at_any_depth(monkeypatch, branch, leaf):
-    # Small pieces and leaves take the ranges down many levels, to single rows.
-    monkeypatch.setattr(sumcap, "SWEEP_BRANCH", branch)
-    monkeypatch.setattr(sumcap, "SWEEP_LEAF", leaf)
+@pytest.mark.parametrize("piece", [1, 2, 3, 16, 1 << 20])
+def test_inner_sweep_pieces_give_the_pointwise_verdicts_at_any_size(monkeypatch, piece):
+    # A piece of one row is decided from its own corners; a piece longer
+    # than the sweep is one box over all of it.
+    monkeypatch.setattr(sumcap, "SWEEP_PIECE", piece)
     configs = two_user_draws(2931, 12) + [HIGH_SNR] + [two_user_config(name) for name in TWO_USER_CONFIGS]
     for cfg in configs:
         rows, witness, expect = pointwise_sweep(cfg, 1e-3)
