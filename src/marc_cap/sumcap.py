@@ -88,6 +88,9 @@ def solve_equalizer(config):
     Bottleneck regime: root 0, value the relay bound at 0. Otherwise the root
     is where the relay bound meets the destination bound, the positive root
     of K_0 x^2 + 2 K_1 x + K_2 - K_3; root^2 parameterizes the rule sets.
+    The value there is the destination bound, K_2 + 2 K_1 root, a sum of
+    positive terms; the relay bound K_3 - root^2 K_0 can cancel far below
+    its terms, even below 0, and only enters the gap check.
     """
     regime, root = BOTTLENECK, 0.0
     if not bottleneck_check(config):
@@ -97,14 +100,15 @@ def solve_equalizer(config):
     if not math.isfinite(root):
         raise DomainError(f"equalizing root {root!r} is not finite")
     snr = relay_sum_snr(config, root)
-    sum_rate = awgn_capacity(snr)
+    rate_snr = snr if regime == BOTTLENECK else dest_sum_snr(config, root)
+    sum_rate = awgn_capacity(rate_snr)
     if not math.isfinite(sum_rate):
         raise DomainError(f"sum rate {sum_rate!r} is not finite")
     if regime == BOTTLENECK:
         return MaxMinSolution(BOTTLENECK, 0.0, sum_rate, 0.0)
     # The SNR gap may be 1e-8 of 1 + snr (about 1.4e-8 bits) plus the
     # rounding of K_3 - root^2 K_0, which can cancel to far below K_3.
-    gap = dest_sum_snr(config, root) - snr
+    gap = rate_snr - snr
     if abs(gap) > 1e-8 * (1.0 + snr) + 8.0 * math.ulp(k3):
         raise RuntimeError(f"equalizer gap {gap!r} at root {root!r}")
     return MaxMinSolution(EQUALIZED, root, sum_rate, root * root)

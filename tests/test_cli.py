@@ -575,6 +575,11 @@ HIGH_SNR = {"P": [1316549.961301616, 72627520.47426227], "P_r": 112876.484081044
             "N_delta": 64225742.78875685}
 
 
+# Equalized, but its relay sum SNR cancels to -1.9e-9 at the root.
+CANCELLED_BELOW_ZERO = {"P": [0.0004311144470135939, 1.8736666114614312e-10], "P_r": 0.04749958689439228,
+                        "N_r": 2.8469010330081816e-11, "N_delta": 181519811676.94296}
+
+
 def test_subnormal_source_power_writes_regions_and_passes_chords(tmp_path, capsys):
     # The relay cutset table raised ValueError here: no CSV, and a traceback.
     cfg = write_config(tmp_path, SUBNORMAL)
@@ -603,3 +608,11 @@ def test_high_snr_config_solves_without_an_equalizer_alarm(tmp_path, capsys):
     code, out, err = run(capsys, "classify", cfg, "--alpha", "0.5")
     assert code == 2 and out == ""
     assert err.startswith("error: solved alpha_2=-0.00906")
+
+
+def test_relay_sum_snr_cancelled_below_zero_solves(tmp_path, capsys):
+    # This raised ValueError: negative SNR argument, with a traceback.
+    cfg = write_config(tmp_path, CANCELLED_BELOW_ZERO)
+    code, out, err = run(capsys, "sumcap", cfg)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "regime=Equalized root=1.000000 c=1.000000 R=0.000000 status=Exact"
