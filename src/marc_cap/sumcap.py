@@ -275,7 +275,7 @@ def _inner_sweep_verdicts(config, rows, witness):
     """
     n = len(rows)
     first = rows[::SWEEP_PIECE]
-    last = rows[np.minimum(np.arange(1, len(first) + 1) * SWEEP_PIECE, n) - 1]
+    last = np.concatenate([rows[SWEEP_PIECE - 1 : -1 : SWEEP_PIECE], rows[-1:]])
     corners = [first, last, np.column_stack([first[:, 0], last[:, 1]]), np.column_stack([last[:, 0], first[:, 1]])]
     dest, relay = family_tables(config, "inner", np.concatenate(corners))
     # totals[:, S] = dest(S) + relay(S^c), as intersection_rows adds them.
