@@ -274,6 +274,8 @@ def _inner_sweep_verdicts(config, rows, witness):
     classified row by row, in one batch with the witness.
     """
     n = len(rows)
+    # Every piece but the last ends SWEEP_PIECE - 1 rows after its start;
+    # the last one ends with the sweep.
     first = rows[::SWEEP_PIECE]
     last = np.concatenate([rows[SWEEP_PIECE - 1 : -1 : SWEEP_PIECE], rows[-1:]])
     corners = [first, last, np.column_stack([first[:, 0], last[:, 1]]), np.column_stack([last[:, 0], first[:, 1]])]
