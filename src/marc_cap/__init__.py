@@ -35,10 +35,9 @@ from .bounds import (
     DomainError,
     beta_star,
     bound_functions,
-    df_to_correlation,
     subset_label,
 )
-from .channel import ChannelConfig, ValidationError, awgn_capacity, symmetric, validate
+from .channel import ChannelConfig, ValidationError, awgn_capacity
 from .polymatroid import (
     ACTIVE,
     INACTIVE,
@@ -59,8 +58,6 @@ from .sumcap import (
     MaxMinSolution,
     RuleSetScan,
     bottleneck_check,
-    gamma_rule_outer,
-    maxmin_rule_inner,
     scan_active_rules,
     solve_equalizer,
     sum_capacity,
@@ -105,18 +102,13 @@ __all__ = [
     "build_outer_region",
     "certify",
     "chord_check",
-    "df_to_correlation",
     "dominance_check",
-    "gamma_rule_outer",
     "grid_maxmin",
     "hausdorff_distance",
     "intersection_max_sum",
-    "maxmin_rule_inner",
     "mc_relay_conditional_variance",
     "scan_active_rules",
     "solve_equalizer",
     "subset_label",
     "sum_capacity",
-    "symmetric",
-    "validate",
 ]

@@ -28,6 +28,12 @@ from .polymatroid import SubsetFunction
 # Slack for membership tests of the parameter domains.
 DOMAIN_TOL = 1e-12
 
+# A bound table holds at most this many float64 cells, n rows by 2^K
+# subsets: 512 MiB per table. The K=2 sweep at sumcap.MAX_SWEEP_POINTS
+# builds about 2^23 cells and the region lattice at region.MAX_REGION_POINTS
+# 2^22; one row of a config of more than 26 users exceeds it.
+MAX_TABLE_CELLS = 1 << 26
+
 
 class DomainError(ValueError):
     """Parameters lie outside their feasible set."""
@@ -258,6 +264,8 @@ def family_tables(config, family, rows, beta=None):
     relay split rows `beta` (by default beta_star of the rows). The
     destination table comes first: the two-user case labels index it.
     Each table is an (n, 2^K) view of a subset-major (2^K, n) array."""
+    if len(rows) << config.K > MAX_TABLE_CELLS:
+        raise DomainError(f"K={config.K} needs {len(rows)} x 2^{config.K} bound table cells, more than {MAX_TABLE_CELLS}")
     if family == "outer":
         G = _columns(_correlation_rows(rows, config.K))
         return _dest_cutset(config, G).T, _relay_cutset(config, G).T
@@ -285,12 +293,6 @@ def check_mask(S, K):
     if not 0 <= S < 1 << K:
         raise DomainError(f"subset mask {S!r} outside [0, {1 << K})")
     return S
-
-
-def df_to_correlation(split):
-    """Correlation vector induced by a power split: gamma_k = (1-alpha_k)*beta_k."""
-    a, b = _split_rows([split.alpha], [split.beta], len(split.alpha))
-    return CorrelationVector(tuple((1.0 - a[0]) * b[0]))
 
 
 def beta_star(config, alpha):

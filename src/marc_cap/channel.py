@@ -1,6 +1,7 @@
 """Channel instance definition for K-user degraded Gaussian multiaccess relay
 channels: source powers, relay power, the two noise variances, and the scalar
-AWGN capacity function used by every bound."""
+AWGN capacity function of the closed-form sum rates. The bound tables use its
+elementwise form, bounds._rates."""
 
 import math
 from dataclasses import dataclass, field
@@ -8,9 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Tiny negative SNR arguments are cancellation dust from the relay sum-SNR
-# form bounds.relay_sum_snr, which the equalizer and the verify chord check
-# evaluate; anything below this is a formula bug. The bound tables judge
-# their own dust relative to power (bounds._rates).
+# form bounds.relay_sum_snr, which the relay-cut-sumstat chord check of the
+# verify command evaluates; anything below this is a formula bug. The
+# equalizer passes K_3 itself (Bottleneck) or the destination sum SNR, a sum
+# of positive terms. The bound tables judge their own dust relative to power
+# (bounds._rates).
 SNR_CLAMP = -1e-12
 
 
@@ -84,26 +87,3 @@ class ChannelConfig:
         """Powers normalized by the largest one, as a numpy vector."""
         return np.asarray(self.lam, dtype=np.float64)
 
-
-def validate(config):
-    """Return the config if it satisfies all model constraints.
-
-    Accepts either a ChannelConfig (re-checked by construction) or a mapping
-    with fields K, P, P_r, N_r, N_delta.
-    """
-    if isinstance(config, ChannelConfig):
-        return ChannelConfig(config.K, config.P, config.P_r, config.N_r, config.N_delta)
-    return ChannelConfig(
-        K=config["K"],
-        P=tuple(config["P"]),
-        P_r=config["P_r"],
-        N_r=config["N_r"],
-        N_delta=config["N_delta"],
-    )
-
-
-def symmetric(K, P, P_r, N_r, N_delta):
-    """Config with all K source powers equal to P."""
-    if not isinstance(K, int) or K < 1:
-        raise ValidationError(f"K must be a positive integer, got {K!r}")
-    return ChannelConfig(K=K, P=(float(P),) * K, P_r=P_r, N_r=N_r, N_delta=N_delta)

@@ -241,7 +241,7 @@ def cmd_classify(args):
     elif len(values) != K:
         raise InputError(f"--{name} expects {K} values (or {K - 1} with the last solved), got {len(values)}")
     if family == "inner":
-        beta = _parse_floats(args.beta, "--beta") if args.beta else list(beta_star(config, values))
+        beta = _parse_floats(args.beta, "--beta") if args.beta is not None else list(beta_star(config, values))
         if len(beta) != K:
             raise InputError(f"--beta expects {K} values, got {len(beta)}")
         split = DfPowerSplit(tuple(values), tuple(beta))

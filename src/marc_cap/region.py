@@ -281,14 +281,6 @@ def _distinct_sorted(pts):
     return pts[new]
 
 
-def polygon_area(vertices):
-    v = np.asarray(vertices, dtype=np.float64)
-    if len(v) < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def polygon_contains(vertices, point, tol=1e-9):
     """Membership test for a counterclockwise convex polygon."""
     v = np.asarray(vertices, dtype=np.float64)

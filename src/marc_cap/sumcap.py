@@ -196,22 +196,6 @@ def equalizing_set(config, solution, family):
     raise DomainError(f"unknown family {family!r}")
 
 
-def maxmin_rule_inner(config, solution, alpha):
-    """Power split for an equalizing alpha: beta is the destination-optimal
-    relay split. Requires sum_k lambda_k (1 - alpha_k) = constraint_value."""
-    a = np.asarray(alpha, dtype=np.float64)
-    equalizing_set(config, solution, "inner").check(a)
-    return DfPowerSplit(tuple(a), tuple(beta_star(config, a)))
-
-
-def gamma_rule_outer(config, solution, gamma):
-    """Validated equalizing correlation vector: the correlation statistic
-    sum_k sqrt(lambda_k gamma_k) must equal the root."""
-    vec = CorrelationVector(tuple(gamma))
-    equalizing_set(config, solution, "outer").check(vec.vector())
-    return vec
-
-
 def _rule(config, family, row):
     """The parameter object of one (1, K) row that family_tables has
     checked, with its beta_star for the inner family."""

@@ -15,7 +15,7 @@ from .bounds import (
     family_tables,
     subset_indices,
 )
-from .channel import awgn_capacity, validate
+from .channel import awgn_capacity
 
 # Conditional variances below this fraction of the power scale are treated
 # as deterministic; the z-score is meaningless there.
@@ -109,7 +109,6 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     numerator, P(S) - coherent(S)^2 / (gamma(S) + slack), whose penalty is
     0 where its denominator is.
     """
-    config = validate(config)
     vec = gamma if isinstance(gamma, CorrelationVector) else CorrelationVector(tuple(gamma))
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -165,7 +164,6 @@ def grid_maxmin(config, step=0.01):
     """Dense lattice max of the equal-rate objective min(relay cut, dest
     cut) over the correlation simplex, then local refinement around the
     incumbent until the window is exhausted. Deterministic for fixed step."""
-    config = validate(config)
     if config.K > 3:
         raise ValueError("dense grid search supports K <= 3")
     if not 0 < step <= 1:
@@ -278,7 +276,6 @@ def dominance_check(config, trials=500, seed=0):
     Each trial is one row of the bound tables; the report is the one a
     trial-by-trial, subset-by-subset scan stopping at the first gap above
     tolerance would give."""
-    config = validate(config)
     K = config.K
     rows = split_sampler(config, seed)(trials)
     alpha, beta = rows[:, :K], rows[:, K:]

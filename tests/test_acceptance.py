@@ -30,8 +30,6 @@ from marc_cap.sumcap import (
     EXACT,
     bottleneck_check,
     equalizing_set,
-    gamma_rule_outer,
-    maxmin_rule_inner,
 )
 from conftest import grid_max_sum, linprog_max_sum, random_config, random_gamma, random_split
 
@@ -323,9 +321,10 @@ def test_criterion_07_symmetric_class():
         alpha = (1.0 - c / K,) * K
         beta = (1.0 / K,) * K
         gamma = (c / K**2,) * K
-        split = maxmin_rule_inner(cfg, sol, alpha)
-        ok &= bool(np.allclose(split.beta, beta, rtol=0, atol=1e-12))
-        vec = gamma_rule_outer(cfg, sol, gamma)
+        equalizing_set(cfg, sol, "inner").check(np.array(alpha))
+        ok &= bool(np.allclose(beta_star(cfg, alpha), beta, rtol=0, atol=1e-12))
+        vec = CorrelationVector(gamma)
+        equalizing_set(cfg, sol, "outer").check(vec.vector())
         inner = intersection_max_sum(*bound_functions(cfg, DfPowerSplit(alpha, beta)))
         outer = intersection_max_sum(*bound_functions(cfg, vec))
         ok &= inner.kind == ACTIVE and outer.kind == ACTIVE

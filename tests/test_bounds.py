@@ -13,11 +13,11 @@ from marc_cap import (
     awgn_capacity,
     beta_star,
     bound_functions,
-    df_to_correlation,
     subset_label,
 )
 from marc_cap import ChannelConfig
 from marc_cap.bounds import (
+    MAX_TABLE_CELLS,
     dest_sum_snr,
     family_tables,
     full_mask,
@@ -188,12 +188,6 @@ def test_gamma_star_dest_maximizes_dest_bound(example1):
         assert bound_functions(example1, CorrelationVector(tuple(c * w)))[0](0b11) <= best + 1e-12
 
 
-def test_df_to_correlation_componentwise():
-    split = DfPowerSplit((0.9, 0.5), (0.4, 0.6))
-    gamma = df_to_correlation(split)
-    assert gamma.gamma == pytest.approx([0.1 * 0.4, 0.5 * 0.6], rel=1e-15)
-
-
 def test_reduction_identity_under_beta_star(example1):
     # With the proportional relay split the induced correlations reproduce
     # the full-set relay cutset bound of the decode-and-forward family.
@@ -201,7 +195,7 @@ def test_reduction_identity_under_beta_star(example1):
     for _ in range(20):
         alpha = tuple(rng.random(2))
         split = DfPowerSplit(alpha, tuple(beta_star(example1, alpha)))
-        outer = bound_functions(example1, df_to_correlation(split))[1](0b11)
+        outer = bound_functions(example1, CorrelationVector(tuple((1.0 - np.asarray(alpha)) * split.beta)))[1](0b11)
         inner = bound_functions(example1, split)[1](0b11)
         assert outer == pytest.approx(inner, abs=1e-12)
 
@@ -381,6 +375,15 @@ def test_tables_check_the_parameter_domain(example1):
         family_tables(example1, "inner", [[0.5, 0.5]], [[0.6, 0.5]])
     with pytest.raises(DomainError, match="shape"):
         family_tables(example1, "outer", [[0.1, 0.1, 0.1]])
+    # At most MAX_TABLE_CELLS cells, rows times 2^K, checked before the rows
+    # are read: numpy raised "Maximum allowed dimension exceeded" at K=64.
+    many = ChannelConfig(64, (1.0,) * 64, 2.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="K=64 needs 1 x 2\\^64 bound table cells"):
+        bound_functions(many, CorrelationVector((0.0,) * 64))
+    with pytest.raises(DomainError, match="K=64 needs 3 x 2\\^64 bound table cells"):
+        family_tables(many, "inner", np.ones((3, 64)))
+    with pytest.raises(DomainError, match="K=2 needs 16777217 x 2\\^2"):
+        family_tables(example1, "outer", range((MAX_TABLE_CELLS >> 2) + 1))
 
 
 def test_relay_cutset_clamps_dust_relative_to_power():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from marc_cap import ChannelConfig, ValidationError, awgn_capacity, symmetric, validate
+from marc_cap import ChannelConfig, ValidationError, awgn_capacity
 
 # Frozen capacity values, computed once from 0.5*log2(1+x) by hand-checked
 # arithmetic before the package existed.
@@ -38,6 +38,8 @@ def test_config_fields_and_derived(example1):
     assert example1.N_d == 2.0
     assert np.array_equal(example1.powers(), [6.0, 4.0])
     assert np.allclose(example1.lam_vector(), [1.0, 2.0 / 3.0], rtol=0, atol=0)
+    # The symmetric class: all users at one power, every lambda_k = 1.
+    assert ChannelConfig(3, (2.0,) * 3, 5.0, 1.0, 0.5).lam == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -61,17 +63,3 @@ def test_zero_n_delta_allowed():
     c = ChannelConfig(2, (1.0, 2.0), 1.0, 1.0, 0.0)
     assert c.N_d == c.N_r
 
-
-def test_validate_accepts_mapping_and_config(example1):
-    again = validate(example1)
-    assert again == example1
-    from_map = validate({"K": 2, "P": [6.0, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0})
-    assert from_map == example1
-
-
-def test_symmetric_builder():
-    c = symmetric(3, 2.0, 5.0, 1.0, 0.5)
-    assert c.P == (2.0, 2.0, 2.0)
-    assert c.lam == (1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        symmetric(0, 2.0, 5.0, 1.0, 0.5)

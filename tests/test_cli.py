@@ -286,6 +286,12 @@ def test_classify_flag_errors(tmp_path, capsys):
     assert code == 2 and "--beta expects 2 values, got 1" in err
 
 
+def test_classify_empty_beta_is_an_error(tmp_path, capsys):
+    # An empty --beta was taken for no --beta: exit 0 with beta_star.
+    code, out, err = run(capsys, "classify", write_config(tmp_path, EX1), "--alpha", "0.9,0.9", "--beta", "")
+    assert (code, out, err) == (2, "", "error: --beta expects 2 values, got 0\n")
+
+
 def test_examples_pass_and_are_deterministic(capsys):
     code1, out1, _ = run(capsys, "examples")
     code2, out2, _ = run(capsys, "examples")
@@ -501,7 +507,18 @@ def test_public_names_resolve():
     namespace = {}
     exec("from marc_cap import *", namespace)
     assert set(marc_cap.__all__) <= set(namespace)
-    assert "bound_functions" in marc_cap.__all__
+    assert marc_cap.__all__ == [
+        "ACTIVE", "INACTIVE", "CertifyResult", "ChannelConfig", "ChordReport", "CorrelationVector",
+        "DfPowerSplit", "DominanceReport", "DomainError", "GridMaxMin", "IntersectionOutcome",
+        "MaxMinSolution", "McReport", "RegionPolytope", "RuleSetScan", "SubsetFunction", "ValidationError",
+        "awgn_capacity", "beta_star", "bottleneck_check", "bound_functions", "build_df_region",
+        "build_intersection", "build_outer_region", "certify", "chord_check", "dominance_check",
+        "grid_maxmin", "hausdorff_distance", "intersection_max_sum", "mc_relay_conditional_variance",
+        "scan_active_rules", "solve_equalizer", "subset_label", "sum_capacity",
+    ]
+    # Thin wrappers that are gone: each has one entry point behind it.
+    for name in ("maxmin_rule_inner", "gamma_rule_outer", "df_to_correlation", "symmetric", "validate"):
+        assert not hasattr(marc_cap, name)
 
 
 def test_sumcap_tiny_second_power_exits_zero(tmp_path, capsys):
@@ -568,6 +585,14 @@ def test_equalizer_overflow_exits_2(tmp_path, capsys, data, argv, message):
     code, out, err = run(capsys, command, write_config(tmp_path, data), *flags)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_many_users_exit_2_before_building_tables(tmp_path, capsys):
+    # 2^64 subsets: numpy raised "Maximum allowed dimension exceeded" here.
+    cfg = write_config(tmp_path, {"P": [1.0] * 64, "P_r": 2.0, "N_r": 1.0, "N_delta": 1.0})
+    code, out, err = run(capsys, "sumcap", cfg)
+    assert code == 2 and out == ""
+    assert err == "error: K=64 needs 1 x 2^64 bound table cells, more than 67108864\n"
 
 
 SUBNORMAL = {"P": [5e-324, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}

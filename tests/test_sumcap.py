@@ -28,9 +28,7 @@ from marc_cap.sumcap import (
     _sweep_grid,
     bottleneck_check,
     equalizing_set,
-    gamma_rule_outer,
     k_coefficients,
-    maxmin_rule_inner,
 )
 from marc_cap.bounds import CorrelationVector, DfPowerSplit, beta_star, bound_functions, family_tables
 from marc_cap.sumcap import CONSTRAINT_TOL
@@ -172,16 +170,15 @@ def test_root_matches_independent_bisection(example1, example2):
 
 
 def test_maxmin_rule_inner_accepts_equalizing_alpha(example1):
+    # The inner rule: sum_k lambda_k (1 - alpha_k) = c.
     sol = solve_equalizer(example1)
-    split = maxmin_rule_inner(example1, sol, (0.9, 0.9))
-    assert tuple(split.alpha) == (0.9, 0.9)
-    assert np.array_equal(split.beta, beta_star(example1, (0.9, 0.9)))
+    equalizing_set(example1, sol, "inner").check(np.array((0.9, 0.9)))
 
 
 def test_maxmin_rule_inner_rejects_violating_alpha(example1):
     sol = solve_equalizer(example1)
     with pytest.raises(DomainError, match="equalizer constraint violated"):
-        maxmin_rule_inner(example1, sol, (0.8, 0.9))
+        equalizing_set(example1, sol, "inner").check(np.array((0.8, 0.9)))
 
 
 def test_gamma_rule_outer_square_root_form(example1):
@@ -189,32 +186,32 @@ def test_gamma_rule_outer_square_root_form(example1):
     # sum of sqrt(lam_k * gamma_k) must hit the root.
     sol = solve_equalizer(example1)
     c = sol.constraint_value
-    vec = gamma_rule_outer(example1, sol, (c / 4.0, 3.0 * c / 8.0))
-    assert tuple(vec.gamma) == (c / 4.0, 3.0 * c / 8.0)
+    rule = equalizing_set(example1, sol, "outer")
+    rule.check(np.array((c / 4.0, 3.0 * c / 8.0)))
     # Putting the whole budget on the max-power user also works.
-    gamma_rule_outer(example1, sol, (c, 0.0))
+    rule.check(np.array((c, 0.0)))
     # A gamma with sum(lam*gamma) = c but the wrong sqrt-sum must fail.
     with pytest.raises(DomainError, match="equalizer constraint violated"):
-        gamma_rule_outer(example1, sol, (c / 2.0, 3.0 * c / 4.0))
+        rule.check(np.array((c / 2.0, 3.0 * c / 4.0)))
 
 
 def test_gamma_rule_outer_wrong_length(example1):
     sol = solve_equalizer(example1)
     with pytest.raises(DomainError, match="expected 2"):
-        gamma_rule_outer(example1, sol, (0.1, 0.1, 0.1))
+        equalizing_set(example1, sol, "outer").check(np.array((0.1, 0.1, 0.1)))
 
 
 def test_classify_equalizing_rules_tie(example1):
     # Any rule satisfying the equalizer makes both full cuts equal, so the
     # two-user case is the tie "3b" and the value is the max-min rate.
     sol = solve_equalizer(example1)
-    split = maxmin_rule_inner(example1, sol, (0.9, 0.9))
+    split = DfPowerSplit((0.9, 0.9), tuple(beta_star(example1, (0.9, 0.9))))
     out = intersection_max_sum(*bound_functions(example1, split))
     assert out.kind == ACTIVE
     assert out.two_user_case == "3b"
     assert out.max_sum_rate == RATE_1
     c = sol.constraint_value
-    gamma = gamma_rule_outer(example1, sol, (c / 4.0, 3.0 * c / 8.0))
+    gamma = CorrelationVector((c / 4.0, 3.0 * c / 8.0))
     outer = intersection_max_sum(*bound_functions(example1, gamma))
     assert outer.kind == ACTIVE
     assert outer.max_sum_rate == pytest.approx(RATE_1, rel=1e-12)
@@ -228,7 +225,9 @@ def test_classify_example2_on_and_off_interval(example2):
         return 1.0 - (sol.constraint_value - lam[0] * (1.0 - a1)) / lam[1]
 
     def classify(a1):
-        return intersection_max_sum(*bound_functions(example2, maxmin_rule_inner(example2, sol, (a1, partner(a1)))))
+        alpha = np.array((a1, partner(a1)))
+        equalizing_set(example2, sol, "inner").check(alpha)
+        return intersection_max_sum(*bound_functions(example2, DfPowerSplit(tuple(alpha), tuple(beta_star(example2, alpha)))))
 
     on = classify(0.97)
     assert on.kind == ACTIVE
