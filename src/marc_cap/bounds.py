@@ -29,9 +29,12 @@ from .polymatroid import SubsetFunction
 DOMAIN_TOL = 1e-12
 
 # A bound table holds at most this many float64 cells, n rows by 2^K
-# subsets: 512 MiB per table. The K=2 sweep at sumcap.MAX_SWEEP_POINTS
-# builds about 2^23 cells and the region lattice at region.MAX_REGION_POINTS
-# 2^22; one row of a config of more than 26 users exceeds it.
+# subsets: 512 MiB per table. The tracemalloc peak of one family_tables call
+# is about 49 B per cell for the cutset family and 24 B for
+# decode-and-forward (one row, K = 14 to 18), so about 3 GiB at the cap.
+# The K=2 sweep at sumcap.MAX_SWEEP_POINTS builds about 2^23 cells and the
+# region lattice at region.MAX_REGION_POINTS 2^22; one row of a config of
+# more than 26 users exceeds it.
 MAX_TABLE_CELLS = 1 << 26
 
 
