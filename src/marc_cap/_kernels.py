@@ -1,8 +1,8 @@
 """Lattice kernels: the integer lattice enumerator and the verification
 oracle's max-min lattice search.
 
-`compositions` enumerates the integer points of a scaled simplex; every
-simplex lattice in the package comes from it. The max-min search evaluates
+`compositions` enumerates the integer points of a scaled simplex, the
+oracle's correlation lattice among them. The max-min search evaluates
 min(relay SNR, destination SNR) of the K-user sum bounds over the
 triangular correlation lattice {gamma = i/n, sum(i) <= n}. Both SNRs are
 written here in their sum-statistic form, independently of the bound tables,

@@ -261,14 +261,20 @@ def _dest_df(config, A, B):
     return _rates(snr, power, config.N_d)
 
 
+def check_table_cells(K, rows):
+    """Raise DomainError when bound tables of `rows` rows over the 2^K
+    subsets of K sources would exceed MAX_TABLE_CELLS cells."""
+    if rows << K > MAX_TABLE_CELLS:
+        raise DomainError(f"K={K} needs {rows} x 2^{K} bound table cells, more than {MAX_TABLE_CELLS}")
+
+
 def family_tables(config, family, rows, beta=None):
     """The (dest, relay) bound tables of one family over a batch of
     parameter rows: correlations for 'outer', alphas for 'inner', with the
     relay split rows `beta` (by default beta_star of the rows). The
     destination table comes first: the two-user case labels index it.
     Each table is an (n, 2^K) view of a subset-major (2^K, n) array."""
-    if len(rows) << config.K > MAX_TABLE_CELLS:
-        raise DomainError(f"K={config.K} needs {len(rows)} x 2^{config.K} bound table cells, more than {MAX_TABLE_CELLS}")
+    check_table_cells(config.K, len(rows))
     if family == "outer":
         G = _columns(_correlation_rows(rows, config.K))
         return _dest_cutset(config, G).T, _relay_cutset(config, G).T

@@ -22,6 +22,7 @@ from .bounds import (
     DomainError,
     beta_star,
     bound_functions,
+    check_table_cells,
     family_tables,
     full_mask,
     relay_sum_snr,
@@ -48,6 +49,12 @@ from .verify import (
 )
 
 MC_WARN_SAMPLES = 100000
+
+# Trials of the chords and dominance suites. A chord check evaluates the
+# endpoints and the midpoint of each chord in one batch of bound table rows;
+# the dominance check evaluates one row per trial.
+CHORD_TRIALS = 1000
+DOMINANCE_TRIALS = 500
 
 # Built-in two-user configs, given as relay/destination SNRs with N_r = 1.
 EXAMPLE_CONFIGS = {
@@ -378,11 +385,11 @@ def _verify_chords(config, args):
         ),
     ]
     for name, fn, sampler in checks:
-        rep = chord_check(fn, sampler, trials=1000, seed=seed)
+        rep = chord_check(fn, sampler, trials=CHORD_TRIALS, seed=seed)
         yield rep.passed, f"chords {name} trials={rep.trials}"
     if args.with_negative_control:
         rep = chord_check(
-            lambda G: np.einsum("ij,ij->i", G, G), gamma_sampler(config, seed + 4), trials=1000, seed=seed
+            lambda G: np.einsum("ij,ij->i", G, G), gamma_sampler(config, seed + 4), trials=CHORD_TRIALS, seed=seed
         )
         yield rep.passed, f"chords negative-control trials={rep.trials} (a convex function must fail)"
 
@@ -401,12 +408,15 @@ def _verify_grid(config, args):
 
 
 def _verify_dominance(config, args):
-    rep = dominance_check(config, trials=500, seed=args.seed)
+    rep = dominance_check(config, trials=DOMINANCE_TRIALS, seed=args.seed)
     yield rep.passed, f"dominance trials={rep.trials} max_gap={rep.max_gap:.2e}"
 
 
 # Each suite yields its checks as (passed, text); WARN lines print in place.
 VERIFY_SUITES = {"mc": _verify_mc, "chords": _verify_chords, "grid": _verify_grid, "dominance": _verify_dominance}
+
+# Rows of the largest bound table batch of each suite that builds one.
+SUITE_TABLE_ROWS = {"chords": 3 * CHORD_TRIALS, "dominance": DOMINANCE_TRIALS}
 
 
 def cmd_verify(args):
@@ -415,16 +425,20 @@ def cmd_verify(args):
         raise InputError(f"--n must be at least K + 1 = {config.K + 1}, got {args.n}")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
+    suites = [name for name in VERIFY_SUITES if args.suite in (name, "all")]
+    # Every selected suite's tables are checked before the first line
+    # prints, so a config too large for them leaves no partial report.
+    for name in suites:
+        check_table_cells(config.K, SUITE_TABLE_ROWS.get(name, 0))
     params = {"suite": args.suite, "seed": args.seed, "n": args.n, "negative_control": args.with_negative_control}
     digest = _manifest_digest("verify", args.config, config, params)
     print(f"# manifest {digest}")
     print(_config_line(config))
     passed = []
-    for name, suite in VERIFY_SUITES.items():
-        if args.suite in (name, "all"):
-            for ok, text in suite(config, args):
-                print(f"{'PASS' if ok else 'FAIL'} {text}")
-                passed.append(ok)
+    for name in suites:
+        for ok, text in VERIFY_SUITES[name](config, args):
+            print(f"{'PASS' if ok else 'FAIL'} {text}")
+            passed.append(ok)
     all_pass = all(passed)
     print(f"verify result={'PASS' if all_pass else 'FAIL'} checks={len(passed)}")
     return 0 if all_pass else 1

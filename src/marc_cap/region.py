@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import compositions
-from .bounds import CorrelationVector, DfPowerSplit, DomainError, bound_functions, family_tables
+from .bounds import CorrelationVector, DfPowerSplit, DomainError, beta_star, bound_functions, family_tables
 
 # Relative orientation epsilon for the planar hull. A chain point a between
 # neighbours o and b is dropped as collinear when the cross product
@@ -26,6 +25,26 @@ STAIRCASE_BINS = 256
 # built (a tracemalloc peak of 53.5 MiB for n = 500, the candidate grid
 # being most of it), so about 223 MiB at the cap.
 MAX_REGION_POINTS = 1 << 20
+
+# Block side, in lattice steps, of `_pruned_lattice_candidates`, and the
+# most rows it evaluates in one batch: a batch of rows and its tables peak
+# near 160 B a row.
+LATTICE_BLOCK = 8
+LATTICE_BATCH_ROWS = 1 << 16
+
+# Per family, the corner of a block of lattice rows at which each bound is
+# greatest, as (i at the block's high end, j at its high end): the
+# destination bounds of {1}, {2} and {1,2}, then the relay bound, whose
+# corner serves every subset. Relay decode-and-forward rises in every
+# alpha_k; the relay cutset falls in every gamma_k. Under beta_star the
+# destination SNR is P(S) + P_r W(S)/W + 2 sqrt(P_r) W(S)/sqrt(W) with
+# W_k = (1 - alpha_k) P_k, which rises in W_S and falls in the complement's
+# W; under the even split it falls in each alpha_k of S and does not depend
+# on the others; the destination cutset rises in the gamma_k of S and falls
+# in the others.
+_DF_STAR_CORNERS = ((0, 1), (1, 0), (0, 0), (1, 1))
+_DF_EVEN_CORNERS = ((0, 0), (0, 0), (0, 0), (1, 1))
+_CUTSET_CORNERS = ((1, 0), (0, 1), (1, 1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -131,8 +150,10 @@ def _dominating_pentagon(config, corner):
 
 
 def _df_pentagon_grid(config, n):
-    """Candidate vertices of every lattice power split's intersection under
-    beta_star and under the even relay split (0.5, 0.5).
+    """Candidate vertices of the lattice power splits' intersections under
+    beta_star and under the even relay split (0.5, 0.5), less those of the
+    splits whose pentagons `_pruned_lattice_candidates` finds strictly inside
+    the polygon.
 
     A split with beta_k = 0 adds none: the destination bound then does not
     depend on alpha_k (its coherent term is sqrt(0)) and the relay bound
@@ -140,11 +161,12 @@ def _df_pentagon_grid(config, n):
     line, and there beta_star is that split bit for bit ((1.0, 0.0) at
     alpha = (a, 1) as w/w and 0/w; at (1, 1) the zero split, whose pentagon
     holds those of (1, 0) and (0, 1))."""
-    steps = np.arange(n + 1) / n
-    alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
-    even = np.full(alpha.shape, 0.5)
-    tables = (np.minimum(*family_tables(config, "inner", alpha, beta)) for beta in (None, even))
-    return np.vstack([_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in tables])
+
+    def tables(rows, family):
+        alpha = rows / n
+        return family_tables(config, "inner", alpha, np.where(family[:, None] == 0, beta_star(config, alpha), 0.5))
+
+    return _pruned_lattice_candidates(n, 2 * n, (_DF_STAR_CORNERS, _DF_EVEN_CORNERS), tables)
 
 
 def _pentagon_candidates_batch(g1, g2, g12):
@@ -171,10 +193,84 @@ def _ends(v):
 
 
 def _outer_pentagon_grid(config, n):
-    """Candidate vertices of every lattice correlation's intersection."""
-    gamma = compositions(3, n)[:, :2] / n
-    g = np.minimum(*family_tables(config, "outer", gamma))
-    return _pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])
+    """Candidate vertices of the lattice correlations' intersections, less
+    those of the correlations whose pentagons `_pruned_lattice_candidates`
+    finds strictly inside the polygon."""
+    return _pruned_lattice_candidates(
+        n, n, (_CUTSET_CORNERS,), lambda rows, _: family_tables(config, "outer", rows / n)
+    )
+
+
+def _pruned_lattice_candidates(n, max_sum, corners, tables):
+    """Pentagon candidates of the lattice rows (i, j), 0 <= i, j <= n and
+    i + j <= max_sum, for each family of pentagons that `corners` lists,
+    less the rows whose pentagons lie strictly inside the polygon.
+    `tables(rows, family)` gives the (dest, relay) tables of the parameters
+    rows / n, each row in the family of that index.
+
+    The rows with both indices in every LATTICE_BLOCK-th index and n are
+    evaluated first; their polygon lies inside the final one. The rest of
+    the lattice falls into blocks between those indices. Each table entry is
+    monotone in each parameter, so over a block it is greatest at the
+    corner that `corners` names, and the minima of those corner entries cut
+    out an upper pentagon holding the pentagon of every row of the block.
+    Where both upper-right vertices of the upper pentagon lie strictly
+    below every upper-right edge line of the coarse polygon, by a relative
+    margin far above rounding, so does every candidate of the block: none
+    is a vertex or an axis extreme of the hull, whose vertices stay the
+    same bits. The rows of the other blocks are evaluated. Where one of a
+    subset's two corners is off the simplex, the other's entry alone bounds
+    the least of the two; a subset with neither (a NaN bound) keeps its
+    block, and so does every block when the coarse polygon has fewer than 3
+    vertices."""
+    F, m = len(corners), -(-n // LATTICE_BLOCK) + 1
+    axis = np.minimum(np.arange(m) * LATTICE_BLOCK, n)
+    square = axis[np.indices((m, m)).reshape(2, -1).T]
+    valid = square.sum(axis=1) <= max_sum
+    dest, relay = tables(np.tile(square[valid], (F, 1)), np.arange(F).repeat(valid.sum()))
+    g = np.minimum(dest, relay)
+    candidates = [_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])]
+    vertices = _polygon(candidates[0]).vertices
+
+    # Per family and block, the bound of each subset: the least of the
+    # destination entry at its corner and the relay entry at the relay
+    # corner, read from the coarse tables by the corners' flat indices; an
+    # entry at a corner off the lattice is NaN, which np.fmin passes over.
+    grid = np.full((F, 2, m * m, 4), np.nan)
+    grid[:, 0, valid] = dest.reshape(F, -1, 4)
+    grid[:, 1, valid] = relay.reshape(F, -1, 4)
+    corner = np.array(corners)
+    at = (m * corner[..., 0] + corner[..., 1])[..., None, None] + np.arange(m * (m - 1)).reshape(m - 1, m)[:, :-1]
+    f, s = np.arange(F)[:, None, None, None], np.arange(1, 4)[:, None, None]
+    u1, u2, u12 = np.fmin(grid[f, 0, at[:, :3], s], grid[f, 1, at[:, 3:], s]).swapaxes(0, 1)
+
+    # The upper pentagon's two upper-right vertices, the rightmost highest
+    # and the highest rightmost, against the coarse polygon's upper-right
+    # edge lines n . p <= c, from (x_max, 0) to (0, y_max), less the margin
+    # by which a point must lie below them.
+    xa, yb = np.minimum(u1, u12), np.minimum(u2, u12)
+    ends = np.stack([xa, np.minimum(u2, u12 - xa), np.minimum(u1, u12 - yb), yb], axis=-1).reshape(*xa.shape, 2, 2)
+    chain = vertices[1:]
+    normal = np.diff(chain, axis=0)[:, ::-1] * [1.0, -1.0]
+    bound = (normal * chain[:-1]).sum(axis=1) - 1e-9 * np.abs(normal).sum(axis=1) * vertices.max(axis=0).sum()
+    drop = (ends @ normal.T < bound).all(axis=(-2, -1)) & (len(vertices) >= 3)
+
+    # A block owns its rows from its low indices up to the next block's,
+    # the last block's through n: a row on a block edge is evaluated with
+    # the block that owns it, or proven inside by the other. A block whose
+    # low corner is off the lattice owns no rows. The coarse rows, those
+    # with both indices on the axis, are not evaluated again.
+    f, a, b = np.nonzero(~drop & valid.reshape(m, m)[:-1, :-1])
+    end = axis[1:] + (axis[1:] == n)
+    p = np.arange(LATTICE_BLOCK + 1)
+    i, j = axis[a, None, None] + p[:, None], axis[b, None, None] + p
+    own = (i < end[a, None, None]) & (j < end[b, None, None]) & (i + j <= max_sum)
+    block, p, q = np.nonzero(own & ((p[:, None] > 0) & (i < n) | (p > 0) & (j < n)))
+    rows, family = np.column_stack([axis[a[block]] + p, axis[b[block]] + q]), f[block]
+    for k in range(0, len(rows), LATTICE_BATCH_ROWS):
+        g = np.minimum(*tables(rows[k : k + LATTICE_BATCH_ROWS], family[k : k + LATTICE_BATCH_ROWS]))
+        candidates.append(_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]))
+    return np.vstack(candidates)
 
 
 def build_df_region(config, grid_resolution=0.02):

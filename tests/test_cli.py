@@ -595,6 +595,18 @@ def test_many_users_exit_2_before_building_tables(tmp_path, capsys):
     assert err == "error: K=64 needs 1 x 2^64 bound table cells, more than 67108864\n"
 
 
+def test_verify_checks_every_suite_table_before_printing(tmp_path, capsys):
+    # The chords suite's first batch, 3,000 rows of 2^64 subsets, raised after
+    # the mc suite had printed its five PASS lines, and no result line came.
+    cfg = write_config(tmp_path, {"P": [1.0] * 64, "P_r": 2.0, "N_r": 1.0, "N_delta": 1.0})
+    for suite, rows in (("all", 3000), ("chords", 3000), ("dominance", 500)):
+        code, out, err = run(capsys, "verify", cfg, "--suite", suite, "--n", "1000")
+        assert (code, out) == (2, ""), suite
+        assert err == f"error: K=64 needs {rows} x 2^64 bound table cells, more than 67108864\n"
+    code, out, err = run(capsys, "verify", cfg, "--suite", "mc", "--n", "1000")
+    assert code == 0 and out.splitlines()[-1] == "verify result=PASS checks=5"
+
+
 SUBNORMAL = {"P": [5e-324, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
 HIGH_SNR = {"P": [1316549.961301616, 72627520.47426227], "P_r": 112876.48408104481, "N_r": 1.0,
             "N_delta": 64225742.78875685}

@@ -201,11 +201,97 @@ def test_pruned_df_grid_keeps_the_hull(n, example1, example2):
         assert polygon.tobytes() == region._polygon(full).vertices.tobytes() and len(polygon) >= 3
 
 
+def _full_lattice_candidates(config, n, bound):
+    """The candidates of every lattice row's pentagon, as the grids gave them
+    before they were pruned block by block: the power splits under
+    beta_star and under (0.5, 0.5) for 'inner', the correlations for
+    'outer'; written here rather than read from region."""
+    if bound == "inner":
+        steps = np.arange(n + 1) / n
+        alpha = np.stack([x.ravel() for x in np.meshgrid(steps, steps, indexing="ij")], axis=1)
+        tables = [family_tables(config, "inner", alpha, beta) for beta in (None, np.full(alpha.shape, 0.5))]
+    else:
+        tables = [family_tables(config, "outer", compositions(3, n)[:, :2] / n)]
+    candidates = (_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in (np.minimum(*t) for t in tables))
+    return np.vstack(list(candidates))
+
+
 def test_pruned_df_grid_size(example1):
-    # At step 0.005 the grid builds the pentagons of beta_star and (0.5, 0.5)
-    # over the 40,401 power splits, none of (0, 0), (1, 0) and (0, 1).
-    assert len(region._df_pentagon_grid(example1, 200)) == 158_990
+    # At step 0.005 the pentagons of beta_star and (0.5, 0.5) over the
+    # 40,401 power splits, none of (0, 0), (1, 0) and (0, 1), give 158,990
+    # candidates; the grid, which skips the blocks of splits whose pentagons
+    # lie strictly inside the polygon, returns 7,185.
+    assert len(_full_lattice_candidates(example1, 200, "inner")) == 158_990
     assert len(_five_beta_df_grid(example1, 200)) == 395_877
+    assert len(region._df_pentagon_grid(example1, 200)) == 7_185
+
+
+# A config over 24 decades whose polygons are segments: a coarse polygon of
+# fewer than 3 vertices keeps every block.
+SEGMENT = ChannelConfig(2, (8.264699269404356e-08, 100656.82615306925), 1.68534256973385e-12,
+                        7.593009504436562e-07, 114285553855.61026)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pruned_lattices_keep_the_full_lattice_polygons():
+    # Both polygons, from the grids and from the builders, are the bits of
+    # the full lattice's, on seeded configs over 24 decades, segment
+    # polygons among them, at steps that leave the lattice one block, a few
+    # and many, and whose steps n are and are not multiples of the block.
+    rng = np.random.default_rng(932)
+    configs = [SEGMENT] + [random_config(rng, K=2, lo=1e-12, hi=1e12) for _ in range(40)]
+    segments = 0
+    for config in configs:
+        for step in (1.0, 0.5, 0.1, 0.02, 0.01):
+            n = round(1.0 / step)
+            for bound, build, grid in (("inner", build_df_region, region._df_pentagon_grid),
+                                       ("outer", build_outer_region, region._outer_pentagon_grid)):
+                full = region._polygon(_full_lattice_candidates(config, n, bound)).vertices
+                assert region._polygon(grid(config, n)).vertices.tobytes() == full.tobytes(), (config, step, bound)
+                assert build(config, step).vertices.tobytes() == full.tobytes(), (config, step, bound)
+                segments += len(full) < 3
+    assert segments >= 20
+
+
+def _evaluated_rows(monkeypatch):
+    """The lattice rows that the grids pass to family_tables, as integer
+    rows (i, j), one list per call."""
+    seen = []
+    real = region.family_tables
+
+    def counted(config, family, rows, beta=None):
+        seen.append(rows)
+        return real(config, family, rows, beta)
+
+    monkeypatch.setattr(region, "family_tables", counted)
+    return seen
+
+
+def test_unpruned_lattices_evaluate_every_row_once(monkeypatch):
+    # Where no block is dropped, as on a segment polygon, every lattice row
+    # goes through the tables once per family, block edges and the last,
+    # shorter blocks included.
+    seen = _evaluated_rows(monkeypatch)
+    for n in (1, 2, 7, 8, 9, 16, 17, 50):
+        for grid, lattice, families in ((region._df_pentagon_grid, np.indices((n + 1, n + 1)).reshape(2, -1).T, 2),
+                                        (region._outer_pentagon_grid, compositions(3, n)[:, :2], 1)):
+            seen.clear()
+            grid(SEGMENT, n)
+            rows, counts = np.unique(np.rint(np.vstack(seen) * n).astype(int), axis=0, return_counts=True)
+            np.testing.assert_array_equal(rows, np.unique(lattice, axis=0))
+            assert (counts == families).all(), (grid.__name__, n)
+
+
+def test_pruned_lattices_evaluate_few_rows(monkeypatch, example1, example2):
+    # At step 0.005 each grid evaluates under 15% of its lattice rows: the
+    # 2 x 40,401 power-split rows of the two relay splits, the 20,301
+    # correlation rows.
+    seen = _evaluated_rows(monkeypatch)
+    for config in (example1, example2):
+        for grid, lattice in ((region._df_pentagon_grid, 2 * 201 ** 2), (region._outer_pentagon_grid, 201 * 202 // 2)):
+            seen.clear()
+            grid(config, 200)
+            assert sum(map(len, seen)) < 0.15 * lattice, grid.__name__
 
 
 def test_df_bounds_at_zero_beta_favour_full_alpha():
@@ -689,9 +775,9 @@ def test_region_stages_keep_their_names():
 
 
 def test_correlation_lattice_rows():
-    # The enumerator behind the cutset region grid (and every other simplex
-    # lattice): rows of K nonnegative integers summing to n, in
-    # lexicographic order.
+    # The enumerator behind the oracle's correlation lattice and the full
+    # cutset lattice these tests compare the region grid with: rows of K
+    # nonnegative integers summing to n, in lexicographic order.
     for K in range(1, 5):
         for n in range(13):
             rows = np.array([r for r in itertools.product(range(n + 1), repeat=K) if sum(r) == n]).reshape(-1, K)
