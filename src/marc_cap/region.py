@@ -20,10 +20,12 @@ HULL_EPS = 1e-12
 # hundred of a lattice's hundred thousand candidates.
 STAIRCASE_BINS = 256
 
-# A region lattice has at most this many points: (n + 1)^2 power splits,
-# about 223 B each while the decode-and-forward grid and its polygon are
-# built (a tracemalloc peak of 53.5 MiB for n = 500, the candidate grid
-# being most of it), so about 223 MiB at the cap.
+# A region lattice has at most this many points: (n + 1)^2 power splits.
+# Where no block of the lattice is dropped, as on segment polygons, the
+# decode-and-forward grid and its polygon take up to about 186 B a split
+# (tracemalloc peaks of 44.5 MiB for n = 500 and 174.9 MiB for n = 1023),
+# so under 190 MiB at the cap; on the two examples, which drop most
+# blocks, about 16 B a split.
 MAX_REGION_POINTS = 1 << 20
 
 # Block side, in lattice steps, of `_pruned_lattice_candidates`, and the
@@ -33,9 +35,9 @@ LATTICE_BLOCK = 8
 LATTICE_BATCH_ROWS = 1 << 16
 
 # Per family, the corner of a block of lattice rows at which each bound is
-# greatest, as (i at the block's high end, j at its high end): the
-# destination bounds of {1}, {2} and {1,2}, then the relay bound, whose
-# corner serves every subset. Relay decode-and-forward rises in every
+# greatest, as flags (i, j), 1 for the block's high index on that axis and
+# 0 for its low one: the destination bounds of {1}, {2} and {1,2}, then the
+# relay bound, whose corner serves every subset. Relay decode-and-forward rises in every
 # alpha_k; the relay cutset falls in every gamma_k. Under beta_star the
 # destination SNR is P(S) + P_r W(S)/W + 2 sqrt(P_r) W(S)/sqrt(W) with
 # W_k = (1 - alpha_k) P_k, which rises in W_S and falls in the complement's
@@ -260,13 +262,13 @@ def _pruned_lattice_candidates(n, max_sum, corners, tables):
     # the block that owns it, or proven inside by the other. A block whose
     # low corner is off the lattice owns no rows. The coarse rows, those
     # with both indices on the axis, are not evaluated again.
-    f, a, b = np.nonzero(~drop & valid.reshape(m, m)[:-1, :-1])
+    kept, a, b = np.nonzero(~drop & valid.reshape(m, m)[:-1, :-1])
     end = axis[1:] + (axis[1:] == n)
     p = np.arange(LATTICE_BLOCK + 1)
     i, j = axis[a, None, None] + p[:, None], axis[b, None, None] + p
     own = (i < end[a, None, None]) & (j < end[b, None, None]) & (i + j <= max_sum)
-    block, p, q = np.nonzero(own & ((p[:, None] > 0) & (i < n) | (p > 0) & (j < n)))
-    rows, family = np.column_stack([axis[a[block]] + p, axis[b[block]] + q]), f[block]
+    block, di, dj = np.nonzero(own & ((p[:, None] > 0) & (i < n) | (p > 0) & (j < n)))
+    rows, family = np.column_stack([axis[a[block]] + di, axis[b[block]] + dj]), kept[block]
     for k in range(0, len(rows), LATTICE_BATCH_ROWS):
         g = np.minimum(*tables(rows[k : k + LATTICE_BATCH_ROWS], family[k : k + LATTICE_BATCH_ROWS]))
         candidates.append(_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]))
