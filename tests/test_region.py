@@ -212,8 +212,8 @@ def _full_lattice_candidates(config, n, bound):
         tables = [family_tables(config, "inner", alpha, beta) for beta in (None, np.full(alpha.shape, 0.5))]
     else:
         tables = [family_tables(config, "outer", compositions(3, n)[:, :2] / n)]
-    candidates = (_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11]) for g in (np.minimum(*t) for t in tables))
-    return np.vstack(list(candidates))
+    g = [np.minimum(*t) for t in tables]
+    return np.vstack([_pentagon_candidates_batch(x[:, 0b01], x[:, 0b10], x[:, 0b11]) for x in g])
 
 
 def test_pruned_df_grid_size(example1):
@@ -254,8 +254,8 @@ def test_pruned_lattices_keep_the_full_lattice_polygons():
 
 
 def _evaluated_rows(monkeypatch):
-    """The lattice rows that the grids pass to family_tables, as integer
-    rows (i, j), one list per call."""
+    """The parameter rows, (i, j) / n, that the grids pass to
+    family_tables, one array per call."""
     seen = []
     real = region.family_tables
 
