@@ -386,6 +386,17 @@ def test_tables_check_the_parameter_domain(example1):
         family_tables(example1, "outer", range((MAX_TABLE_CELLS >> 2) + 1))
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_empty_batch_gives_empty_tables(K):
+    # The inner family raised "cannot reshape array of size 0" here, while
+    # the outer family returned (0, 2^K) tables.
+    config = ChannelConfig(K, tuple(float(k + 1) for k in range(K)), 2.0, 1.0, 1.0)
+    for family in ("inner", "outer"):
+        tables = family_tables(config, family, np.zeros((0, K)))
+        assert [table.shape for table in tables] == [(0, 1 << K)] * 2
+        assert [len(array) for array in intersection_rows(*tables)] == [0, 0, 0]
+
+
 def test_relay_cutset_clamps_dust_relative_to_power():
     # gamma proportional to the powers with unit mass: by Cauchy-Schwarz the
     # full-set relay SNR is exactly 0, and the rounding dust grows with power.

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import marc_cap
+from marc_cap import cli
+from marc_cap.bounds import DomainError
 from marc_cap.cli import main
 from marc_cap.region import build_df_region, build_outer_region
 
@@ -605,6 +607,29 @@ def test_verify_checks_every_suite_table_before_printing(tmp_path, capsys):
         assert err == f"error: K=64 needs {rows} x 2^64 bound table cells, more than 67108864\n"
     code, out, err = run(capsys, "verify", cfg, "--suite", "mc", "--n", "1000")
     assert code == 0 and out.splitlines()[-1] == "verify result=PASS checks=5"
+
+
+def test_late_verify_failure_leaves_stdout_empty(tmp_path, capsys, monkeypatch):
+    # The dominance suite runs last, after eleven check lines.
+    def fail(*args, **kwargs):
+        raise DomainError("late failure")
+
+    monkeypatch.setattr(cli, "dominance_check", fail)
+    code, out, err = run(capsys, "verify", write_config(tmp_path, EX1), "--suite", "all", "--n", "1000")
+    assert (code, out, err) == (2, "", "error: late failure\n")
+
+
+def test_late_examples_failure_leaves_stdout_empty(capsys, monkeypatch):
+    solve = cli.sum_capacity
+
+    def fail_on_example2(config, **kwargs):
+        if config == cli.EXAMPLE_CONFIGS[2]:
+            raise DomainError("late failure")
+        return solve(config, **kwargs)
+
+    monkeypatch.setattr(cli, "sum_capacity", fail_on_example2)
+    code, out, err = run(capsys, "examples")
+    assert (code, out, err) == (2, "", "error: late failure\n")
 
 
 SUBNORMAL = {"P": [5e-324, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
