@@ -203,13 +203,15 @@ def cmd_region(args):
         raise InputError(f"step must be in (0, 1], got {args.step!r}")
     if config.K != 2:
         raise UnsupportedError(f"region export requires K=2, got K={config.K}")
+    out = Path(args.out)
+    if not out.name:
+        raise InputError(f"--out needs a file name, got {args.out!r}")
     names = ("inner", "outer") if args.bound == "both" else (args.bound,)
     # Both polygons are built before either file is written, so a step the
     # lattice cap rejects leaves no CSV behind.
     polys = [(build_df_region if name == "inner" else build_outer_region)(config, args.step) for name in names]
     params = {"bound": args.bound, "step": args.step, "out": str(args.out)}
     digest = _manifest_digest("region", args.config, config, params)
-    out = Path(args.out)
     report = [f"# manifest {digest}", _config_line(config)]
     for name, poly in zip(names, polys):
         path = out if len(names) == 1 else out.with_suffix(f".{name}.csv")

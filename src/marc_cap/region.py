@@ -34,21 +34,6 @@ MAX_REGION_POINTS = 1 << 20
 LATTICE_BLOCK = 8
 LATTICE_BATCH_ROWS = 1 << 16
 
-# Per family, the corner of a block of lattice rows at which each bound is
-# greatest, as flags (i, j), 1 for the block's high index on that axis and
-# 0 for its low one: the destination bounds of {1}, {2} and {1,2}, then the
-# relay bound, whose corner serves every subset. Relay decode-and-forward rises in every
-# alpha_k; the relay cutset falls in every gamma_k. Under beta_star the
-# destination SNR is P(S) + P_r W(S)/W + 2 sqrt(P_r) W(S)/sqrt(W) with
-# W_k = (1 - alpha_k) P_k, which rises in W_S and falls in the complement's
-# W; under the even split it falls in each alpha_k of S and does not depend
-# on the others; the destination cutset rises in the gamma_k of S and falls
-# in the others.
-_DF_STAR_CORNERS = ((0, 1), (1, 0), (0, 0), (1, 1))
-_DF_EVEN_CORNERS = ((0, 0), (0, 0), (0, 0), (1, 1))
-_CUTSET_CORNERS = ((1, 0), (0, 1), (1, 1), (0, 0))
-
-
 @dataclass(frozen=True)
 class RegionPolytope:
     K: int
@@ -168,7 +153,7 @@ def _df_pentagon_grid(config, n):
         alpha = rows / n
         return family_tables(config, "inner", alpha, np.where(family[:, None] == 0, beta_star(config, alpha), 0.5))
 
-    return _pruned_lattice_candidates(n, 2 * n, (_DF_STAR_CORNERS, _DF_EVEN_CORNERS), tables)
+    return _pruned_lattice_candidates(n, 2 * n, 2, tables)
 
 
 def _pentagon_candidates_batch(g1, g2, g12):
@@ -198,34 +183,36 @@ def _outer_pentagon_grid(config, n):
     """Candidate vertices of the lattice correlations' intersections, less
     those of the correlations whose pentagons `_pruned_lattice_candidates`
     finds strictly inside the polygon."""
-    return _pruned_lattice_candidates(
-        n, n, (_CUTSET_CORNERS,), lambda rows, _: family_tables(config, "outer", rows / n)
-    )
+    return _pruned_lattice_candidates(n, n, 1, lambda rows, _: family_tables(config, "outer", rows / n))
 
 
-def _pruned_lattice_candidates(n, max_sum, corners, tables):
+def _pruned_lattice_candidates(n, max_sum, F, tables):
     """Pentagon candidates of the lattice rows (i, j), 0 <= i, j <= n and
-    i + j <= max_sum, for each family of pentagons that `corners` lists,
-    less the rows whose pentagons lie strictly inside the polygon.
-    `tables(rows, family)` gives the (dest, relay) tables of the parameters
-    rows / n, each row in the family of that index.
+    i + j <= max_sum, for each of F families of pentagons, less the rows
+    whose pentagons lie strictly inside the polygon. `tables(rows, family)`
+    gives the (dest, relay) tables of the parameters rows / n, each row in
+    the family of that index.
 
     The rows with both indices in every LATTICE_BLOCK-th index and n are
     evaluated first; their polygon lies inside the final one. The rest of
-    the lattice falls into blocks between those indices. Each table entry is
-    monotone in each parameter, so over a block it is greatest at the
-    corner that `corners` names, and the minima of those corner entries cut
-    out an upper pentagon holding the pentagon of every row of the block.
-    Where both upper-right vertices of the upper pentagon lie strictly
-    below every upper-right edge line of the coarse polygon, by a relative
-    margin far above rounding, so does every candidate of the block: none
-    is a vertex or an axis extreme of the hull, whose vertices stay the
-    same bits. The rows of the other blocks are evaluated. Where one of a
-    subset's two corners is off the simplex, the other's entry alone bounds
-    the least of the two; a subset with neither (a NaN bound) keeps its
-    block, and so does every block when the coarse polygon has fewer than 3
-    vertices."""
-    F, m = len(corners), -(-n // LATTICE_BLOCK) + 1
+    the lattice falls into blocks between those indices, whose four corners
+    are such rows. Each table entry is monotone in each parameter, so over
+    a block it is greatest at one of the four corners, and per subset the
+    least of the greatest destination entry and the greatest relay entry
+    over the corners cuts out an upper pentagon holding the pentagon of
+    every row of the block. A corner off the lattice counts +inf on the
+    destination side, so the relay entries alone bound, and 0.0 on the
+    relay side, below every rate, so the greatest is that of the corners
+    on it: relay entries peak at a corner on the lattice, the low one on
+    the cutset simplex, where they fall in every gamma_k, and the DF
+    lattice is square. Where both upper-right vertices of the upper
+    pentagon lie strictly below every upper-right edge line of the coarse
+    polygon, by a relative margin far above rounding, so does every
+    candidate of the block: none is a vertex or an axis extreme of the
+    hull, whose vertices stay the same bits. The rows of the other blocks
+    are evaluated, and so are all of them when the coarse polygon has fewer
+    than 3 vertices."""
+    m = -(-n // LATTICE_BLOCK) + 1
     axis = np.minimum(np.arange(m) * LATTICE_BLOCK, n)
     square = axis[np.indices((m, m)).reshape(2, -1).T]
     valid = square.sum(axis=1) <= max_sum
@@ -234,17 +221,16 @@ def _pruned_lattice_candidates(n, max_sum, corners, tables):
     candidates = [_pentagon_candidates_batch(g[:, 0b01], g[:, 0b10], g[:, 0b11])]
     vertices = _polygon(candidates[0]).vertices
 
-    # Per family and block, the bound of each subset: the least of the
-    # destination entry at its corner and the relay entry at the relay
-    # corner, read from the coarse tables by the corners' flat indices; an
-    # entry at a corner off the lattice is NaN, which np.fmin passes over.
-    grid = np.full((F, 2, m * m, 4), np.nan)
-    grid[:, 0, valid] = dest.reshape(F, -1, 4)
-    grid[:, 1, valid] = relay.reshape(F, -1, 4)
-    corner = np.array(corners)
-    at = (m * corner[..., 0] + corner[..., 1])[..., None, None] + np.arange(m * (m - 1)).reshape(m - 1, m)[:, :-1]
-    f, s = np.arange(F)[:, None, None, None], np.arange(1, 4)[:, None, None]
-    u1, u2, u12 = np.fmin(grid[f, 0, at[:, :3], s], grid[f, 1, at[:, 3:], s]).swapaxes(0, 1)
+    def peak(table, fill):
+        # Per family and block, the greatest entry of each subset over the
+        # block's four corner rows.
+        t = np.full((F, m * m, 4), fill)
+        t[:, valid] = table.reshape(F, -1, 4)
+        t = t.reshape(F, m, m, 4)
+        t = np.maximum(t[:, 1:], t[:, :-1])
+        return np.maximum(t[:, :, 1:], t[:, :, :-1])
+
+    u1, u2, u12 = np.moveaxis(np.minimum(peak(dest, np.inf), peak(relay, 0.0))[..., 1:], -1, 0)
 
     # The upper pentagon's two upper-right vertices, the rightmost highest
     # and the highest rightmost, against the coarse polygon's upper-right

@@ -100,6 +100,25 @@ def test_outer_relay_penalty_grows_with_own_mass(example1):
     assert values[-1] <= 1e-12
 
 
+def test_relay_cutset_falls_in_every_correlation():
+    # The region's cutset lattice bounds a block's relay entries by those
+    # of its corners on the simplex, which rests on this: raising one
+    # gamma_k inside the simplex lowers every relay cutset entry, here up
+    # to a few ulps, on inputs over 24 decades.
+    rng = np.random.default_rng(77)
+    eps = np.finfo(np.float64).eps
+    for _ in range(200):
+        config = random_config(rng, int(rng.integers(2, 5)), 1e-12, 1e12)
+        draw = rng.dirichlet(np.ones(config.K + 1), 32)
+        gamma = draw[:, :-1]
+        _, relay = family_tables(config, "outer", gamma)
+        for k in range(config.K):
+            raised = gamma.copy()
+            raised[:, k] += rng.random(32) * draw[:, -1]
+            _, higher = family_tables(config, "outer", raised)
+            assert (higher <= relay + 4 * eps * (1.0 + relay)).all()
+
+
 def test_outer_dest_monotone_in_correlations(example1):
     # More own correlation boosts the coherent term; more complement
     # correlation eats the residual relay power.

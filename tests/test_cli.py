@@ -205,6 +205,15 @@ def test_region_reports_an_unwritable_path(tmp_path, capsys, bound):
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bound", ["inner", "both"])
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_region_rejects_an_out_path_without_a_file_name(tmp_path, capsys, bound, out):
+    cfg = write_config(tmp_path, EX1)
+    code, stdout, err = run(capsys, "region", cfg, "--bound", bound, "--step", "0.25", "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out needs a file name, got {out!r}\n"
+
+
 def test_classify_alpha_full_rule(tmp_path, capsys):
     cfg = write_config(tmp_path, EX1)
     code, out, _ = run(capsys, "classify", cfg, "--alpha", "0.9,0.9")
