@@ -204,7 +204,7 @@ def cmd_region(args):
     if config.K != 2:
         raise UnsupportedError(f"region export requires K=2, got K={config.K}")
     out = Path(args.out)
-    if not out.name:
+    if out.name in ("", ".."):
         raise InputError(f"--out needs a file name, got {args.out!r}")
     names = ("inner", "outer") if args.bound == "both" else (args.bound,)
     # Both polygons are built before either file is written, so a step the

@@ -206,7 +206,7 @@ def test_region_reports_an_unwritable_path(tmp_path, capsys, bound):
 
 
 @pytest.mark.parametrize("bound", ["inner", "both"])
-@pytest.mark.parametrize("out", ["", ".", "/"])
+@pytest.mark.parametrize("out", ["", ".", "/", "..", "a/.."])
 def test_region_rejects_an_out_path_without_a_file_name(tmp_path, capsys, bound, out):
     cfg = write_config(tmp_path, EX1)
     code, stdout, err = run(capsys, "region", cfg, "--bound", bound, "--step", "0.25", "--out", out)

@@ -1,10 +1,15 @@
-"""Lattice kernels: frozen lattice optima, the min-SNR batch against its
-scalar formula, and refusal of ground sets the dense search cannot handle."""
+"""Lattice kernels: frozen lattice optima, the sliced search against a
+whole-lattice search and its memory, the min-SNR batch against its scalar
+formula, and refusal of ground sets the dense search cannot handle."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from marc_cap._kernels import lattice_maxmin, min_snr_batch
+from marc_cap import _kernels
+from marc_cap._kernels import compositions, lattice_maxmin, min_snr_batch
 
 # Example-1 lattice optimum at n=100: gamma=(0, 0.25) puts the coherent
 # statistic at exactly 1, where both sum-bound SNRs equal 9.
@@ -28,6 +33,51 @@ def test_lattice_optimum_bits_frozen(P, n, snr, gamma):
     got_snr, got_gamma = lattice_maxmin(P, 2.0, 1.0, 2.5, n)
     assert got_snr == snr
     assert got_gamma.tolist() == gamma
+
+
+def whole_lattice_maxmin(P, P_r, N_r, N_d, n):
+    # The search over the whole lattice at once, as one batch.
+    G = compositions(len(P) + 1, n)[:, :-1] / n
+    snr = min_snr_batch(np.asarray(P, dtype=np.float64), P_r, N_r, N_d, G)
+    pos = int(np.argmax(snr))
+    return float(snr[pos]), G[pos]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_sliced_search_keeps_the_whole_lattice_optimum(K):
+    # Same bits as one whole-lattice batch, over wide decades and on ties.
+    # K=3 at n=200 has more rows at one first index than a slice's budget;
+    # K=1 at n=10^5 runs in several slices.
+    assert math.comb(200 + 2, 2) > _kernels.SLICE_ROWS
+    rng = np.random.default_rng(11)
+    ns = [1, 2, 7, 50, 100] + {1: [100_000], 2: [1000], 3: [200]}[K]
+    cases = []
+    for n in ns:
+        for lo, hi in ((0.1, 10.0), (1e-6, 1e6), (1e-100, 1e100)):
+            x = np.exp(rng.uniform(np.log(lo), np.log(hi), K + 3))
+            cases.append((tuple(x[:K]), x[K], x[K + 1], x[K + 2], n))
+        cases.append(((1.0,) * K, 1.0, 1.0, 1.0, n))
+        cases.append(((2.0,) * K, 0.0, 1.0, 1.0, n))
+        # User 1 holds nearly all the power and the destination cut binds:
+        # for K >= 2 the optimum is the last row, gamma = (1, 0, ...).
+        cases.append(((1.0,) + (1e-6,) * (K - 1), 1.0, 1.0, 1e7, n))
+    for args in cases:
+        snr, gamma = lattice_maxmin(*args)
+        want_snr, want_gamma = whole_lattice_maxmin(*args)
+        assert np.float64(snr).tobytes() == np.float64(want_snr).tobytes(), args
+        assert gamma.tobytes() == want_gamma.tobytes(), args
+
+
+def test_sliced_search_memory_is_one_slice():
+    # The whole K=3 lattice at n=100 (176,851 rows) peaks at 13.5 MiB.
+    lattice_maxmin((3.0, 1.5, 0.7), 2.0, 1.0, 2.5, 100)
+    tracemalloc.start()
+    try:
+        lattice_maxmin((3.0, 1.5, 0.7), 2.0, 1.0, 2.5, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_dense_search_rejects_large_ground_sets():
