@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from marc_cap import _kernels
-from marc_cap._kernels import compositions, lattice_maxmin, min_snr_batch
+from marc_cap._kernels import SLICE_ROWS, compositions, lattice_maxmin, min_snr_batch
 
 # Example-1 lattice optimum at n=100: gamma=(0, 0.25) puts the coherent
 # statistic at exactly 1, where both sum-bound SNRs equal 9.
@@ -48,7 +47,7 @@ def test_sliced_search_keeps_the_whole_lattice_optimum(K):
     # Same bits as one whole-lattice batch, over wide decades and on ties.
     # K=3 at n=200 has more rows at one first index than a slice's budget;
     # K=1 at n=10^5 runs in several slices.
-    assert math.comb(200 + 2, 2) > _kernels.SLICE_ROWS
+    assert math.comb(200 + 2, 2) > SLICE_ROWS
     rng = np.random.default_rng(11)
     ns = [1, 2, 7, 50, 100] + {1: [100_000], 2: [1000], 3: [200]}[K]
     cases = []
