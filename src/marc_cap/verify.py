@@ -3,6 +3,8 @@ conditional-variance identities behind the relay cutset bound, a lattice
 max-min search that cross-checks the closed-form equalizer, and randomized
 chord/dominance probes backing the concavity and ordering claims."""
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,11 @@ CHORD_TOL = 1e-9
 
 # Rows of the Monte-Carlo normal draw folded into the Gram matrix at a time.
 _CHUNK_ROWS = 1 << 16
+
+# Seeded Gram matrices kept per process. An entry is (K+1)^2 float64s, so 64
+# entries hold 64 * 8 (K+1)^2 bytes: about 2.2 MB at K=64 (65x65), and less
+# than one chunk of the draw that made them at any K below 65,535.
+_GRAM_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,15 @@ def _gram(n, width, rng):
     return G
 
 
+@functools.lru_cache(maxsize=_GRAM_CACHE_SIZE)
+def _seeded_gram(n, width, seed):
+    """_gram(n, width, np.random.default_rng(seed)), drawn once per process
+    for each (n, width, seed) and shared read-only by every later call."""
+    G = _gram(n, width, np.random.default_rng(seed))
+    G.flags.writeable = False
+    return G
+
+
 def _residual_variance(a, B, G, n):
     """Residual variance of the least-squares regression of W a on W B, for
     a draw W of n rows with Gram matrix G = W^T W. With R = cholesky(G)^T,
@@ -108,6 +124,9 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     mode 2: var(sum_S X_k | X_{S^c}, X_r) against the relay-cut SNR
     numerator, P(S) - coherent(S)^2 / (gamma(S) + slack), whose penalty is
     0 where its denominator is.
+
+    n and seed are integers. The normal draw depends on (n, K+1, seed) only
+    and is made once per process; the regression runs on every call.
     """
     vec = gamma if isinstance(gamma, CorrelationVector) else CorrelationVector(tuple(gamma))
     if mode not in (1, 2):
@@ -146,7 +165,7 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     else:
         a = source[:, in_S].sum(axis=1)
         B = np.column_stack([source[:, comp], relay])
-    G = _gram(n, config.K + 1, np.random.default_rng(seed))
+    G = _seeded_gram(operator.index(n), config.K + 1, operator.index(seed))
     estimate = _residual_variance(a, B, G, n)
 
     scale = max(1.0, config.P_r, float(P.sum()))

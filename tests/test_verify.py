@@ -2,6 +2,7 @@
 dense grid search, concavity chords, and bound dominance."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from marc_cap import (
     mc_relay_conditional_variance,
     solve_equalizer,
 )
+from marc_cap import cli, verify
 from marc_cap.bounds import (
     CorrelationVector,
     DfPowerSplit,
@@ -30,6 +32,7 @@ from marc_cap.verify import (
     McReport,
     _CHUNK_ROWS,
     _gram,
+    _seeded_gram,
     gamma_sampler,
     split_sampler,
 )
@@ -175,6 +178,54 @@ def test_mc_gram_continues_one_stream(n, width):
     assert chunked.bit_generator.state == whole.bit_generator.state
     ref = W.T @ W
     assert np.abs(G - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_seeded_gram_is_the_one_stream_draw_read_only():
+    _seeded_gram.cache_clear()
+    for n, width, seed in [(1000, 3, 0), (2 * _CHUNK_ROWS + 37, 4, 5)]:
+        G = _seeded_gram(n, width, seed)
+        assert G.tobytes() == _gram(n, width, np.random.default_rng(seed)).tobytes()
+        assert not G.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            G[0, 0] = 0.0
+        assert _seeded_gram(n, width, seed) is G
+
+
+K2_A = {"P": [6.0, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
+K2_B = {"P": [0.3, 2.5], "P_r": 0.7, "N_r": 1.3, "N_delta": 0.4}
+
+
+def verify_all(tmp_path, capsys, spec, name):
+    path = tmp_path / name
+    path.write_text(json.dumps(spec))
+    code = cli.main(["verify", str(path), "--suite", "all", "--n", "100000"])
+    return code, capsys.readouterr().out
+
+
+def test_verify_draws_each_gram_once_per_process(tmp_path, capsys, monkeypatch):
+    # The mc suite's five draws depend on (n, K+1, seed) only, so a second
+    # K=2 config with other powers and noises makes no new draw.
+    _seeded_gram.cache_clear()
+    real_gram = verify._gram
+    calls = []
+
+    def counted(n, width, rng):
+        calls.append((n, width))
+        return real_gram(n, width, rng)
+
+    monkeypatch.setattr(verify, "_gram", counted)
+    assert verify_all(tmp_path, capsys, K2_A, "a.json")[0] == 0
+    assert calls == [(100000, 3)] * 5
+    assert verify_all(tmp_path, capsys, K2_B, "b.json")[0] == 0
+    assert len(calls) == 5
+
+
+def test_verify_stdout_does_not_depend_on_earlier_configs(tmp_path, capsys):
+    _seeded_gram.cache_clear()
+    alone = verify_all(tmp_path, capsys, K2_B, "b.json")
+    _seeded_gram.cache_clear()
+    verify_all(tmp_path, capsys, K2_A, "a.json")
+    assert verify_all(tmp_path, capsys, K2_B, "b.json") == alone
 
 
 def reference_mc(config, gamma, S, mode, n, seed):
