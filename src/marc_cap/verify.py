@@ -19,8 +19,10 @@ from .bounds import (
 )
 from .channel import awgn_capacity
 
-# Conditional variances below this fraction of the power scale are treated
-# as deterministic; the z-score is meaningless there.
+# A conditional variance at most this fraction of its check's own power (the
+# relay's in mode 1, the subset's in mode 2), or below the smallest normal
+# float, counts as 0. A check whose target is 0 is degenerate: the z-score is
+# meaningless there, and the estimate must count as 0 by the same rule.
 DEGENERATE_TOL = 1e-9
 
 EQUALITY_TOL = 1e-12
@@ -46,11 +48,12 @@ class McReport:
     std_error: float
     z_score: float
     degenerate: bool
+    floor: float
 
     @property
     def passed(self):
         if self.degenerate:
-            return self.estimate <= DEGENERATE_TOL * max(1.0, self.target + 1.0)
+            return self.estimate <= self.floor
         return abs(self.z_score) <= 4.0
 
 
@@ -147,11 +150,13 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     resid_mass = max(0.0, 1.0 - float(g.sum()))
 
     if mode == 1:
-        target = (1.0 - comp_mass) * config.P_r
+        scale = config.P_r
+        target = (1.0 - comp_mass) * scale
     else:
+        scale = float(P[in_S].sum())
         s = float(np.sqrt(g[in_S] * P[in_S]).sum())
         room = float(g[in_S].sum()) + resid_mass
-        target = float(P[in_S].sum()) - (s * s / room if room > 0.0 else 0.0)
+        target = scale - (s * s / room if room > 0.0 else 0.0)
 
     # Every input is linear in a standard-normal draw W of n rows and K+1
     # columns, column 0 the relay's own part: X_k = sqrt(P_k) W[:, k+1] and
@@ -168,15 +173,15 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     G = _seeded_gram(operator.index(n), config.K + 1, operator.index(seed))
     estimate = _residual_variance(a, B, G, n)
 
-    scale = max(1.0, config.P_r, float(P.sum()))
-    degenerate = target <= DEGENERATE_TOL * scale
+    floor = max(DEGENERATE_TOL * scale, np.finfo(np.float64).tiny)
+    degenerate = target <= floor
     if degenerate:
         se = 0.0
         z = 0.0
     else:
         se = estimate * np.sqrt(2.0 / (n - p))
         z = (estimate - target) / se
-    return McReport(mode, int(S), n, seed, estimate, target, se, float(z), degenerate)
+    return McReport(mode, int(S), n, seed, estimate, target, se, float(z), degenerate, floor)
 
 
 def grid_maxmin(config, step=0.01):

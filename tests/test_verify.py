@@ -195,10 +195,10 @@ K2_A = {"P": [6.0, 4.0], "P_r": 4.0, "N_r": 1.0, "N_delta": 1.0}
 K2_B = {"P": [0.3, 2.5], "P_r": 0.7, "N_r": 1.3, "N_delta": 0.4}
 
 
-def verify_all(tmp_path, capsys, spec, name):
+def verify_all(tmp_path, capsys, spec, name, n="100000"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
-    code = cli.main(["verify", str(path), "--suite", "all", "--n", "100000"])
+    code = cli.main(["verify", str(path), "--suite", "all", "--n", n])
     return code, capsys.readouterr().out
 
 
@@ -228,6 +228,57 @@ def test_verify_stdout_does_not_depend_on_earlier_configs(tmp_path, capsys):
     assert verify_all(tmp_path, capsys, K2_B, "b.json") == alone
 
 
+# CI's config over 24 decades whose region polygons are segments.
+SEG = {"P": [8.264699269404356e-08, 100656.82615306925], "P_r": 1.68534256973385e-12,
+       "N_r": 7.593009504436562e-07, "N_delta": 114285553855.61026}
+
+
+def test_verify_passes_on_a_config_over_24_decades(tmp_path, capsys):
+    # The mc checks of S={1} (power 8.3e-8) and of the relay (1.7e-12) have
+    # targets far below the total power 1e5. Scaled by that total they were
+    # called degenerate, then failed an absolute 1e-9 test on estimates of
+    # 2.3e-9 that matched their targets to 0.1%. Scaled by their own power
+    # they get the z-test.
+    code, out = verify_all(tmp_path, capsys, SEG, "seg.json", n="1000000")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "verify result=PASS checks=12"
+    mc = [line for line in lines if line.startswith("PASS mc")]
+    assert len(mc) == 5 and sum(line.endswith(" degenerate") for line in mc) == 1
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_verify_mc_fails_on_an_estimate_off_by_one_percent(tmp_path, capsys, monkeypatch, factor):
+    # Negative control: at the default n, a regression estimate 1% off its
+    # target fails every z-tested check of the same config.
+    real_residual = verify._residual_variance
+    monkeypatch.setattr(verify, "_residual_variance", lambda *args: factor * real_residual(*args))
+    code, out = verify_all(tmp_path, capsys, SEG, "seg.json", n="1000000")
+    mc = [line for line in out.splitlines() if " mc " in line]
+    assert code == 1 and len(mc) == 5
+    assert [line.startswith("FAIL") for line in mc] == [not line.endswith(" degenerate") for line in mc]
+
+
+def test_mc_degenerate_rule_uses_the_checks_own_power(example1, monkeypatch):
+    # Target 0 in mode 1: the estimate counts as 0 up to 1e-9 of the relay
+    # power P_r = 4, and no further.
+    real_residual = verify._residual_variance
+    for extra, passed in [(3.9e-9, True), (4.1e-9, False)]:
+        monkeypatch.setattr(verify, "_residual_variance", lambda *args: real_residual(*args) + extra)
+        rep = mc_relay_conditional_variance(example1, (1.0, 0.0), 0b10, mode=1, n=20000, seed=1)
+        assert rep.degenerate and rep.floor == DEGENERATE_TOL * example1.P_r
+        assert rep.passed == passed
+
+
+def test_mc_variance_below_the_smallest_normal_counts_as_zero():
+    # P_1 = 5e-324: 1e-9 of the subset's power underflows to 0, and a target
+    # and estimate of that power's size count as 0, as subnormal
+    # correlations do.
+    config = ChannelConfig(2, (5e-324, 4.0), 4.0, 1.0, 1.0)
+    rep = mc_relay_conditional_variance(config, (0.3, 0.2), 0b01, mode=2, n=20000, seed=3)
+    assert rep.floor == np.finfo(np.float64).tiny
+    assert rep.degenerate and rep.passed
+
+
 def reference_mc(config, gamma, S, mode, n, seed):
     """The regression as it ran on the materialized draw: X and X_r of n
     rows each, then np.linalg.lstsq on the n-row design."""
@@ -237,6 +288,9 @@ def reference_mc(config, gamma, S, mode, n, seed):
     comp = [k for k in range(config.K) if k not in in_S]
     comp_mass = float(g[comp].sum()) if comp else 0.0
     resid_mass = max(0.0, 1.0 - float(g.sum()))
+    # The check's own power scales its degenerate rule.
+    scale = config.P_r if mode == 1 else float(P[in_S].sum())
+    floor = max(DEGENERATE_TOL * scale, np.finfo(np.float64).tiny)
     if mode == 1:
         target = (1.0 - comp_mass) * config.P_r
     else:
@@ -255,10 +309,10 @@ def reference_mc(config, gamma, S, mode, n, seed):
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         y = y - design @ coef
     estimate = float(y @ y) / (n - p)
-    degenerate = target <= DEGENERATE_TOL * max(1.0, config.P_r, float(P.sum()))
+    degenerate = target <= floor
     se = 0.0 if degenerate else estimate * np.sqrt(2.0 / (n - p))
     z = 0.0 if degenerate else (estimate - target) / se
-    return McReport(mode, S, n, seed, estimate, target, se, float(z), degenerate)
+    return McReport(mode, S, n, seed, estimate, target, se, float(z), degenerate, floor)
 
 
 def test_mc_matches_the_materialized_regression():
