@@ -117,7 +117,7 @@ def test_df_relay_monotone_dest_antitone_in_alpha(case, idx, bump):
 
 @settings(deadline=None, max_examples=60)
 @given(config_split_mask())
-def test_df_to_correlation_feasible(case):
+def test_df_split_gives_feasible_correlations(case):
     cfg, split, _ = case
     gamma = CorrelationVector(tuple((1.0 - np.asarray(split.alpha)) * split.beta))
     assert all(g >= 0.0 for g in gamma.gamma)

@@ -169,19 +169,19 @@ def test_root_matches_independent_bisection(example1, example2):
         assert awgn_capacity(k3 - k0 * sol.constraint_value) == pytest.approx(sol.sum_rate, rel=1e-12)
 
 
-def test_maxmin_rule_inner_accepts_equalizing_alpha(example1):
+def test_inner_equalizing_set_accepts_equalizing_alpha(example1):
     # The inner rule: sum_k lambda_k (1 - alpha_k) = c.
     sol = solve_equalizer(example1)
     equalizing_set(example1, sol, "inner").check(np.array((0.9, 0.9)))
 
 
-def test_maxmin_rule_inner_rejects_violating_alpha(example1):
+def test_inner_equalizing_set_rejects_violating_alpha(example1):
     sol = solve_equalizer(example1)
     with pytest.raises(DomainError, match="equalizer constraint violated"):
         equalizing_set(example1, sol, "inner").check(np.array((0.8, 0.9)))
 
 
-def test_gamma_rule_outer_square_root_form(example1):
+def test_outer_equalizing_set_square_root_form(example1):
     # The correlation budget is linear in the root, not in its square:
     # sum of sqrt(lam_k * gamma_k) must hit the root.
     sol = solve_equalizer(example1)
@@ -195,7 +195,7 @@ def test_gamma_rule_outer_square_root_form(example1):
         rule.check(np.array((c / 2.0, 3.0 * c / 4.0)))
 
 
-def test_gamma_rule_outer_wrong_length(example1):
+def test_outer_equalizing_set_wrong_length(example1):
     sol = solve_equalizer(example1)
     with pytest.raises(DomainError, match="expected 2"):
         equalizing_set(example1, sol, "outer").check(np.array((0.1, 0.1, 0.1)))
@@ -495,7 +495,7 @@ def test_partner_alpha_stays_in_the_unit_interval():
     ((37.91, 10.89, 0.01386, 0.2739), 0.3084, 9.918),
     ((0.03082, 0.04818, 7.249), 19.83, 9.325),
 ])
-def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, family):
+def test_witness_scan_is_feasible_with_a_tiny_power(P, P_r, N_delta, family):
     # One normalised power is below 0.01, so Dirichlet draws over the whole
     # simplex were almost all infeasible (the outer scan once kept 3 of
     # 10,045 on the K=4 config). Either family's verdict is now its witness,
@@ -583,7 +583,7 @@ def scan_config(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
-def test_sampled_scan_bits_are_frozen(name):
+def test_witness_scan_bits_are_frozen(name):
     # Per config, the digest of each scan's verdict, kinds (Active as True)
     # and the float64 fields of every sample. Each scan is its family's
     # witness, so the digests are those of the witness tables below.
@@ -604,7 +604,7 @@ def test_sampled_scan_bits_are_frozen(name):
     ("k4_scan_fault", "outer", 1),  # the sampler drew 18 chunks to keep 64 rows
     ("k5_upper_bound_only", "inner", 1),  # the sampler classified 10,495 rows here, in 14 batches
 ])
-def test_sampled_scan_classifies_the_draws_in_batches(monkeypatch, name, family, expect):
+def test_witness_scan_classifies_one_row(monkeypatch, name, family, expect):
     # The batches are gone: each scan classifies its witness, one row.
     sizes = []
 
@@ -715,7 +715,7 @@ def test_uniform_split_with_a_vanishing_power_is_active(P):
 
 # Per scan config, the digest of the uniform-split witness's verdict, kind
 # (Active as True) and float64 fields (alpha, then beta_star), laid out as
-# test_sampled_scan_bits_are_frozen hashes a scan.
+# test_witness_scan_bits_are_frozen hashes a scan.
 FROZEN_WITNESS_DIGESTS = {
     "example3": "415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
     "k5_upper_bound_only": "278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
@@ -760,7 +760,7 @@ def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resoluti
 
 # Per scan config, the digest of the correlation witness's verdict, kind
 # (Active as True) and float64 gamma, laid out as
-# test_sampled_scan_bits_are_frozen hashes a scan.
+# test_witness_scan_bits_are_frozen hashes a scan.
 FROZEN_CORRELATION_WITNESS_DIGESTS = {
     "example3": "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee",
     "k5_upper_bound_only": "6b24168ee179fb321a124fd6486d060d839110f9eaad100093fd93595ec830fa",
