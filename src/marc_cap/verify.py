@@ -170,7 +170,7 @@ def mc_relay_conditional_variance(config, gamma, S, mode=1, n=1000000, seed=0):
     else:
         a = source[:, in_S].sum(axis=1)
         B = np.column_stack([source[:, comp], relay])
-    G = _seeded_gram(operator.index(n), config.K + 1, operator.index(seed))
+    G = _seeded_gram(n, config.K + 1, operator.index(seed))
     estimate = _residual_variance(a, B, G, n)
 
     floor = max(DEGENERATE_TOL * scale, np.finfo(np.float64).tiny)

@@ -235,10 +235,8 @@ SEG = {"P": [8.264699269404356e-08, 100656.82615306925], "P_r": 1.68534256973385
 
 def test_verify_passes_on_a_config_over_24_decades(tmp_path, capsys):
     # The mc checks of S={1} (power 8.3e-8) and of the relay (1.7e-12) have
-    # targets far below the total power 1e5. Scaled by that total they were
-    # called degenerate, then failed an absolute 1e-9 test on estimates of
-    # 2.3e-9 that matched their targets to 0.1%. Scaled by their own power
-    # they get the z-test.
+    # targets far below the total power 1e5. Judged on their own power, they
+    # are not degenerate and get the z-test.
     code, out = verify_all(tmp_path, capsys, SEG, "seg.json", n="1000000")
     lines = out.splitlines()
     assert code == 0 and lines[-1] == "verify result=PASS checks=12"
