@@ -495,7 +495,7 @@ def test_partner_alpha_stays_in_the_unit_interval():
     ((37.91, 10.89, 0.01386, 0.2739), 0.3084, 9.918),
     ((0.03082, 0.04818, 7.249), 19.83, 9.325),
 ])
-def test_witness_scan_is_feasible_with_a_tiny_power(P, P_r, N_delta, family):
+def test_sampled_scan_draws_feasible_splits_with_a_tiny_power(P, P_r, N_delta, family):
     # One normalised power is below 0.01, so Dirichlet draws over the whole
     # simplex were almost all infeasible (the outer scan once kept 3 of
     # 10,045 on the K=4 config). Either family's verdict is now its witness,
@@ -583,7 +583,7 @@ def scan_config(name):
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_CONFIGS))
-def test_witness_scan_bits_are_frozen(name):
+def test_sampled_scan_bits_are_frozen(name):
     # Per config, the digest of each scan's verdict, kinds (Active as True)
     # and the float64 fields of every sample. Each scan is its family's
     # witness, so the digests are those of the witness tables below.
@@ -715,7 +715,7 @@ def test_uniform_split_with_a_vanishing_power_is_active(P):
 
 # Per scan config, the digest of the uniform-split witness's verdict, kind
 # (Active as True) and float64 fields (alpha, then beta_star), laid out as
-# test_witness_scan_bits_are_frozen hashes a scan.
+# test_sampled_scan_bits_are_frozen hashes a scan.
 FROZEN_WITNESS_DIGESTS = {
     "example3": "415b366fbfceab67eeb7e558c29707fbf7b6bcebe9a3c006e343d4bcc079da06",
     "k5_upper_bound_only": "278a16512f99ae05e4f283efcb037f133bb9c1506c11ce1c49c128b4b4034062",
@@ -760,7 +760,7 @@ def test_two_user_sweep_without_an_active_point_takes_the_uniform_split(resoluti
 
 # Per scan config, the digest of the correlation witness's verdict, kind
 # (Active as True) and float64 gamma, laid out as
-# test_witness_scan_bits_are_frozen hashes a scan.
+# test_sampled_scan_bits_are_frozen hashes a scan.
 FROZEN_CORRELATION_WITNESS_DIGESTS = {
     "example3": "e4a745f1c2a071475c8dd61dc6df695a3152591116ccdbd4ea0d2170244872ee",
     "k5_upper_bound_only": "6b24168ee179fb321a124fd6486d060d839110f9eaad100093fd93595ec830fa",
